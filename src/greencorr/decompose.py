@@ -15,6 +15,9 @@ decides the leaf:
   idempotent besides 0 and 1, which splits M.
 
 A wrong certificate is never returned; exhaustion raises UndecidedError.
+The radical J of a local End(M) is kept with its certificate: it decides
+direct summands and isomorphisms of indecomposables exactly, and Higman's
+criterion decides relative projectivity.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import InputError, TheoremViolationError, UndecidedError
 from .linalg import mat_inv, mat_pow, nullspace, rank, rref
 from .modules import (
     FpModule,
+    InducedModule,
     counit_ind_res,
     hom_space,
     hom_space_from_actions,
@@ -43,7 +47,6 @@ from .permgroups import (
     sylow,
 )
 
-SUMMAND_DECOMPOSE_LIMIT = 120
 FITTING_BUDGET_FACTOR = 64
 
 
@@ -120,19 +123,15 @@ class _EndAlgebra:
                     return False
         return True
 
-    def pth_power_map(self) -> np.ndarray:
-        """Matrix (in basis coordinates) of x -> x^p.
-
-        Only meaningful on commutative algebras, where the map is additive in
-        characteristic p and hence GF(p)-linear.
-        """
-        rows = [self.coords(mat_pow(b, self.p, self.p)) for b in self.basis]
-        return np.stack(rows).T % self.p
-
     def power_map(self, e: int) -> np.ndarray:
         """Matrix of x -> x^(p^e) on a commutative algebra (additive in char p)."""
         rows = [self.coords(mat_pow(b, self.p ** e, self.p)) for b in self.basis]
         return np.stack(rows).T % self.p
+
+    def flat_echelon(self, coords: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """Reduced echelon basis, on flattened matrices, of a span given in
+        basis coordinates (one row per element)."""
+        return rref((coords @ self._flat) % self.p, self.p)
 
 
 class _UnitAnalysis:
@@ -178,15 +177,15 @@ class _UnitAnalysis:
         self.nonunits = nonunits
         self.idempotent_coords = idempotent
 
-    def nonunit_subspace_dim(self) -> int | None:
-        """Dimension of the span of nonunits if that span consists exactly of
-        the nonunits (plus zero), else None."""
+    def nonunit_subspace(self) -> np.ndarray | None:
+        """Basis (in coordinates) of the span of the nonunits if that span
+        consists exactly of the nonunits (plus zero), else None."""
         p, m = self.alg.p, self.alg.m
         sb = linalg.SpanBuilder(m, p)
         for c in self.nonunits:
             sb.add(c)
         if p ** sb.rank == len(self.nonunits) + 1:
-            return sb.rank
+            return sb.basis()
         return None
 
 
@@ -198,6 +197,8 @@ class _LeafInfo:
     residue_degree: int
     # present only when not local:
     idempotent: np.ndarray | None = None
+    # present only when local: echelon basis (and pivots) of J(End M) on
+    # flattened matrices
     radical_flat: tuple[np.ndarray, list[int]] | None = None
 
     def certificate(self) -> SummandCertificate:
@@ -211,7 +212,8 @@ def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
     if m == 0:
         raise InputError("zero module has no endomorphism analysis")
     if m == 1:
-        return _LeafInfo(True, 1, 0, 1)
+        return _LeafInfo(True, 1, 0, 1, radical_flat=(
+            np.zeros((0, dim * dim), dtype=np.int64), []))
     alg = _EndAlgebra(ends, p)
     if alg.is_commutative():
         return _analyze_commutative(alg, dim)
@@ -220,7 +222,7 @@ def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
 
 def _analyze_commutative(alg: _EndAlgebra, dim: int) -> _LeafInfo:
     p, m = alg.p, alg.m
-    frob = alg.pth_power_map()
+    frob = alg.power_map(1)
     fixed = nullspace((frob - np.eye(m, dtype=np.int64)) % p, p)
     r = len(fixed)
     # nilradical = kernel of x -> x^(p^l) with p^l >= matrix size
@@ -231,7 +233,8 @@ def _analyze_commutative(alg: _EndAlgebra, dim: int) -> _LeafInfo:
     J = nullspace(power, p)
     radical_dim = len(J)
     if r == 1:
-        return _LeafInfo(True, m, radical_dim, m - radical_dim)
+        return _LeafInfo(True, m, radical_dim, m - radical_dim,
+                         radical_flat=alg.flat_echelon(J))
     # r >= 2: an exact Frobenius-fixed element outside the scalars
     id_coords = alg.coords(np.eye(alg.d, dtype=np.int64))
     fixed_rows = np.stack(fixed)
@@ -284,9 +287,10 @@ def _analyze_noncommutative(alg: _EndAlgebra) -> _LeafInfo:
     """
     p, m = alg.p, alg.m
     ua = _UnitAnalysis(alg)
-    j = ua.nonunit_subspace_dim()
-    if j is not None:
-        return _LeafInfo(True, m, j, m - j)
+    J = ua.nonunit_subspace()
+    if J is not None:
+        return _LeafInfo(True, m, len(J), m - len(J),
+                         radical_flat=alg.flat_echelon(J))
     if ua.idempotent_coords is None:
         raise UndecidedError("nonunits not a subspace yet no idempotent found")
     e = alg.from_coords(ua.idempotent_coords)
@@ -342,7 +346,7 @@ def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int,
     """Return ("leaf", _LeafInfo) or ("split", (left, right, P, r))."""
     ends = hom_space_from_actions(mats, dim, mats, dim, p)
     if len(ends) == 1:
-        return "leaf", _LeafInfo(True, 1, 0, 1)
+        return "leaf", _analyze_end(ends, p, dim)
     K = 1
     while K < dim:
         K <<= 1
@@ -406,7 +410,7 @@ def decompose(M: FpModule, seed: int = 0) -> Decomposition:
     for mod, (mats, embed, info) in zip(piece_modules, pieces):
         placed = False
         for idx, (rep, rep_info, count) in enumerate(classes):
-            if rep.dim == mod.dim and _iso_indec(rep, mod, rep_info):
+            if rep.dim == mod.dim and _iso_indec(rep, mod):
                 classes[idx] = (rep, rep_info, count + 1)
                 placed = True
                 break
@@ -468,126 +472,85 @@ def is_indecomposable(M: FpModule) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing
+# direct summands and isomorphism
 # ---------------------------------------------------------------------------
 
 
-def _radical_flat(M: FpModule) -> tuple[np.ndarray, list[int]]:
-    """Echelonized flat basis of the radical of End(M) for the membership test.
+def _is_retract(M: FpModule, X: FpModule) -> bool:
+    """Whether the indecomposable M is a direct summand of X.
 
-    Only meaningful for local End(M): commutative algebras use the nilradical
-    (kernel of a p-power map), noncommutative ones the nonunit subspace.
+    M | X iff some composite beta∘alpha (alpha: M -> X, beta: X -> M) lies
+    outside the radical J of the local ring End(M).  For X = Ind_S s the homs
+    come through the adjunctions from Hom_S(Res M, s) and Hom_S(s, Res M);
+    otherwise from hom_space, where an invertible basis hom (beta its
+    inverse) decides at once.  Raises InputError when J is needed and End(M)
+    is not local.
     """
-    ends = hom_space(M, M)
     p = M.p
-    alg = _EndAlgebra(ends, p)
-    if alg.is_commutative():
-        l = 1
-        while p ** l < max(alg.d, 2):
-            l += 1
-        Jc = nullspace(alg.power_map(l), p)
+    if isinstance(X, InducedModule):
+        emb, s = X.embedding, X.base
+        r = len(X.coset_reps)
+        eta = unit_res_ind(M, emb)
+        eps = counit_ind_res(M, emb)
+        alphas = [(_block_diag(phi, r) @ eta) % p
+                  for phi in hom_space(restrict(M, emb), s)]
+        betas = [(eps @ _block_diag(psi, r)) % p
+                 for psi in hom_space(s, restrict(M, emb))]
     else:
-        ua = _UnitAnalysis(alg)
-        if ua.nonunit_subspace_dim() is None:
-            raise UndecidedError("radical requested for a non-local algebra")
-        if ua.nonunits:
-            Jc = np.stack(ua.nonunits)
-        else:
-            Jc = np.zeros((0, alg.m), dtype=np.int64)
-    if len(Jc) == 0:
-        return np.zeros((0, M.dim * M.dim), dtype=np.int64), []
-    flat = np.stack([alg.from_coords(c) for c in Jc]).reshape(len(Jc), -1)
-    return rref(flat, p)
-
-
-def _iso_indec(M: FpModule, N: FpModule, info: _LeafInfo | None = None) -> bool:
-    """Exact isomorphism test for certified-indecomposable modules.
-
-    M ≅ N iff some composite beta∘alpha (alpha: M->N, beta: N->M) falls
-    outside the radical of the local ring End(M).
-    """
-    if M.dim != N.dim:
-        return False
-    homs = hom_space(M, N)
-    if not homs:
-        return False
-    for F in homs:
-        if rank(F, M.p) == M.dim:
+        alphas = hom_space(M, X)
+        if X.dim == M.dim and any(rank(a, p) == M.dim for a in alphas):
             return True
-    back = hom_space(N, M)
-    if not back:
-        return False
-    RJ, pivJ = _radical_flat(M)
-    p = M.p
-    for a in homs:
-        for b in back:
-            comp = (b @ a) % p
-            if not linalg.in_row_space(comp.ravel(), RJ, pivJ, p):
-                return True
-    return False
+        betas = hom_space(X, M) if alphas else []
+    info = end_info(M)
+    if not info.local:
+        raise InputError("direct-summand test requires an indecomposable M")
+    RJ, pivJ = info.radical_flat
+    return any(not linalg.in_row_space(((b @ a) % p).ravel(), RJ, pivJ, p)
+               for a in alphas for b in betas)
 
 
-def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0,
-                  random_tries: int = 128) -> bool:
+def is_direct_summand(M: FpModule, X: FpModule) -> bool:
+    """Whether the certified-indecomposable M is a direct summand of X.
+
+    Exact for every X: M | X iff some composite beta∘alpha of homs
+    alpha: M -> X and beta: X -> M is a unit of the local ring End(M), i.e.
+    lies outside its radical.  The homs into and out of an induced X come
+    through the induction adjunctions.
+    """
+    if M.dim == 0:
+        return True
+    return _is_retract(M, X)
+
+
+def _block_diag(block: np.ndarray, copies: int) -> np.ndarray:
+    rows, cols = block.shape
+    out = np.zeros((rows * copies, cols * copies), dtype=np.int64)
+    for i in range(copies):
+        out[i * rows:(i + 1) * rows, i * cols:(i + 1) * cols] = block
+    return out
+
+
+def _iso_indec(M: FpModule, N: FpModule) -> bool:
+    """Exact isomorphism test for certified-indecomposable modules: M ≅ N iff
+    the dimensions agree and M is a direct summand of N."""
+    return M.dim == N.dim and _is_retract(M, N)
+
+
+def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0) -> bool:
     """General isomorphism test.
 
-    Search order: basis homs, seeded random combinations, exhaustive
-    combinations (hom dimension <= 12 and p <= 3), then the
-    decomposition-multiset comparison, which always decides.
+    An invertible basis hom decides at once; otherwise the Krull-Schmidt
+    multisets of both decompositions are compared class by class.
     """
     same_context(M, N)
     if M.dim != N.dim:
         return False
     if M.dim == 0:
         return True
-    p = M.p
-    homs = hom_space(M, N)
-    if not homs:
-        return False
-    for F in homs:
-        if rank(F, p) == M.dim:
-            return True
-    rng = np.random.default_rng(seed)
-    for _ in range(random_tries):
-        coeffs = rng.integers(0, p, size=len(homs))
-        F = np.zeros_like(homs[0])
-        for c, b in zip(coeffs, homs):
-            if c:
-                F = (F + int(c) * b) % p
-        if rank(F, p) == M.dim:
-            return True
-    h = len(homs)
-    if h <= 12 and p <= 3 and p ** h <= 60_000:
-        from itertools import product as _product
-        for tup in _product(range(p), repeat=h):
-            F = np.zeros_like(homs[0])
-            for c, b in zip(tup, homs):
-                if c:
-                    F = (F + int(c) * b) % p
-            if rank(F, p) == M.dim:
-                return True
-        return False
-    da = decompose(M, seed)
-    db = decompose(N, seed)
-    return _same_class_multiset(da, db)
-
-
-def _same_class_multiset(da: Decomposition, db: Decomposition) -> bool:
-    if da.dims_multiset() != db.dims_multiset():
-        return False
-    used = [False] * len(db.summands)
-    for mod_a, mult_a in da.summands:
-        found = False
-        for j, (mod_b, mult_b) in enumerate(db.summands):
-            if used[j] or mod_a.dim != mod_b.dim or mult_a != mult_b:
-                continue
-            if _iso_indec(mod_a, mod_b):
-                used[j] = True
-                found = True
-                break
-        if not found:
-            return False
-    return all(used)
+    if any(rank(F, M.p) == M.dim for F in hom_space(M, N)):
+        return True
+    return same_multiset(decompose(M, seed).summands,
+                         decompose(N, seed).summands)
 
 
 def multiset_of_classes(decs: list[Decomposition]) -> list[tuple[FpModule, int]]:
@@ -727,81 +690,22 @@ def _relative_coset_reps(G: PermGroup, lower: SubgroupEmbedding,
     return reps
 
 
-def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding,
-                             seed: int = 0) -> bool:
-    """Whether M is a retract of Ind_D Res_D M (a D-object).
+def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding) -> bool:
+    """Whether M is relatively D-projective (a D-object, a retract of
+    Ind_D Res_D M).
 
-    Small inductions are decomposed and matched summand by summand; larger
-    ones use the equivalent counit-section criterion: the identity of M lies
-    in the image of the relative trace from D.
+    Decided by Higman's criterion: M is relatively D-projective iff id_M lies
+    in the image of the relative trace Tr_D^G on End_kD(Res_D M)
+    (D. G. Higman, Duke Math. J. 21, 1954).
     """
     G = M.group
     if not G.same_group(emb.ambient):
         raise InputError("subgroup is not inside the module's group")
-    if emb.order == G.order:
-        return True
-    if M.dim == 0:
-        return True
-    index = G.order // emb.order
-    if index * M.dim <= SUMMAND_DECOMPOSE_LIMIT:
-        ind = induce(restrict(M, emb), emb)
-        dec_ind = decompose(ind, seed)
-        dec_m = decompose(M, seed)
-        for mod, mult in dec_m.summands:
-            have = 0
-            for other, count in dec_ind.summands:
-                if other.dim == mod.dim and _iso_indec(mod, other):
-                    have = count
-                    break
-            if have < mult:
-                return False
+    if emb.order == G.order or M.dim == 0:
         return True
     R, piv = relative_trace_image(M, M, emb)
     ident = np.eye(M.dim, dtype=np.int64).ravel()
-    if R.shape[0] == 0:
-        return False
     return linalg.in_row_space(ident, R, piv, M.p)
-
-
-def is_direct_summand(M: FpModule, X: FpModule, seed: int = 0) -> bool:
-    """Whether the certified-indecomposable M is a retract of X."""
-    if M.dim == 0:
-        return True
-    if not end_info(M).local:
-        raise InputError("direct-summand test requires an indecomposable M")
-    p = M.p
-    if X.dim <= SUMMAND_DECOMPOSE_LIMIT or not hasattr(X, "base"):
-        dec = decompose(X, seed)
-        return any(mod.dim == M.dim and _iso_indec(M, mod)
-                   for mod, _ in dec.summands)
-    # X = Ind_emb(s): transport homs through the adjunction and test whether
-    # the composites generate End(M) modulo its radical
-    emb = X.embedding
-    s = X.base
-    fw = hom_space(restrict(M, emb), s)
-    bw = hom_space(s, restrict(M, emb))
-    if not fw or not bw:
-        return False
-    eta = unit_res_ind(M, emb)
-    eps = counit_ind_res(M, emb)
-    r = len(X.coset_reps)
-    RJ, pivJ = _radical_flat(M)
-    for phi in fw:
-        alpha = (_block_diag(phi, r) @ eta) % p
-        for psi in bw:
-            beta = (eps @ _block_diag(psi, r)) % p
-            comp = (beta @ alpha) % p
-            if comp.any() and not linalg.in_row_space(comp.ravel(), RJ, pivJ, p):
-                return True
-    return False
-
-
-def _block_diag(block: np.ndarray, copies: int) -> np.ndarray:
-    rows, cols = block.shape
-    out = np.zeros((rows * copies, cols * copies), dtype=np.int64)
-    for i in range(copies):
-        out[i * rows:(i + 1) * rows, i * cols:(i + 1) * cols] = block
-    return out
 
 
 @dataclass
@@ -831,7 +735,7 @@ def vertex(M: FpModule, seed: int = 0) -> VertexResult:
     if M.dim == 0 or not end_info(M).local:
         raise InputError("vertex is defined for certified indecomposables")
     S = sylow(G, p)
-    if not is_relatively_projective(M, S, seed):
+    if not is_relatively_projective(M, S):
         raise TheoremViolationError("module not projective relative to Sylow")
     checked = [(S.order, True)]
     current = S
@@ -840,7 +744,7 @@ def vertex(M: FpModule, seed: int = 0) -> VertexResult:
         for R in p_subgroups_up_to_conjugacy(G, current):
             if R.order >= current.order:
                 continue
-            ok = is_relatively_projective(M, R, seed)
+            ok = is_relatively_projective(M, R)
             checked.append((R.order, ok))
             if ok:
                 current = R
@@ -857,7 +761,7 @@ def vertex(M: FpModule, seed: int = 0) -> VertexResult:
         dec = decompose(restrict(M, current), seed)
         for s_mod, _ in dec.summands:
             ind = induce(s_mod, current)
-            if is_direct_summand(M, ind, seed):
+            if is_direct_summand(M, ind):
                 source = s_mod
                 break
     if source is None:

@@ -240,7 +240,7 @@ def module_catalog(sc: Scenario, side: str,
     for mod in _dedup_classes(candidates):
         if not end_info(mod).local:
             continue
-        d_obj = is_relatively_projective(mod, d_emb, seed)
+        d_obj = is_relatively_projective(mod, d_emb)
         x_obj = is_x_object(mod, fam, seed)
         out.append((mod, d_obj, x_obj))
     out.sort(key=lambda t: t[0].dim)
@@ -294,7 +294,7 @@ def _require_eligible(mod: FpModule, sc: Scenario, side: str, seed: int) -> None
         d_emb, fam = sc.d_in_h, sc.x_in_h()
     else:
         d_emb, fam = sc.D, sc.x_in_g()
-    if not is_relatively_projective(mod, d_emb, seed):
+    if not is_relatively_projective(mod, d_emb):
         raise InputError("correspondent requires a D-object")
     if is_x_object(mod, fam, seed):
         raise InputError("correspondent requires a module outside the X-objects")
@@ -444,8 +444,8 @@ def verify_scenario(sc: Scenario, seed: int = 0) -> GreenReport:
         m = correspondent_up(n, sc, seed)
         back = correspondent_down(m, sc, seed)
         round_trip = _iso_indec(n, back)
-        m_le_ind = is_direct_summand(m, induce(n, sc.H), seed)
-        n_le_res = is_direct_summand(n, restrict(m, sc.H), seed)
+        m_le_ind = is_direct_summand(m, induce(n, sc.H))
+        n_le_res = is_direct_summand(n, restrict(m, sc.H))
         bij_ok = bij_ok and round_trip and m_le_ind and n_le_res
         up_images.append(m)
         match_g = next((names_g[j] for j, mg in enumerate(elig_g)

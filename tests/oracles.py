@@ -241,3 +241,44 @@ def inv_mod_mat(A, p):
             aug[idx] = (aug[idx] - np.outer(col[idx], aug[r])) % p
         r += 1
     return aug[:, n:]
+
+
+def brute_isomorphic(gens_m, gens_n, p, limit=200000):
+    """Whether some invertible matrix intertwines the two actions, by
+    exhausting Hom(M, N) (small hom spaces only)."""
+    basis = kron_hom_basis(gens_m, gens_n, p)
+    if not basis or basis[0].shape[0] != basis[0].shape[1]:
+        return False
+    if p ** len(basis) > limit:
+        raise ValueError("hom space too large for exhaustion")
+    d = basis[0].shape[0]
+    for coeffs in product(range(p), repeat=len(basis)):
+        F = np.zeros((d, d), dtype=np.int64)
+        for c, E in zip(coeffs, basis):
+            F = (F + c * E) % p
+        if rank_mod(F, p) == d:
+            return True
+    return False
+
+
+def summand_route_relatively_projective(M, emb):
+    """Relative projectivity by decompose-and-match: M is relatively
+    emb-projective iff every indecomposable summand class of M occurs in
+    Ind Res M with at least its multiplicity (Krull-Schmidt).
+
+    The decompositions come from the package; summand classes are matched
+    with brute_isomorphic, so no relative trace and no radical is involved.
+    """
+    from greencorr.decompose import decompose
+    from greencorr.modules import induce, restrict
+
+    if emb.order == M.group.order or M.dim == 0:
+        return True
+    dec_ind = decompose(induce(restrict(M, emb), emb))
+    for mod, mult in decompose(M).summands:
+        have = next((count for other, count in dec_ind.summands
+                     if other.dim == mod.dim
+                     and brute_isomorphic(mod.action, other.action, M.p)), 0)
+        if have < mult:
+            return False
+    return True

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -158,6 +159,20 @@ def test_byte_identical_reports(s3_config, tmp_path):
     assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
     assert (out1 / "verify_ff_table.tsv").read_bytes() == \
         (out2 / "verify_ff_table.tsv").read_bytes()
+    # the shipped configs keep their recorded reports
+    root = Path(__file__).resolve().parent.parent / "configs"
+    recorded = {
+        "s3_c2_c2": "82ebd42615a704e801d402f5f0e223d7",
+        "degenerate_s3": "ae9a062ab5f7b1d46aaf7a5cc6017997",
+        "s4_d8_c4": "60117dcd2de2eb1bb9ed65084ca1baef",
+        "s4_d8_d8": "d51671e6b9edbcb116d96f2155172a33",
+    }
+    for name, md5 in recorded.items():
+        out = tmp_path / name
+        assert run(["verify", "--scenario", str(root / f"{name}.json"),
+                    "--seed", "0", "--out", str(out)]) == 0
+        assert hashlib.md5((out / "verify.json").read_bytes()).hexdigest() \
+            == md5, name
 
 
 def test_report_json_roundtrip(s3_config, tmp_path):
