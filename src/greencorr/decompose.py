@@ -1,34 +1,41 @@
 """Krull-Schmidt decomposition and relative projectivity over GF(p).
 
-Splitting uses Fitting's lemma on endomorphisms (basis elements first, then
-seeded random combinations).  When the attempt budget runs out, a certificate
-decides the leaf:
+Splitting first tries Fitting's lemma on each basis endomorphism.  When none
+of them splits M, the Jacobson radical J of E = End(M) decides: J comes from
+the trace-form levels of Cohen, Ivanyos & Wales (J. Pure Appl. Algebra
+117/118, 1997), and the semisimple quotient E/J is read as in Lux & Szőke
+(Experiment. Math. 16, 2007):
 
-* commutative End(M): the fixed space of the Frobenius x -> x^p has dimension
-  equal to the number of indecomposable factors of End(M)/J, so M is
-  indecomposable iff that dimension is 1.  When it is larger, a fixed element
-  outside the scalars satisfies f^p = f exactly and yields a Lagrange
-  idempotent, which splits M deterministically.
-* noncommutative End(M): exhaustive unit analysis of the finite ring in its
-  regular representation.  A finite ring is local iff its nonunits form an
-  additive subgroup; when they do not, the enumeration always contains an
-  idempotent besides 0 and 1, which splits M.
+* E/J commutative with a one-dimensional Frobenius-fixed space: E/J is a
+  field, so E is local and M is indecomposable, certified by
+  (dim E, dim J, dim E/J).
+* the center of E/J is not a field: a Frobenius-fixed central element f
+  outside the scalars has an eigenvalue c in GF(p), f - c is a central
+  nonunit, and Fitting's lemma on a lift of it splits M.
+* E/J simple but not commutative, so E/J = M_k(GF(p^f)) with k >= 2:
+  Chevalley-Warning on the reduced norm, a form of degree kf, puts a nonzero
+  nonunit x in the span of the first kf + 1 basis elements of E/J.  The
+  right ideal x(E/J) is generated by an idempotent that one linear solve
+  finds, and Fitting's lemma on a lift of it splits M.
 
-A wrong certificate is never returned; exhaustion raises UndecidedError.
-The radical J of a local End(M) is kept with its certificate: it decides
-direct summands and isomorphisms of indecomposables exactly, and Higman's
-criterion decides relative projectivity.
+No step is random and no step enumerates units, so a decomposition does not
+depend on any seed, and a wrong certificate is never returned.  The radical
+of a local End(M) is kept with its certificate: it decides direct summands
+and isomorphisms of indecomposables exactly, and Higman's criterion decides
+relative projectivity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from . import linalg
 from .errors import InputError, TheoremViolationError, UndecidedError
-from .linalg import mat_inv, mat_pow, nullspace, rank, rref
+from .linalg import mat_inv, mat_pow, nullspace, rank, rref, solve
 from .modules import (
     FpModule,
     InducedModule,
@@ -46,8 +53,6 @@ from .permgroups import (
     p_subgroups_up_to_conjugacy,
     sylow,
 )
-
-FITTING_BUDGET_FACTOR = 64
 
 
 def column_space(A: np.ndarray, p: int) -> np.ndarray:
@@ -92,101 +97,142 @@ class _EndAlgebra:
     """A unital subalgebra of M_d(GF(p)) spanned by an echelonized basis."""
 
     def __init__(self, basis: list[np.ndarray], p: int):
-        self.basis = basis
         self.p = p
         self.m = len(basis)
-        self.d = basis[0].shape[0] if basis else 0
+        self.d = basis[0].shape[0]
         flat = np.stack([b.ravel() for b in basis])
         # hom_space returns reduced echelon bases, so coordinates are reads
         self.pivots = [int(np.nonzero(row)[0][0]) for row in flat]
         self._flat = flat
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        c = x.ravel()[self.pivots] % self.p
-        return c
+        return x.ravel()[self.pivots] % self.p
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.d, self.d), dtype=np.int64)
-        for coeff, b in zip(c, self.basis):
-            if coeff:
-                out = (out + int(coeff) * b) % self.p
-        return out
-
-    def contains(self, x: np.ndarray) -> bool:
-        return (self.from_coords(self.coords(x)) == x % self.p).all()
-
-    def is_commutative(self) -> bool:
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                a, b = self.basis[i], self.basis[j]
-                if ((a @ b) % self.p != (b @ a) % self.p).any():
-                    return False
-        return True
-
-    def power_map(self, e: int) -> np.ndarray:
-        """Matrix of x -> x^(p^e) on a commutative algebra (additive in char p)."""
-        rows = [self.coords(mat_pow(b, self.p ** e, self.p)) for b in self.basis]
-        return np.stack(rows).T % self.p
+        """The element with coordinates c, or the stack of them for rows c."""
+        return ((c @ self._flat) % self.p).reshape(*c.shape[:-1], self.d, self.d)
 
     def flat_echelon(self, coords: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced echelon basis, on flattened matrices, of a span given in
         basis coordinates (one row per element)."""
         return rref((coords @ self._flat) % self.p, self.p)
 
+    def structure_constants(self) -> np.ndarray:
+        """mult[i, j] = coords(basis[i] @ basis[j]).
 
-class _UnitAnalysis:
-    """Exhaustive unit structure of a small finite algebra.
+        Only the pivot entries of the products are formed, in one batched
+        float64 matmul, which is exact while d * (p - 1)^2 < 2^53.
+        """
+        d = self.d
+        B = self._flat.reshape(self.m, d, d).astype(np.float64)
+        rows = [c // d for c in self.pivots]
+        cols = [c % d for c in self.pivots]
+        left = B[:, rows, :].transpose(1, 0, 2)    # [k, i, t]
+        right = B[:, :, cols].transpose(2, 1, 0)   # [k, t, j]
+        prod = np.matmul(left, right).astype(np.int64) % self.p
+        return prod.transpose(1, 2, 0)
 
-    Invertibility of x in E is decided by the left-multiplication operator on
-    E itself (an m x m matrix over GF(p)), so the cost is governed by dim E,
-    not by the ambient matrix size.
+
+def _radical(alg: _EndAlgebra, mult: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced echelon basis and pivots, in basis coordinates, of J(E).
+
+    Cohen-Ivanyos-Wales: I_-1 = E and, for q = p^i <= d,
+    I_i = {a in I_(i-1) : g_i(ab) = 0 for all b in E} with
+    g_i(x) = Tr(x^q) / q mod p on the integer lift of x; the last level is J.
+    Each g_i is linear on the ideal I_(i-1), so it is evaluated on a basis of
+    I_(i-1) only, and on the products ab through the structure constants.
     """
+    p, m = alg.p, alg.m
+    level, pivots = np.eye(m, dtype=np.int64), list(range(m))
+    q = 1
+    while q <= alg.d and len(level):
+        x = alg.from_coords(level)
+        if q > 1:
+            x = mat_pow(x, q, p * q)
+        g = np.trace(x, axis1=1, axis2=2) % (p * q) // q
+        # on elements of I_(i-1), g_i reads their coordinates at its pivots
+        phi = np.zeros(m, dtype=np.int64)
+        phi[pivots] = g
+        form = (level @ ((mult @ phi) % p)) % p  # form[s, j] = g_i(a_s b_j)
+        level, pivots = rref((nullspace(form.T, p) @ level) % p, p)
+        q *= p
+    return level, pivots
 
-    ENUM_LIMIT = 300_000
 
-    def __init__(self, alg: _EndAlgebra):
-        from itertools import product as _product
+class _Semisimple:
+    """E/J, on the E-basis elements outside the pivots of J's echelon basis."""
 
-        p, m = alg.p, alg.m
-        if p ** m > self.ENUM_LIMIT:
-            raise UndecidedError(
-                f"endomorphism algebra of size {p}^{m} too large to enumerate")
-        # structure tensor: basis[i] @ basis[j] = sum_k mult[i,j,k] basis[k]
-        mult = np.zeros((m, m, m), dtype=np.int64)
-        for i in range(m):
-            for j in range(m):
-                mult[i, j] = alg.coords((alg.basis[i] @ alg.basis[j]) % p)
-        self.mult = mult
-        self.alg = alg
-        one = alg.coords(np.eye(alg.d, dtype=np.int64))
-        self.one = one
-        nonunits = []
-        idempotent = None
-        for tup in _product(range(p), repeat=m):
-            c = np.array(tup, dtype=np.int64)
-            if not c.any():
-                continue
-            L = np.einsum("j,jik->ki", c, mult) % p
-            # L[k, i] with column i = coords of c * basis[i]
-            if rank(L, p) < m:
-                nonunits.append(c)
-                if idempotent is None:
-                    sq = np.einsum("i,j,ijk->k", c, c, mult) % p
-                    if (sq == c).all() and (c != one % p).any():
-                        idempotent = c
-        self.nonunits = nonunits
-        self.idempotent_coords = idempotent
+    def __init__(self, alg: _EndAlgebra, mult: np.ndarray,
+                 J: np.ndarray, j_pivots: list[int]):
+        self.p, self.m, self.J, self.j_pivots = alg.p, alg.m, J, j_pivots
+        self.free = [c for c in range(alg.m) if c not in j_pivots]
+        self.n = n = len(self.free)
+        self.mult = self.reduce(mult[np.ix_(self.free, self.free)]).reshape(n, n, n)
+        self.one = self.reduce(alg.coords(np.eye(alg.d, dtype=np.int64)))
 
-    def nonunit_subspace(self) -> np.ndarray | None:
-        """Basis (in coordinates) of the span of the nonunits if that span
-        consists exactly of the nonunits (plus zero), else None."""
-        p, m = self.alg.p, self.alg.m
-        sb = linalg.SpanBuilder(m, p)
-        for c in self.nonunits:
-            sb.add(c)
-        if p ** sb.rank == len(self.nonunits) + 1:
-            return sb.basis()
-        return None
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """Quotient coordinates of E-coordinate vectors (last axis)."""
+        v = v - v[..., self.j_pivots] @ self.J
+        return v[..., self.free] % self.p
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """E-coordinates of a preimage."""
+        v = np.zeros(self.m, dtype=np.int64)
+        v[self.free] = x
+        return v
+
+    def left_mult(self, x: np.ndarray) -> np.ndarray:
+        """Row b is x * e_b."""
+        n = self.n
+        return ((x @ self.mult.reshape(n, n * n)) % self.p).reshape(n, n)
+
+    def is_unit(self, x: np.ndarray) -> bool:
+        return rank(self.left_mult(x), self.p) == self.n
+
+    def power(self, x: np.ndarray, k: int) -> np.ndarray:
+        out, base = self.one, x
+        while k:
+            if k & 1:
+                out = (base @ self.left_mult(out)) % self.p
+            base = (base @ self.left_mult(base)) % self.p
+            k >>= 1
+        return out
+
+    def splitting_element(self) -> np.ndarray | None:
+        """A nonunit that is not nilpotent, or None when E/J is a field."""
+        p, n = self.p, self.n
+        comm = (self.mult - self.mult.transpose(1, 0, 2)).reshape(n, n * n)
+        center, c_pivots = rref(nullspace(comm.T % p, p), p)
+        frob = np.stack([self.power(z, p)[c_pivots] for z in center])
+        eye = np.eye(len(center), dtype=np.int64)
+        fixed = (nullspace((frob - eye).T % p, p) @ center) % p
+        if len(fixed) > 1:
+            # the center has several field factors; f - c is a central nonunit
+            # for an eigenvalue c of a fixed f outside the scalars
+            f = next(f for f in fixed if rank(np.stack([f, self.one]), p) == 2)
+            return next(x for x in ((f - c * self.one) % p for c in range(p))
+                        if not self.is_unit(x))
+        if len(center) == n:
+            return None
+        # simple: M_k over the field of degree len(center), k >= 2
+        span = math.isqrt(n // len(center)) * len(center) + 1
+        for coeffs in product(range(p), repeat=span):
+            x = np.zeros(n, dtype=np.int64)
+            x[:span] = coeffs
+            if x.any() and not self.is_unit(x):
+                return self._idempotent_of(x)
+        raise UndecidedError("no nonunit in the Chevalley-Warning span")
+
+    def _idempotent_of(self, x: np.ndarray) -> np.ndarray:
+        """The idempotent e in x(E/J) with e y = y on x(E/J)."""
+        p = self.p
+        Y, _ = rref(self.left_mult(x), p)  # rows span x(E/J)
+        r = len(Y)
+        prods = np.stack([(Y @ self.left_mult(y)) % p for y in Y])  # [t, s] = y_t y_s
+        lam = solve(prods.reshape(r, -1).T, Y.ravel(), p)
+        if lam is None:
+            raise UndecidedError("right ideal has no idempotent generator")
+        return (lam @ Y) % p
 
 
 @dataclass
@@ -195,8 +241,9 @@ class _LeafInfo:
     end_dim: int
     radical_dim: int
     residue_degree: int
-    # present only when not local:
-    idempotent: np.ndarray | None = None
+    # present only when not local: an endomorphism that is neither invertible
+    # nor nilpotent, so Fitting's lemma on it splits M
+    splitter: np.ndarray | None = None
     # present only when local: echelon basis (and pivots) of J(End M) on
     # flattened matrices
     radical_flat: tuple[np.ndarray, list[int]] | None = None
@@ -207,7 +254,7 @@ class _LeafInfo:
 
 
 def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
-    """Decide locality of End(M), or produce an exact splitting idempotent."""
+    """Decide locality of End(M) from its radical, or produce a splitter."""
     m = len(ends)
     if m == 0:
         raise InputError("zero module has no endomorphism analysis")
@@ -215,89 +262,15 @@ def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
         return _LeafInfo(True, 1, 0, 1, radical_flat=(
             np.zeros((0, dim * dim), dtype=np.int64), []))
     alg = _EndAlgebra(ends, p)
-    if alg.is_commutative():
-        return _analyze_commutative(alg, dim)
-    return _analyze_noncommutative(alg)
-
-
-def _analyze_commutative(alg: _EndAlgebra, dim: int) -> _LeafInfo:
-    p, m = alg.p, alg.m
-    frob = alg.power_map(1)
-    fixed = nullspace((frob - np.eye(m, dtype=np.int64)) % p, p)
-    r = len(fixed)
-    # nilradical = kernel of x -> x^(p^l) with p^l >= matrix size
-    l = 1
-    while p ** l < max(alg.d, 2):
-        l += 1
-    power = alg.power_map(l)
-    J = nullspace(power, p)
-    radical_dim = len(J)
-    if r == 1:
-        return _LeafInfo(True, m, radical_dim, m - radical_dim,
-                         radical_flat=alg.flat_echelon(J))
-    # r >= 2: an exact Frobenius-fixed element outside the scalars
-    id_coords = alg.coords(np.eye(alg.d, dtype=np.int64))
-    fixed_rows = np.stack(fixed)
-    chosen = None
-    for row in fixed_rows:
-        stack = np.stack([row, id_coords])
-        if rank(stack, p) == 2:
-            chosen = row
-            break
-    assert chosen is not None
-    f = alg.from_coords(chosen)
-    e = _lagrange_idempotent(f, p)
-    assert ((e @ e) % p == e).all()
-    eye = np.eye(alg.d, dtype=np.int64)
-    assert e.any() and (e != eye).any()
-    return _LeafInfo(False, m, radical_dim, 0, idempotent=e)
-
-
-def _lagrange_idempotent(f: np.ndarray, p: int) -> np.ndarray:
-    """For f with f^p = f exactly, an idempotent projector onto one of the
-    >= 2 eigenvalue blocks of f."""
-    d = f.shape[0]
-    eye = np.eye(d, dtype=np.int64)
-    roots = []
-    for c in range(p):
-        prod = eye.copy()
-        for c2 in range(p):
-            if c2 != c:
-                prod = (prod @ ((f - c2 * eye) % p)) % p
-        if prod.any():
-            roots.append((c, prod))
-    assert len(roots) >= 2, "fixed element was scalar after all"
-    c0, prod = roots[0]
-    scale = 1
-    root_vals = [c for c, _ in roots]
-    prod = eye.copy()
-    for c2 in root_vals:
-        if c2 != c0:
-            prod = (prod @ ((f - c2 * eye) % p)) % p
-            scale = (scale * (c0 - c2)) % p
-    return (prod * pow(scale % p, p - 2, p)) % p
-
-
-def _analyze_noncommutative(alg: _EndAlgebra) -> _LeafInfo:
-    """Locality by exhaustive unit analysis of the finite ring End(M).
-
-    A finite ring is local iff its nonunits are closed under addition, i.e.
-    form a GF(p)-subspace; when it is not local it always contains an
-    idempotent other than 0 and 1, which the enumeration finds.
-    """
-    p, m = alg.p, alg.m
-    ua = _UnitAnalysis(alg)
-    J = ua.nonunit_subspace()
-    if J is not None:
+    mult = alg.structure_constants()
+    J, j_pivots = _radical(alg, mult)
+    quotient = _Semisimple(alg, mult, J, j_pivots)
+    x = quotient.splitting_element()
+    if x is None:
         return _LeafInfo(True, m, len(J), m - len(J),
                          radical_flat=alg.flat_echelon(J))
-    if ua.idempotent_coords is None:
-        raise UndecidedError("nonunits not a subspace yet no idempotent found")
-    e = alg.from_coords(ua.idempotent_coords)
-    assert ((e @ e) % p == e).all()
-    eye = np.eye(alg.d, dtype=np.int64)
-    assert e.any() and (e != eye).any()
-    return _LeafInfo(False, m, 0, 0, idempotent=e)
+    return _LeafInfo(False, m, len(J), 0,
+                     splitter=alg.from_coords(quotient.lift(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,69 +300,59 @@ def _split_by(mats: list[np.ndarray], F: np.ndarray, p: int):
     return left, right, P, r
 
 
-def _fitting_candidates(ends: list[np.ndarray], p: int,
-                        rng: np.random.Generator, budget: int):
-    for f in ends:
-        yield f
-    d = ends[0].shape[0]
-    for _ in range(budget):
-        coeffs = rng.integers(0, p, size=len(ends))
-        f = np.zeros((d, d), dtype=np.int64)
-        for c, b in zip(coeffs, ends):
-            if c:
-                f = (f + int(c) * b) % p
-        yield f
-
-
-def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int,
-                   rng: np.random.Generator):
-    """Return ("leaf", _LeafInfo) or ("split", (left, right, P, r))."""
-    ends = hom_space_from_actions(mats, dim, mats, dim, p)
-    if len(ends) == 1:
-        return "leaf", _analyze_end(ends, p, dim)
+def _fitting_split(mats: list[np.ndarray], f: np.ndarray, dim: int, p: int):
+    """Split along Fitting's decomposition im(f^K) ⊕ ker(f^K), K >= dim, when
+    f is neither invertible nor nilpotent; else None."""
     K = 1
     while K < dim:
         K <<= 1
-    budget = FITTING_BUDGET_FACTOR * len(ends)
-    for f in _fitting_candidates(ends, p, rng, budget):
-        fK = mat_pow(f, K, p)
-        r = rank(fK, p)
-        if 0 < r < dim:
-            split = _split_by(mats, fK, p)
+    fK = mat_pow(f, K, p)
+    if 0 < rank(fK, p) < dim:
+        return _split_by(mats, fK, p)
+    return None
+
+
+def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int):
+    """Return ("leaf", _LeafInfo) or ("split", (left, right, P, r))."""
+    ends = hom_space_from_actions(mats, dim, mats, dim, p)
+    if len(ends) > 1:
+        for f in ends:
+            split = _fitting_split(mats, f, dim, p)
             if split is not None:
                 return "split", split
     info = _analyze_end(ends, p, dim)
     if info.local:
         return "leaf", info
-    split = _split_by(mats, info.idempotent, p)
+    split = _fitting_split(mats, info.splitter, dim, p)
     if split is None:
-        raise UndecidedError("certificate idempotent failed to split")
+        raise UndecidedError("certificate splitter failed to split")
     return "split", split
 
 
-_DECOMP_CACHE: dict[tuple[bytes, int], "Decomposition"] = {}
+_DECOMP_CACHE: dict[bytes, "Decomposition"] = {}
 _DECOMP_CACHE_CAP = 512
+_CERT_CACHE: dict[bytes, _LeafInfo] = {}
 
 
 def decompose(M: FpModule, seed: int = 0) -> Decomposition:
     """Full Krull-Schmidt decomposition with per-class certificates.
 
-    Deterministic given the seed.  Never returns an uncertified answer:
-    exhaustion raises UndecidedError instead.  Results are memoized by the
-    module's exact fingerprint.
+    Deterministic: every split comes from a basis endomorphism or from the
+    radical of End, with no budget and no enumeration of units, so ``seed``
+    is accepted but unused.  Results are memoized by the module's exact
+    fingerprint, and each summand's End analysis is kept for ``end_info``.
     """
-    cache_key = (M.fingerprint(), seed)
+    cache_key = M.fingerprint()
     hit = _DECOMP_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    rng = np.random.default_rng(seed)
     p = M.p
     pieces: list[tuple[list[np.ndarray], np.ndarray, _LeafInfo]] = []
 
     def work(mats: list[np.ndarray], embed: np.ndarray, dim: int):
         if dim == 0:
             return
-        kind, payload = _leaf_or_split(mats, dim, p, rng)
+        kind, payload = _leaf_or_split(mats, dim, p)
         if kind == "leaf":
             pieces.append((mats, embed, payload))
             return
@@ -408,6 +371,7 @@ def decompose(M: FpModule, seed: int = 0) -> Decomposition:
     # group into isomorphism classes
     classes: list[tuple[FpModule, _LeafInfo, int]] = []
     for mod, (mats, embed, info) in zip(piece_modules, pieces):
+        _CERT_CACHE.setdefault(mod.fingerprint(), info)
         placed = False
         for idx, (rep, rep_info, count) in enumerate(classes):
             if rep.dim == mod.dim and _iso_indec(rep, mod):
@@ -442,9 +406,6 @@ def decompose(M: FpModule, seed: int = 0) -> Decomposition:
         _DECOMP_CACHE.pop(next(iter(_DECOMP_CACHE)))
     _DECOMP_CACHE[cache_key] = result
     return result
-
-
-_CERT_CACHE: dict[bytes, _LeafInfo] = {}
 
 
 def end_info(M: FpModule) -> _LeafInfo:

@@ -28,7 +28,8 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
-    n = a.shape[0]
+    """a^k mod p, for a square matrix or a stack of them."""
+    n = a.shape[-1]
     out = np.eye(n, dtype=np.int64)
     base = a % p
     while k:

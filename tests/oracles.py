@@ -109,7 +109,8 @@ def kron_hom_basis(gens_m, gens_n, p):
     return [v.reshape(dm, dn).T.copy() for v in basis]
 
 
-def nullspace_mod(A, p):
+def rref_mod(A, p):
+    """Reduced row echelon form: (nonzero rows, pivot columns)."""
     A = A.copy() % p
     m, n = A.shape
     pivots = []
@@ -130,13 +131,19 @@ def nullspace_mod(A, p):
             A[idx] = (A[idx] - np.outer(col[idx], A[r])) % p
         pivots.append(c)
         r += 1
+    return A[:r], pivots
+
+
+def nullspace_mod(A, p):
+    R, pivots = rref_mod(A, p)
+    n = A.shape[1]
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for c in free:
         v = np.zeros(n, dtype=np.int64)
         v[c] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = (-int(A[i, c])) % p
+            v[pc] = (-int(R[i, c])) % p
         basis.append(v)
     return basis
 
@@ -241,6 +248,54 @@ def inv_mod_mat(A, p):
             aug[idx] = (aug[idx] - np.outer(col[idx], aug[r])) % p
         r += 1
     return aug[:, n:]
+
+
+def singular_batch(mats, p):
+    """Which of the stacked square matrices (shape (B, n, n)) are singular
+    mod p, by Gaussian elimination run on the whole batch at once."""
+    A = mats.copy() % p
+    B, n, _ = A.shape
+    inv = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    singular = np.zeros(B, dtype=bool)
+    idx = np.arange(B)
+    for c in range(n):
+        nz = A[:, c:, c] != 0
+        singular |= ~nz.any(axis=1)
+        piv = c + nz.argmax(axis=1)
+        top = A[idx, piv].copy()
+        A[idx, piv] = A[:, c]
+        A[:, c] = (top * inv[top[:, c]][:, None]) % p
+        A[:, c + 1:] = (A[:, c + 1:] - A[:, c + 1:, c:c + 1] * A[:, None, c]) % p
+    return singular
+
+
+def brute_radical(end_basis, p, limit=200000, chunk=4096):
+    """J(E) of a local algebra E spanned by end_basis, as its set of nonunits.
+
+    Enumerates all p^m elements of E and keeps the singular ones (E holds
+    the inverse of each of its invertible matrices).  A finite
+    ring is local iff its nonunits form an additive subgroup, and then they
+    are its radical.  Returns the reduced echelon basis of J on flattened
+    matrices, or None when the nonunits do not form a subspace (E is not
+    local).
+    """
+    m = len(end_basis)
+    if p ** m > limit:
+        raise ValueError("algebra too large for exhaustion")
+    d = end_basis[0].shape[0]
+    flat = np.stack([b.ravel() for b in end_basis]).astype(np.int64)
+    digits = p ** np.arange(m, dtype=np.int64)
+    nonunits = []
+    for start in range(1, p ** m, chunk):
+        idx = np.arange(start, min(start + chunk, p ** m), dtype=np.int64)
+        coeffs = (idx[:, None] // digits) % p
+        mats = ((coeffs @ flat) % p).reshape(-1, d, d)
+        nonunits.append(coeffs[singular_batch(mats, p)])
+    N = np.concatenate(nonunits)
+    span, _ = rref_mod(N, p)
+    if p ** len(span) != len(N) + 1:
+        return None
+    return rref_mod((span @ flat) % p, p)[0]
 
 
 def brute_isomorphic(gens_m, gens_n, p, limit=200000):
