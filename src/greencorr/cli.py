@@ -132,8 +132,13 @@ def _module_for(cfg: Config, sc: Scenario, which: str, group: str) -> FpModule:
     path = Path(which)
     if not path.exists():
         raise InputError(f"module argument {which!r} is neither a builtin nor a file")
-    doc = json.loads(path.read_text())
-    mod = module_from_json(doc)
+    try:
+        mod = module_from_json(json.loads(path.read_text()))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"cannot read module {which}: {exc}")
+    if mod.p != cfg.p:
+        raise InputError(f"module file is over GF({mod.p}), "
+                         f"the scenario over GF({cfg.p})")
     if not mod.group.same_group(grp):
         raise InputError("module file group does not match the requested group")
     return mod

@@ -48,8 +48,8 @@ from .modules import (
     unit_res_ind,
 )
 from .permgroups import (
-    PermGroup,
     SubgroupEmbedding,
+    left_coset_representatives,
     p_subgroups_up_to_conjugacy,
     sylow,
 )
@@ -347,31 +347,34 @@ def decompose(M: FpModule, seed: int = 0) -> Decomposition:
     if hit is not None:
         return hit
     p = M.p
-    pieces: list[tuple[list[np.ndarray], np.ndarray, _LeafInfo]] = []
+    pieces: list[tuple[FpModule, np.ndarray, _LeafInfo]] = []
 
     def work(mats: list[np.ndarray], embed: np.ndarray, dim: int):
         if dim == 0:
             return
-        kind, payload = _leaf_or_split(mats, dim, p)
-        if kind == "leaf":
-            pieces.append((mats, embed, payload))
-            return
-        left, right, P, r = payload
-        work(left, (embed @ P[:, :r]) % p, r)
-        work(right, (embed @ P[:, r:]) % p, dim - r)
+        mod = FpModule(M.group, p, mats, name=f"{M.name}[{len(pieces)}]",
+                       check=False, dim=dim)
+        key = mod.fingerprint()
+        # a local End has no splitting basis element, so a cached local
+        # analysis is what _leaf_or_split would find; a non-local one is not
+        # used, or the split would depend on what the cache holds
+        info = _CERT_CACHE.get(key)
+        if info is None or not info.local:
+            kind, payload = _leaf_or_split(mats, dim, p)
+            if kind == "split":
+                left, right, P, r = payload
+                work(left, (embed @ P[:, :r]) % p, r)
+                work(right, (embed @ P[:, r:]) % p, dim - r)
+                return
+            _CERT_CACHE[key] = info = payload
+        pieces.append((mod, embed, info))
 
     if M.dim:
         work([a.copy() for a in M.action], np.eye(M.dim, dtype=np.int64), M.dim)
 
-    piece_modules = [
-        FpModule(M.group, p, mats, name=f"{M.name}[{k}]", check=False,
-                 dim=mats[0].shape[0] if mats else embed.shape[1])
-        for k, (mats, embed, info) in enumerate(pieces)
-    ]
     # group into isomorphism classes
     classes: list[tuple[FpModule, _LeafInfo, int]] = []
-    for mod, (mats, embed, info) in zip(piece_modules, pieces):
-        _CERT_CACHE.setdefault(mod.fingerprint(), info)
+    for mod, embed, info in pieces:
         placed = False
         for idx, (rep, rep_info, count) in enumerate(classes):
             if rep.dim == mod.dim and _iso_indec(rep, mod):
@@ -392,16 +395,16 @@ def decompose(M: FpModule, seed: int = 0) -> Decomposition:
         cobi = mat_inv(cob, p)
         conjugated = [(cobi @ A @ cob) % p for A in M.action]
         offset = 0
-        for mats, embed, info in pieces:
+        for mod, embed, info in pieces:
             k = embed.shape[1]
-            for conj, a_piece in zip(conjugated, mats):
+            for conj, a_piece in zip(conjugated, mod.action):
                 assert (conj[offset:offset + k, offset:offset + k] == a_piece).all()
             offset += k
     else:
         cob = np.zeros((0, 0), dtype=np.int64)
 
     result = Decomposition(M, summands, cob, certificates,
-                           [m for m in piece_modules])
+                           [mod for mod, _, _ in pieces])
     if len(_DECOMP_CACHE) >= _DECOMP_CACHE_CAP:
         _DECOMP_CACHE.pop(next(iter(_DECOMP_CACHE)))
     _DECOMP_CACHE[cache_key] = result
@@ -555,100 +558,42 @@ def same_multiset(a: list[tuple[FpModule, int]],
 def relative_trace_image(M: FpModule, N: FpModule,
                          emb: SubgroupEmbedding) -> tuple[np.ndarray, list[int]]:
     """Echelonized basis (flattened) of the image of the relative trace
-    Tr_X^G : Hom_kX(Res M, Res N) -> Hom_kG(M, N).
+    Tr_X^G : Hom_kX(Res M, Res N) -> Hom_kG(M, N),
+    Tr_X^G(f) = sum over g in G/X of N(g) f M(g^-1).
 
     By the adjunction, this image is exactly the set of maps factoring
-    through the counit Ind_X Res_X N -> N, i.e. through X-induced objects.
-    The sum is taken along a chain X <= P <= G when a proper intermediate
-    p-overgroup is available (trace transitivity), which keeps the
-    intermediate bases small.
+    through the counit Ind_X Res_X N -> N, i.e. through X-induced objects;
+    with M = N it decides Higman's criterion.  Every trace lies in
+    Hom_kG(M, N), whose basis B from hom_space is in reduced echelon form,
+    so a trace is fixed by its entries at the k pivots (a, c) of B.  Each
+    such entry is a linear functional of f, and all k functionals come from
+    one batched product over the coset representatives; the image is the
+    span of (Hom_kX basis) · functionals^T read back through B.
     """
     same_context(M, N)
     G = M.group
+    if not G.same_group(emb.ambient):
+        raise InputError("subgroup is not inside the module's group")
     p = M.p
-    chain = _trace_chain(G, emb, p)
-    basis = _hom_basis_for_trace(M, N, emb)
-    lower = emb
-    for upper in chain:
-        basis = _trace_step(M, N, lower, upper, basis)
-        lower = upper
-    if basis.shape[0] == 0:
-        return basis, []
-    return rref(basis, p)
-
-
-def _trace_chain(G: PermGroup, emb: SubgroupEmbedding, p: int) -> list[SubgroupEmbedding]:
-    from .permgroups import whole_group
-
-    whole = whole_group(G)
-    if emb.order == G.order:
-        return [whole]
-    index = G.order // emb.order
-    if index <= 8:
-        return [whole]
-    # for p-subgroups route through a Sylow p-subgroup containing emb
-    if emb.order == 1 or _is_p_group(emb, p):
-        S = sylow(G, p)
-        if S.order > emb.order:
-            for g in range(G.order):
-                cand = S.conjugated(g)
-                if cand.contains(emb):
-                    return [cand, whole]
-    return [whole]
-
-
-def _is_p_group(emb: SubgroupEmbedding, p: int) -> bool:
-    n = emb.order
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
-def _hom_basis_for_trace(M: FpModule, N: FpModule,
-                         emb: SubgroupEmbedding) -> np.ndarray:
-    """Flattened basis of Hom_kX(Res_X M, Res_X N)."""
-    p = M.p
-    if emb.order == 1:
-        return np.eye(M.dim * N.dim, dtype=np.int64)
-    homs = hom_space(restrict(M, emb), restrict(N, emb))
+    homs = hom_space(M, N)
     if not homs:
-        return np.zeros((0, M.dim * N.dim), dtype=np.int64)
-    return np.stack([f.ravel() for f in homs])
-
-
-def _trace_step(M: FpModule, N: FpModule, lower: SubgroupEmbedding,
-                upper: SubgroupEmbedding, flat: np.ndarray) -> np.ndarray:
-    """Apply Tr_lower^upper to a flat basis of maps, returning a flat spanning set."""
-    p = M.p
-    G = M.group
-    if flat.shape[0] == 0:
-        return flat
-    reps = _relative_coset_reps(G, lower, upper)
-    T = flat.reshape(flat.shape[0], N.dim, M.dim)
-    acc = np.zeros_like(T)
-    for g in reps:
-        L = N.element_action(g)
-        R = M.element_action(int(G.inv[g]))
-        acc = (acc + np.einsum("ab,nbc,cd->nad", L, T, R)) % p
-    out = acc.reshape(flat.shape[0], -1)
-    R2, _ = rref(out, p)
-    return R2
-
-
-def _relative_coset_reps(G: PermGroup, lower: SubgroupEmbedding,
-                         upper: SubgroupEmbedding) -> list[int]:
-    """Representatives of upper/lower, as ambient element indices."""
-    if not upper.contains(lower):
-        raise InputError("trace chain is not nested")
-    seen = set()
-    reps = []
-    for u in upper.element_indices:
-        if u in seen:
-            continue
-        reps.append(u)
-        for s in lower.element_indices:
-            seen.add(int(G.mult[u, s]))
-    return reps
+        return np.zeros((0, M.dim * N.dim), dtype=np.int64), []
+    B = np.stack([f.ravel() for f in homs])
+    rows, cols = np.divmod([int(np.nonzero(b)[0][0]) for b in B], M.dim)
+    reps = left_coset_representatives(G, emb)
+    Ng = np.stack([N.element_action(g)[rows] for g in reps])
+    Mg = np.stack([M.element_action(int(G.inv[g]))[:, cols] for g in reps])
+    # phi[k, b, e] = sum over g of N(g)[a_k, b] M(g^-1)[e, c_k]
+    phi = (Ng.transpose(1, 2, 0) @ Mg.transpose(2, 0, 1)) % p
+    phi = phi.reshape(len(B), -1)
+    if emb.order == 1:
+        coords = phi.T
+    else:
+        # Hom_X(Res M, Res N) contains Hom_G(M, N), so it is not zero here
+        res = hom_space(restrict(M, emb), restrict(N, emb))
+        coords = np.stack([f.ravel() for f in res]) @ phi.T
+    R, _ = rref(coords % p, p)
+    return rref((R @ B) % p, p)
 
 
 def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding) -> bool:

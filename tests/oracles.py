@@ -337,3 +337,33 @@ def summand_route_relatively_projective(M, emb):
         if have < mult:
             return False
     return True
+
+
+def literal_trace_image(M, N, emb):
+    """Image of Tr_X^G : Hom_X(Res M, Res N) -> Hom_G(M, N) by the literal
+    sum over all left cosets, as (reduced echelon rows, pivots) on flattened
+    dim N x dim M maps.
+
+    Hom_X is the kron nullspace on the matrices of every element of X; each
+    of its basis maps f is sent to the sum of N(g) f M(g^-1) over one g per
+    coset gX, found by walking the multiplication table.
+    """
+    G, p = M.group, M.p
+    X = list(emb.element_indices)
+    basis = kron_hom_basis([M.element_action(x) for x in X],
+                           [N.element_action(x) for x in X], p)
+    reps, seen = [], set()
+    for g in range(G.order):
+        if g not in seen:
+            reps.append(g)
+            seen.update(int(G.mult[g, x]) for x in X)
+    traces = []
+    for f in basis:
+        acc = np.zeros((N.dim, M.dim), dtype=np.int64)
+        for g in reps:
+            acc = (acc + N.element_action(g) @ f
+                   @ M.element_action(int(G.inv[g]))) % p
+        traces.append(acc.ravel())
+    if not traces:
+        return np.zeros((0, M.dim * N.dim), dtype=np.int64), []
+    return rref_mod(np.stack(traces), p)

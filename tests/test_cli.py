@@ -166,6 +166,7 @@ def test_byte_identical_reports(s3_config, tmp_path):
         "degenerate_s3": "ae9a062ab5f7b1d46aaf7a5cc6017997",
         "s4_d8_c4": "60117dcd2de2eb1bb9ed65084ca1baef",
         "s4_d8_d8": "d51671e6b9edbcb116d96f2155172a33",
+        "a5_a4_v4": "d3a5d757b8336a3ad0ccb2523798a905",
     }
     for name, md5 in recorded.items():
         out = tmp_path / name
@@ -195,6 +196,36 @@ def test_module_file_input(s3_config, tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["dims_multiset"] == [2, 2, 2]
+
+
+def _write_bad_module(tmp_path, kind):
+    from greencorr.catalog import symmetric
+    from greencorr.modules import module_to_json, trivial_module
+
+    path = tmp_path / "module.json"
+    # wrong_p: a GF(3) module against the GF(2) scenario
+    doc = module_to_json(trivial_module(symmetric(3), 3 if kind == "wrong_p" else 2))
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "malformed_json":
+        path.write_text("{not json")
+    else:
+        if kind == "no_group_ref":
+            del doc["group_ref"]
+        path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["malformed_json", "no_group_ref",
+                                  "directory", "wrong_p"])
+def test_bad_module_file_exits_2(kind, s3_config, tmp_path, capsys):
+    path = _write_bad_module(tmp_path, kind)
+    code = run(["decompose", "--scenario", s3_config,
+                "--module", str(path), "--group", "G"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_version_flag(capsys):

@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from greencorr.catalog import alternating, chain_s3, chain_s4_d8_c4, cyclic, symmetric
+from greencorr.catalog import (
+    alternating,
+    chain_s3,
+    chain_s4_d8_c4,
+    cyclic,
+    scenario_chains,
+    symmetric,
+)
 from greencorr.decompose import decompose, relative_trace_image, _iso_indec
 from greencorr.green import (
     Scenario,
@@ -14,6 +21,7 @@ from greencorr.green import (
 from greencorr.linalg import rref
 from greencorr.modules import (
     counit_ind_res,
+    direct_sum,
     hom_space,
     induce,
     permutation_module,
@@ -23,12 +31,13 @@ from greencorr.modules import (
     trivial_module,
 )
 from greencorr.permgroups import (
-    left_coset_representatives,
+    all_subgroups,
     subgroup,
     trivial_subgroup,
+    whole_group,
 )
 
-from oracles import kron_hom_basis
+from oracles import kron_hom_basis, literal_trace_image, rref_mod
 
 
 def test_hom_space_vs_kron_on_structured_modules():
@@ -51,28 +60,80 @@ def test_hom_space_vs_kron_on_structured_modules():
 
 
 def test_trace_transitivity_matches_direct_sum():
-    # the Sylow-chain optimization equals the single-step trace
+    # Tr_1^G on A5 (index 60, the case once routed through a Sylow
+    # subgroup) equals the literal sum over all cosets, here between the
+    # permutation modules on A5/A4 and A5/S3
     from greencorr.catalog import a5
 
-    rng = np.random.default_rng(17)
     G = a5()
     T = trivial_subgroup(G)
-    for p in (2,):
-        M = random_module(G, p, 5, rng)
-        N = random_module(G, p, 5, rng)
-        R_chain, piv_chain = relative_trace_image(M, N, T)
-        # direct route: trace every elementary matrix over all of G at once
-        reps = left_coset_representatives(G, T)
-        flat = np.eye(M.dim * N.dim, dtype=np.int64)
-        Tten = flat.reshape(-1, N.dim, M.dim)
-        acc = np.zeros_like(Tten)
-        for g in reps:
-            L = N.element_action(g)
-            Rm = M.element_action(int(G.inv[g]))
-            acc = (acc + np.einsum("ab,nbc,cd->nad", L, Tten, Rm)) % p
-        R_direct, piv_direct = rref(acc.reshape(flat.shape[0], -1), p)
-        assert R_chain.shape == R_direct.shape
-        assert (R_chain == R_direct).all()
+    A4 = subgroup(G, ["(0 1 2)", "(0 1)(2 3)"])
+    S3 = subgroup(G, ["(0 1 2)", "(0 1)(3 4)"])
+    M = permutation_module(G, A4, 2)
+    N = permutation_module(G, S3, 2)
+    R, piv = relative_trace_image(M, N, T)
+    R_lit, piv_lit = literal_trace_image(M, N, T)
+    assert 0 < len(R) < len(hom_space(M, N))
+    assert R.shape == R_lit.shape
+    assert (R == R_lit).all() and piv == piv_lit
+
+
+def _subgroup_classes(G):
+    reps = {}
+    for S in all_subgroups(G):
+        reps.setdefault(S.canonical_class_key(), S)
+    return sorted(reps.values(), key=lambda S: (S.order, S.element_indices))
+
+
+def _trace_cases():
+    """(G, subgroups X to trace from, subgroups whose permutation modules
+    seed the random modules)."""
+    G = symmetric(4)
+    classes = _subgroup_classes(G)
+    yield G, classes, [S for S in classes if G.order // S.order <= 6]
+    G = alternating(5)
+    yield G, [trivial_subgroup(G)] + [subgroup(G, gens) for gens in (
+        ["(0 1)(2 3)"], ["(0 1)(2 3)", "(0 2)(1 3)"], ["(0 1 2)"],
+        ["(0 1 2 3 4)"])], [whole_group(G),
+                            subgroup(G, ["(0 1 2)", "(0 1)(2 3)"]),
+                            subgroup(G, ["(0 1 2 3 4)", "(1 4)(2 3)"])]
+
+
+def test_relative_trace_image_matches_literal_trace():
+    # every S4 subgroup class and 1, C2, V4, C3, C5 in A5 (indices up to 60),
+    # in both directions between M and N = M + k[G/S], so dim M != dim N and
+    # Hom_G(M, N) != 0
+    rng = np.random.default_rng(23)
+    proper = 0
+    for G, family, bases in _trace_cases():
+        for p in (2, 3, 5):
+            pool = [permutation_module(G, S, p) for S in bases]
+            for X in family:
+                M = random_module(G, p, 6, rng, pool)
+                N = direct_sum(M, pool[int(rng.integers(len(pool)))])
+                for A, B in ((M, N), (N, M)):
+                    R, piv = relative_trace_image(A, B, X)
+                    R_lit, piv_lit = literal_trace_image(A, B, X)
+                    assert R.shape == R_lit.shape, (G.order, X.order, p)
+                    assert (R == R_lit).all() and piv == piv_lit
+                    proper += 0 < len(R) < len(hom_space(A, B))
+    assert proper >= 10
+
+
+def test_factoring_subspace_matches_literal_trace_on_catalog_families():
+    rng = np.random.default_rng(29)
+    for G, H, D in scenario_chains().values():
+        for p in (2, 3):
+            sc = Scenario.build(p, G, H, D)
+            for K, family in ((G, sc.x_in_g()), (H.group, sc.x_in_h()),
+                              (H.group, sc.y_in_h())):
+                M = random_module(K, p, 4, rng)
+                N = direct_sum(M, random_module(K, p, 3, rng))
+                R, piv = factoring_subspace(M, N, family)
+                rows = [literal_trace_image(M, N, X)[0] for X in family]
+                R_lit, piv_lit = rref_mod(np.concatenate(rows), p)
+                assert R.shape == R_lit.shape
+                assert (R == R_lit).all() and piv == piv_lit
 
 
 def test_factoring_subspace_vs_literal_counit_image():

@@ -235,6 +235,17 @@ def test_relative_trace_image_is_ideal_like():
             assert in_row_space(((e @ F) % p).ravel(), R, piv, p)
 
 
+def test_relative_trace_image_rejects_foreign_subgroup():
+    # the subgroup must lie in the modules' group, as for relative projectivity
+    G = symmetric(3)
+    M = trivial_module(G, 2)
+    other = subgroup(symmetric(4), ["(0 1)"])
+    with pytest.raises(InputError):
+        relative_trace_image(M, M, other)
+    with pytest.raises(InputError):
+        is_relatively_projective(M, other)
+
+
 def test_vertex_projective_is_trivial():
     # projective indecomposables have vertex 1; the 2-dim simple of S3 at p=2
     G = symmetric(3)
