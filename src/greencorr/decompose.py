@@ -35,7 +35,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, TheoremViolationError, UndecidedError
-from .linalg import mat_inv, mat_pow, nullspace, rank, rref, solve
+from .linalg import mat_inv, mat_mul, mat_pow, nullspace, rank, rref, solve
 from .modules import (
     FpModule,
     InducedModule,
@@ -121,16 +121,15 @@ class _EndAlgebra:
         """mult[i, j] = coords(basis[i] @ basis[j]).
 
         Only the pivot entries of the products are formed, in one batched
-        float64 matmul, which is exact while d * (p - 1)^2 < 2^53.
+        mat_mul.
         """
         d = self.d
-        B = self._flat.reshape(self.m, d, d).astype(np.float64)
+        B = self._flat.reshape(self.m, d, d)
         rows = [c // d for c in self.pivots]
         cols = [c % d for c in self.pivots]
         left = B[:, rows, :].transpose(1, 0, 2)    # [k, i, t]
         right = B[:, :, cols].transpose(2, 1, 0)   # [k, t, j]
-        prod = np.matmul(left, right).astype(np.int64) % self.p
-        return prod.transpose(1, 2, 0)
+        return mat_mul(left, right, self.p).transpose(1, 2, 0)
 
 
 def _radical(alg: _EndAlgebra, mult: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -297,7 +296,29 @@ def _split_by(mats: list[np.ndarray], F: np.ndarray, p: int):
             return None  # F was not an endomorphism; caller bug
         left.append(conj[:r, :r])
         right.append(conj[r:, r:])
-    return left, right, P, r
+    return left, right, P, Pi, r
+
+
+def _piece_ends(ends: list[np.ndarray], P: np.ndarray, Pi: np.ndarray,
+                r: int, p: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """End bases of the two pieces A (the first r coordinates) and B of the
+    split of M by P, read off the End basis of M.
+
+    Conjugated by P, each f in End(M) has its diagonal blocks in End(A) and
+    End(B), and each g in End(A) is the block of g extended by zero, so the
+    blocks of the basis span End(A) and End(B).  Their reduced echelon bases
+    are the unique ones that hom_space returns.
+    """
+    d, m = P.shape[0], len(ends)
+    blocks = [np.empty((m, r * r), dtype=np.int64),
+              np.empty((m, (d - r) ** 2), dtype=np.int64)]
+    for batch in linalg.batches(m):
+        conj = mat_mul(mat_mul(Pi, np.stack(ends[batch]), p), P, p)
+        blocks[0][batch] = conj[:, :r, :r].reshape(len(conj), -1)
+        blocks[1][batch] = conj[:, r:, r:].reshape(len(conj), -1)
+    left, right = (rref(b, p)[0] for b in blocks)
+    return ([row.reshape(r, r) for row in left],
+            [row.reshape(d - r, d - r) for row in right])
 
 
 def _fitting_split(mats: list[np.ndarray], f: np.ndarray, dim: int, p: int):
@@ -312,21 +333,25 @@ def _fitting_split(mats: list[np.ndarray], f: np.ndarray, dim: int, p: int):
     return None
 
 
-def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int):
-    """Return ("leaf", _LeafInfo) or ("split", (left, right, P, r))."""
-    ends = hom_space_from_actions(mats, dim, mats, dim, p)
+def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int,
+                   ends: list[np.ndarray]):
+    """From the End basis of the module, return ("leaf", _LeafInfo) or
+    ("split", (left, right, P, r, left_ends, right_ends))."""
+    split = None
     if len(ends) > 1:
         for f in ends:
             split = _fitting_split(mats, f, dim, p)
             if split is not None:
-                return "split", split
-    info = _analyze_end(ends, p, dim)
-    if info.local:
-        return "leaf", info
-    split = _fitting_split(mats, info.splitter, dim, p)
+                break
     if split is None:
-        raise UndecidedError("certificate splitter failed to split")
-    return "split", split
+        info = _analyze_end(ends, p, dim)
+        if info.local:
+            return "leaf", info
+        split = _fitting_split(mats, info.splitter, dim, p)
+        if split is None:
+            raise UndecidedError("certificate splitter failed to split")
+    left, right, P, Pi, r = split
+    return "split", (left, right, P, r, *_piece_ends(ends, P, Pi, r, p))
 
 
 _DECOMP_CACHE: dict[bytes, "Decomposition"] = {}
@@ -349,9 +374,9 @@ def decompose(M: FpModule, seed: int = 0) -> Decomposition:
     p = M.p
     pieces: list[tuple[FpModule, np.ndarray, _LeafInfo]] = []
 
-    def work(mats: list[np.ndarray], embed: np.ndarray, dim: int):
-        if dim == 0:
-            return
+    def work(mats: list[np.ndarray], embed: np.ndarray, dim: int,
+             ends: list[np.ndarray] | None):
+        # ends: the End basis, read off the parent's; None for M itself
         mod = FpModule(M.group, p, mats, name=f"{M.name}[{len(pieces)}]",
                        check=False, dim=dim)
         key = mod.fingerprint()
@@ -360,17 +385,20 @@ def decompose(M: FpModule, seed: int = 0) -> Decomposition:
         # used, or the split would depend on what the cache holds
         info = _CERT_CACHE.get(key)
         if info is None or not info.local:
-            kind, payload = _leaf_or_split(mats, dim, p)
+            if ends is None:
+                ends = hom_space_from_actions(mats, dim, mats, dim, p)
+            kind, payload = _leaf_or_split(mats, dim, p, ends)
             if kind == "split":
-                left, right, P, r = payload
-                work(left, (embed @ P[:, :r]) % p, r)
-                work(right, (embed @ P[:, r:]) % p, dim - r)
+                left, right, P, r, left_ends, right_ends = payload
+                work(left, (embed @ P[:, :r]) % p, r, left_ends)
+                work(right, (embed @ P[:, r:]) % p, dim - r, right_ends)
                 return
             _CERT_CACHE[key] = info = payload
         pieces.append((mod, embed, info))
 
     if M.dim:
-        work([a.copy() for a in M.action], np.eye(M.dim, dtype=np.int64), M.dim)
+        work([a.copy() for a in M.action], np.eye(M.dim, dtype=np.int64), M.dim,
+             None)
 
     # group into isomorphism classes
     classes: list[tuple[FpModule, _LeafInfo, int]] = []
@@ -555,8 +583,8 @@ def same_multiset(a: list[tuple[FpModule, int]],
 # ---------------------------------------------------------------------------
 
 
-def relative_trace_image(M: FpModule, N: FpModule,
-                         emb: SubgroupEmbedding) -> tuple[np.ndarray, list[int]]:
+def relative_trace_image(M: FpModule, N: FpModule, emb: SubgroupEmbedding,
+                         homs: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     """Echelonized basis (flattened) of the image of the relative trace
     Tr_X^G : Hom_kX(Res M, Res N) -> Hom_kG(M, N),
     Tr_X^G(f) = sum over g in G/X of N(g) f M(g^-1).
@@ -564,18 +592,18 @@ def relative_trace_image(M: FpModule, N: FpModule,
     By the adjunction, this image is exactly the set of maps factoring
     through the counit Ind_X Res_X N -> N, i.e. through X-induced objects;
     with M = N it decides Higman's criterion.  Every trace lies in
-    Hom_kG(M, N), whose basis B from hom_space is in reduced echelon form,
-    so a trace is fixed by its entries at the k pivots (a, c) of B.  Each
-    such entry is a linear functional of f, and all k functionals come from
-    one batched product over the coset representatives; the image is the
-    span of (Hom_kX basis) · functionals^T read back through B.
+    Hom_kG(M, N), whose basis B = ``homs``, from the caller's
+    hom_space(M, N), is in reduced echelon form, so a trace is fixed by its
+    entries at the k pivots (a, c) of B.  Each such entry is a linear
+    functional of f, and all k functionals come from one batched product
+    over the coset representatives; the image is the span of
+    (Hom_kX basis) · functionals^T read back through B.
     """
     same_context(M, N)
     G = M.group
     if not G.same_group(emb.ambient):
         raise InputError("subgroup is not inside the module's group")
     p = M.p
-    homs = hom_space(M, N)
     if not homs:
         return np.zeros((0, M.dim * N.dim), dtype=np.int64), []
     B = np.stack([f.ravel() for f in homs])
@@ -609,7 +637,7 @@ def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding) -> bool:
         raise InputError("subgroup is not inside the module's group")
     if emb.order == G.order or M.dim == 0:
         return True
-    R, piv = relative_trace_image(M, M, emb)
+    R, piv = relative_trace_image(M, M, emb, hom_space(M, M))
     ident = np.eye(M.dim, dtype=np.int64).ravel()
     return linalg.in_row_space(ident, R, piv, M.p)
 

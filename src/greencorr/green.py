@@ -118,13 +118,15 @@ class Scenario:
 
 
 def factoring_subspace(M: FpModule, N: FpModule,
-                       family: list[SubgroupEmbedding]) -> tuple[np.ndarray, list[int]]:
+                       family: list[SubgroupEmbedding],
+                       homs: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
     """Echelonized basis of the maps M -> N factoring through family-induced
     objects: the sum over X of the image of postcomposition with the counit
-    Ind_X Res_X N -> N, computed as relative-trace images."""
+    Ind_X Res_X N -> N, computed as relative-trace images inside
+    Hom_kG(M, N), whose hom_space basis ``homs`` the caller holds."""
     rows = []
     for X in family:
-        R, _ = relative_trace_image(M, N, X)
+        R, _ = relative_trace_image(M, N, X, homs)
         if R.shape[0]:
             rows.append(R)
     if not rows:
@@ -137,11 +139,11 @@ def factoring_subspace(M: FpModule, N: FpModule,
 def quotient_hom_dim(M: FpModule, N: FpModule,
                      family: list[SubgroupEmbedding]) -> int:
     """dim Hom(M, N) minus the dimension of the family-factoring subspace."""
-    full = len(hom_space(M, N))
+    homs = hom_space(M, N)
     if not family:
-        return full
-    R, _ = factoring_subspace(M, N, family)
-    return full - R.shape[0]
+        return len(homs)
+    R, _ = factoring_subspace(M, N, family, homs)
+    return len(homs) - R.shape[0]
 
 
 def is_x_object(M: FpModule, family: list[SubgroupEmbedding],
@@ -524,10 +526,10 @@ def _ideal_spotcheck(sc: Scenario, elig_h: list[FpModule],
         return True
     p = sc.p
     M = elig_h[0]
-    R, piv = factoring_subspace(M, M, fam_h)
+    ends = hom_space(M, M)
+    R, piv = factoring_subspace(M, M, fam_h, ends)
     if R.shape[0] == 0:
         return True
-    ends = hom_space(M, M)
     for row in R:
         F = row.reshape(M.dim, M.dim)
         for e in ends[: min(len(ends), 4)]:

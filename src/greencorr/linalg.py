@@ -23,8 +23,32 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+# callers multiply long stacks this many matrices at a time, so that the
+# float64 temporaries of mat_mul stay small
+_BATCH = 32
+
+
+def batches(n: int) -> list[slice]:
+    """Slices that cut range(n) into runs of at most _BATCH."""
+    return [slice(i, i + _BATCH) for i in range(0, n, _BATCH)]
+
+
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
+    """(a @ b) mod p for arrays of residues in [0, p), with matmul broadcasting.
+
+    The product runs in float64 BLAS, which holds every integer below 2^53
+    exactly; so it is exact while inner length * (p - 1)^2 < 2^53, the
+    delayed reduction of Dumas, Giorgi & Pernet (ACM TOMS 35(3), 2008).
+    Raises InputError when that bound fails.
+    """
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 >= 2 ** 53:
+        raise InputError(f"p = {p} is too large for exact products of "
+                         f"length {inner} (inner length * (p - 1)^2 must "
+                         "stay below 2^53)")
+    out = np.matmul(a.astype(np.float64), b.astype(np.float64))
+    np.fmod(out, p, out=out)  # the product of residues is not negative
+    return out.astype(np.int64)
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
@@ -42,7 +66,7 @@ def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    A = as_fp(a, p).copy()
+    A = as_fp(a, p)  # a fresh array: the reduction copies
     if A.ndim != 2:
         raise InputError("rref expects a 2-d array")
     m, n = A.shape
@@ -74,9 +98,8 @@ def rank(a: np.ndarray, p: int) -> int:
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel {x : a x = 0}, one row per basis vector."""
-    A = as_fp(a, p)
-    m, n = A.shape
-    R, pivots = rref(A, p)
+    n = np.shape(a)[1]
+    R, pivots = rref(a, p)
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
     for k, c in enumerate(free):

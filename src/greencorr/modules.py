@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .linalg import SpanBuilder, as_fp, mat_inv, rref
+from .linalg import SpanBuilder, as_fp, mat_inv, mat_mul, rref
 from .permgroups import PermGroup, SubgroupEmbedding, coset_lookup
 
 
@@ -290,14 +290,15 @@ def hom_space_from_actions(action_m: list[np.ndarray], dim_m: int,
     if spin.edges:
         vecs = np.stack([(action_m[g] @ spin.basis[s]) % p
                          for s, g in spin.edges])
-        coords = (vecs @ ibt.T) % p  # row e: coordinates of A_g w_s
+        coords = mat_mul(vecs, ibt.T, p)  # row e: coordinates of A_g w_s
         ne = len(spin.edges)
         combos = np.zeros((ne, dN, u), dtype=np.int64)
         for k in range(r):
             mask = block == k
             if mask.any():
-                combos[:, :, k * dN:(k + 1) * dN] = np.einsum(
-                    "et,tnm->enm", coords[:, mask], W[mask]) % p
+                combos[:, :, k * dN:(k + 1) * dN] = mat_mul(
+                    coords[:, mask], W[mask].reshape(-1, dN * dN),
+                    p).reshape(ne, dN, dN)
         for e, (s, g) in enumerate(spin.edges):
             kb = int(block[s])
             seg = combos[e, :, kb * dN:(kb + 1) * dN]
@@ -311,10 +312,14 @@ def hom_space_from_actions(action_m: list[np.ndarray], dim_m: int,
         return []
     nsol = sols.shape[0]
     sol_blocks = sols.reshape(nsol, r, dN)
-    gathered = sol_blocks[:, block, :]            # (nsol, dM, dN)
-    Y = np.einsum("tnm,ktm->ktn", W, gathered) % p
-    F = np.einsum("ktn,tm->knm", Y, ibt) % p      # F_k = Y_k^T @ ibt
-    flat = F.reshape(nsol, -1)
+    W_T = W.transpose(0, 2, 1)
+    flat = np.empty((nsol, dN * dM), dtype=np.int64)
+    for batch in linalg.batches(nsol):
+        x = sol_blocks[batch][:, block, :].transpose(1, 0, 2)
+        Y = mat_mul(x, W_T, p)  # Y[t, k] = W[t] @ x_k, the image of w_t
+        # F_k = Y_k^T @ ibt, all k of the batch in one product
+        F = mat_mul(Y.reshape(dM, -1).T, ibt, p)
+        flat[batch] = F.reshape(-1, dN * dM)
     R, _ = rref(flat, p)
     return [row.reshape(dN, dM) for row in R]
 

@@ -109,6 +109,11 @@ def kron_hom_basis(gens_m, gens_n, p):
     return [v.reshape(dm, dn).T.copy() for v in basis]
 
 
+def mat_mul_int64(a, b, p):
+    """(a @ b) mod p in int64 matmul, exact while the products fit in int64."""
+    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
+
+
 def rref_mod(A, p):
     """Reduced row echelon form: (nonzero rows, pivot columns)."""
     A = A.copy() % p

@@ -42,6 +42,7 @@ from greencorr.modules import (
     cohomological_composite,
     conjugate_module,
     induce,
+    permutation_module,
     random_module,
     restrict,
     trivial_module,
@@ -50,6 +51,7 @@ from greencorr.permgroups import (
     SubgroupEmbedding,
     all_subgroups,
     double_cosets,
+    subgroup,
 )
 
 
@@ -209,6 +211,13 @@ def test_criterion_5_krull_schmidt_determinism(mackey_corpus):
     _report(5, "Krull-Schmidt determinism across seeds", t0)
 
 
+# random_module(A5, p, 6) returns the trivial module: the permutation modules
+# of its default pool are too big for dim 6.  k[A5/A4] (dim 5) and
+# k[A5/D10] (dim 6) are small nontrivial ones.
+A5 = alternating(5)
+A5_SMALL_QUOTIENTS = (["(0 1 2)", "(0 1)(2 3)"], ["(0 1 2 3 4)", "(1 4)(2 3)"])
+
+
 def test_criterion_6_cohomological_identity():
     t0 = time.time()
     for name, (G, H, D) in scenario_chains().items():
@@ -221,6 +230,10 @@ def test_criterion_6_cohomological_identity():
             for p in (2, 3):
                 mods = [trivial_module(amb, p)]
                 mods += [random_module(amb, p, 6, rng) for _ in range(9)]
+                if amb.same_group(A5):
+                    mods += [permutation_module(amb, subgroup(amb, gens), p)
+                             for gens in A5_SMALL_QUOTIENTS]
+                assert max(N.dim for N in mods) >= 2, (name, amb.order, p)
                 for N in mods:
                     comp = cohomological_composite(N, emb)
                     expect = (index % p) * np.eye(N.dim, dtype=np.int64) % p

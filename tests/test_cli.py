@@ -228,6 +228,17 @@ def test_bad_module_file_exits_2(kind, s3_config, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_verify_with_too_large_p_exits_2(tmp_path, capsys):
+    # products mod p are exact only while inner length * (p - 1)^2 < 2^53;
+    # a larger p is refused with an error line, not a traceback
+    path = tmp_path / "big_p.json"
+    path.write_text(json.dumps(dict(S3_CONFIG, p=2147483647)))
+    assert run(["verify", "--scenario", str(path),
+                "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2147483647" in err
+
+
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert "schema 1" in capsys.readouterr().out

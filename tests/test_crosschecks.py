@@ -71,7 +71,7 @@ def test_trace_transitivity_matches_direct_sum():
     S3 = subgroup(G, ["(0 1 2)", "(0 1)(3 4)"])
     M = permutation_module(G, A4, 2)
     N = permutation_module(G, S3, 2)
-    R, piv = relative_trace_image(M, N, T)
+    R, piv = relative_trace_image(M, N, T, hom_space(M, N))
     R_lit, piv_lit = literal_trace_image(M, N, T)
     assert 0 < len(R) < len(hom_space(M, N))
     assert R.shape == R_lit.shape
@@ -112,7 +112,7 @@ def test_relative_trace_image_matches_literal_trace():
                 M = random_module(G, p, 6, rng, pool)
                 N = direct_sum(M, pool[int(rng.integers(len(pool)))])
                 for A, B in ((M, N), (N, M)):
-                    R, piv = relative_trace_image(A, B, X)
+                    R, piv = relative_trace_image(A, B, X, hom_space(A, B))
                     R_lit, piv_lit = literal_trace_image(A, B, X)
                     assert R.shape == R_lit.shape, (G.order, X.order, p)
                     assert (R == R_lit).all() and piv == piv_lit
@@ -129,7 +129,7 @@ def test_factoring_subspace_matches_literal_trace_on_catalog_families():
                               (H.group, sc.y_in_h())):
                 M = random_module(K, p, 4, rng)
                 N = direct_sum(M, random_module(K, p, 3, rng))
-                R, piv = factoring_subspace(M, N, family)
+                R, piv = factoring_subspace(M, N, family, hom_space(M, N))
                 rows = [literal_trace_image(M, N, X)[0] for X in family]
                 R_lit, piv_lit = rref_mod(np.concatenate(rows), p)
                 assert R.shape == R_lit.shape
@@ -146,7 +146,7 @@ def test_factoring_subspace_vs_literal_counit_image():
         M = induce(kH, sc.H)
         N = M
         fam = sc.x_in_g()
-        R_fast, piv_fast = factoring_subspace(M, N, fam)
+        R_fast, piv_fast = factoring_subspace(M, N, fam, hom_space(M, N))
         rows = []
         for X in fam:
             indres = induce(restrict(N, X), X)

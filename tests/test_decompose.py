@@ -1,6 +1,10 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from greencorr import cli
 from greencorr.catalog import alternating, chain_s3, cyclic, symmetric
 from greencorr.decompose import (
     decompose,
@@ -18,6 +22,7 @@ from greencorr.linalg import in_row_space
 from greencorr.modules import (
     direct_sum,
     hom_space,
+    hom_space_from_actions,
     induce,
     random_module,
     regular_module,
@@ -31,6 +36,9 @@ from oracles import (
     brute_isomorphic,
     summand_route_relatively_projective,
 )
+
+D = importlib.import_module("greencorr.decompose")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_simple_module_single_summand():
@@ -224,7 +232,7 @@ def test_relative_trace_image_is_ideal_like():
     p = 2
     M = random_module(G, p, 5, rng)
     N = random_module(G, p, 5, rng)
-    R, piv = relative_trace_image(M, N, C2)
+    R, piv = relative_trace_image(M, N, C2, hom_space(M, N))
     ends_m = hom_space(M, M)
     ends_n = hom_space(N, N)
     for row in R:
@@ -241,7 +249,7 @@ def test_relative_trace_image_rejects_foreign_subgroup():
     M = trivial_module(G, 2)
     other = subgroup(symmetric(4), ["(0 1)"])
     with pytest.raises(InputError):
-        relative_trace_image(M, M, other)
+        relative_trace_image(M, M, other, hom_space(M, M))
     with pytest.raises(InputError):
         is_relatively_projective(M, other)
 
@@ -377,3 +385,54 @@ def test_vertex_conjugation_invariance_nontrivial():
         G, tuple(target.to_ambient[x] for x in v2.vertex.element_indices))
     assert v1.vertex.order == 2 and v2.vertex.order == 2
     assert amb1.canonical_class_key() == amb2.canonical_class_key()
+
+
+# ---------------------------------------------------------------------------
+# End bases of Fitting pieces, read off the parent's End basis
+# ---------------------------------------------------------------------------
+
+
+def check_piece_ends(monkeypatch) -> list[int]:
+    """Empty the caches and make every split check that the End basis passed
+    down to each piece equals a fresh hom_space_from_actions on that piece.
+    Returns the list that collects the dimension of each module split."""
+    for cache in ("_DECOMP_CACHE", "_CERT_CACHE", "_VERTEX_CACHE"):
+        monkeypatch.setattr(D, cache, {})
+    split_dims = []
+    original = D._leaf_or_split
+
+    def checking(mats, dim, p, ends):
+        kind, payload = original(mats, dim, p, ends)
+        if kind == "split":
+            left, right, _, r, left_ends, right_ends = payload
+            for piece, d, passed in ((left, r, left_ends),
+                                     (right, dim - r, right_ends)):
+                fresh = hom_space_from_actions(piece, d, piece, d, p)
+                assert len(passed) == len(fresh), (dim, d)
+                assert all(np.array_equal(a, b) for a, b in zip(passed, fresh))
+            split_dims.append(dim)
+        return kind, payload
+
+    monkeypatch.setattr(D, "_leaf_or_split", checking)
+    return split_dims
+
+
+@pytest.mark.parametrize("name", ["s3_c2_c2", "s4_d8_c4", "s4_d8_d8",
+                                  "a5_a4_v4", "degenerate_s3"])
+def test_piece_ends_equal_a_fresh_solve_on_configs(name, monkeypatch, tmp_path):
+    split_dims = check_piece_ends(monkeypatch)
+    config = ROOT / "configs" / f"{name}.json"
+    assert cli.run(["verify", "--scenario", str(config),
+                    "--out", str(tmp_path)]) == 0
+    assert split_dims
+
+
+def test_piece_ends_equal_a_fresh_solve_on_mackey_pool(monkeypatch):
+    bench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    wl = importlib.import_module("workloads")
+    ref = wl.load_reference(bench / "reference", "mackey_odd_p")
+    split_dims = check_piece_ends(monkeypatch)
+    outcome = wl.mackey_run(wl.mackey_setup(2, ref), ref)
+    assert outcome.attempted > 0 and outcome.failed == 0, outcome.errors
+    assert max(split_dims) >= 40

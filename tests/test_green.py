@@ -54,7 +54,7 @@ def test_factoring_subspace_full_family_is_everything(s3):
     G = s3.G
     k = trivial_module(G, 2)
     kG = regular_module(G, 2)
-    R, piv = factoring_subspace(k, kG, [whole_group(G)])
+    R, piv = factoring_subspace(k, kG, [whole_group(G)], hom_space(k, kG))
     assert R.shape[0] == len(hom_space(k, kG))
 
 
@@ -68,7 +68,7 @@ def test_relative_trace_vanishes_on_trivial_module_c2():
     G = cyclic(2)
     k = trivial_module(G, 2)
     T = trivial_subgroup(G)
-    R, piv = factoring_subspace(k, k, [T])
+    R, piv = factoring_subspace(k, k, [T], hom_space(k, k))
     assert R.shape[0] == 0
     assert quotient_hom_dim(k, k, [T]) == 1
     # oracle: enumerate all factorizations through Ind_1 Res_1 k = kC2
@@ -190,7 +190,7 @@ def test_factoring_subspace_inside_hom(s3):
     flat = np.stack([h.ravel() for h in homs])
     from greencorr.linalg import rref
     R_hom, piv_hom = rref(flat, 2)
-    R, piv = factoring_subspace(ind, ind, s3.x_in_g())
+    R, piv = factoring_subspace(ind, ind, s3.x_in_g(), homs)
     for row in R:
         assert in_row_space(row, R_hom, piv_hom, 2)
 
@@ -239,7 +239,7 @@ def test_factoring_closed_under_composition_probes():
             continue
         M = elig[0]
         fam = sc.x_in_h()
-        R, piv = factoring_subspace(M, M, fam)
+        R, piv = factoring_subspace(M, M, fam, hom_space(M, M))
         if R.shape[0] == 0:
             continue
         ends = hom_space(M, M)

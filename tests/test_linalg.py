@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from greencorr.errors import InputError
 from greencorr.linalg import (
@@ -7,6 +10,7 @@ from greencorr.linalg import (
     in_row_space,
     inv_mod,
     mat_inv,
+    mat_mul,
     mat_pow,
     nullspace,
     rank,
@@ -14,6 +18,8 @@ from greencorr.linalg import (
     rref,
     solve,
 )
+
+from oracles import mat_mul_int64
 
 
 def random_matrix(rng, m, n, p):
@@ -113,3 +119,61 @@ def test_row_space_idempotent():
     R1 = row_space(A, 5)
     R2 = row_space(R1, 5)
     assert (R1 == R2).all()
+
+
+# ---------------------------------------------------------------------------
+# mat_mul: float64 BLAS products against the int64 reference
+# ---------------------------------------------------------------------------
+
+PRIMES = st.sampled_from([2, 3, 5, 7])
+SIDES = st.integers(0, 9)
+
+
+def residues(data, p: int, shape: tuple) -> np.ndarray:
+    return data.draw(hnp.arrays(np.int64, shape, elements=st.integers(0, p - 1)))
+
+
+def assert_matches_reference(a, b, p):
+    out = mat_mul(a, b, p)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, mat_mul_int64(a, b, p))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=PRIMES, m=SIDES, k=SIDES, n=SIDES)
+def test_mat_mul_2d_matches_int64(data, p, m, k, n):
+    assert_matches_reference(residues(data, p, (m, k)),
+                             residues(data, p, (k, n)), p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=PRIMES, s=st.integers(1, 5), m=SIDES, k=SIDES,
+       n=SIDES, which=st.sampled_from(["left", "right", "both"]))
+def test_mat_mul_batched_matches_int64(data, p, s, m, k, n, which):
+    a = residues(data, p, (s, m, k) if which != "right" else (m, k))
+    b = residues(data, p, (s, k, n) if which != "left" else (k, n))
+    assert_matches_reference(a, b, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=PRIMES, s=st.integers(1, 5), m=SIDES, k=SIDES,
+       n=SIDES)
+def test_mat_mul_non_contiguous_matches_int64(data, p, s, m, k, n):
+    # transposed views and strided slices, as the hom kernel passes them
+    a = residues(data, p, (m, s, k)).transpose(1, 0, 2)
+    b = residues(data, p, (s, n, 2 * k)).transpose(0, 2, 1)[:, ::2, :]
+    assert_matches_reference(a, b, p)
+    assert_matches_reference(residues(data, p, (k, m)).T, b[0], p)
+
+
+def test_mat_mul_is_exact_up_to_its_bound():
+    # inner length 2: 2 (q - 1)^2 < 2^53 exactly when q <= 2^26, and the
+    # largest entries give the largest dot products
+    q = 2 ** 26
+    a = np.full((3, 2), q - 1, dtype=np.int64)
+    assert np.array_equal(mat_mul(a, a.T, q), mat_mul_int64(a, a.T, q))
+    with pytest.raises(InputError, match=str(q + 1)):
+        mat_mul(a, a.T, q + 1)
+    with pytest.raises(InputError):
+        mat_mul(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64),
+                2 ** 31 - 1)
