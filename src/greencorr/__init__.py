@@ -12,7 +12,7 @@ from scenario config files.
 
 __version__ = "0.1.0"
 
-from .decompose import decompose, is_relatively_projective, vertex
+from .decompose import Run, decompose, is_relatively_projective, vertex
 from .errors import InputError, TheoremViolationError, UndecidedError
 from .green import (
     SCHEMA_VERSION,
@@ -26,7 +26,7 @@ from .green import (
 from .modules import FpModule, hom_space, induce, restrict
 from .permgroups import PermGroup, SubgroupEmbedding, closure, subgroup
 
-__all__ = [
+__all__ = (
     "InputError",
     "TheoremViolationError",
     "UndecidedError",
@@ -41,6 +41,7 @@ __all__ = [
     "hom_space",
     "induce",
     "restrict",
+    "Run",
     "decompose",
     "vertex",
     "is_relatively_projective",
@@ -49,4 +50,4 @@ __all__ = [
     "correspondent_down",
     "verify_scenario",
     "__version__",
-]
+)

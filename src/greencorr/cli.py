@@ -12,8 +12,11 @@ A scenario config is one self-describing JSON file:
     }
 
 Permutations may be cycle strings or image tuples.  Reports are emitted with
-sorted keys and no timestamps, so identical configs and seeds give
-byte-identical files.  Environment variables are never consulted.
+sorted keys and no timestamps, so identical configs give byte-identical
+files.  The seed (``options.seed`` or ``--seed``) is accepted and must be an
+integer, but no computation reads it: every step is deterministic.  Each
+command makes one ``Run``, whose memo tables live for that command only.
+Environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import geography_check, partial, tricky_factorization
-from .decompose import decompose, vertex
+from .decompose import Run, decompose, vertex, _iso_indec
 from .errors import InputError, TheoremViolationError, UndecidedError
 from .green import (
     SCHEMA_VERSION,
@@ -246,7 +249,7 @@ def run_families(cfg: Config, sc: Scenario) -> dict:
 
 def run_decompose(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
     M = _module_for(cfg, sc, module, group)
-    dec = decompose(M, cfg.seed)
+    dec = decompose(M, Run())
     return {
         "command": "decompose",
         "module": module,
@@ -270,7 +273,7 @@ def run_decompose(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
 
 def run_vertex(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
     M = _module_for(cfg, sc, module, group)
-    res = vertex(M, cfg.seed)
+    res = vertex(M, Run())
     return {
         "command": "vertex",
         "module": module,
@@ -286,24 +289,23 @@ def run_vertex(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
 
 
 def run_correspond(cfg: Config, sc: Scenario) -> dict:
-    elig = eligible_modules(sc, "H", cfg.seed)
+    run = Run()
+    elig = eligible_modules(sc, "H", run)
     pairs = []
     for idx, n in enumerate(elig):
-        m = correspondent_up(n, sc, cfg.seed)
-        back = correspondent_down(m, sc, cfg.seed)
-        from .decompose import _iso_indec
-
+        m = correspondent_up(n, sc, run)
+        back = correspondent_down(m, sc, run)
         pairs.append({
             "n": f"H:d{n.dim}#{idx}",
             "dim_n": n.dim,
             "dim_m": m.dim,
-            "round_trip": _iso_indec(n, back),
+            "round_trip": _iso_indec(n, back, run),
         })
     return {"command": "correspond", "pairs": pairs}
 
 
 def run_verify(cfg: Config, sc: Scenario) -> tuple[dict, bool]:
-    report = verify_scenario(sc, cfg.seed)
+    report = verify_scenario(sc, Run())
     doc = report.to_dict()
     doc["command"] = "verify"
     return doc, report.all_pass

@@ -23,6 +23,11 @@ depend on any seed, and a wrong certificate is never returned.  The radical
 of a local End(M) is kept with its certificate: it decides direct summands
 and isomorphisms of indecomposables exactly, and Higman's criterion decides
 relative projectivity.
+
+Decompositions, End analyses and vertices are memoized in a ``Run``, by
+module fingerprint, for as long as the caller keeps it.  A public function
+called without one makes a fresh ``Run`` for that call only, so nothing is
+kept between calls that do not share one.
 """
 
 from __future__ import annotations
@@ -354,68 +359,65 @@ def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int,
     return "split", (left, right, P, r, *_piece_ends(ends, P, Pi, r, p))
 
 
-_DECOMP_CACHE: dict[bytes, "Decomposition"] = {}
-_DECOMP_CACHE_CAP = 512
-_CERT_CACHE: dict[bytes, _LeafInfo] = {}
+class Run:
+    """The memo tables of one top-level computation, each keyed by the exact
+    module fingerprint: decompositions, End analyses and vertices.
+
+    A fingerprint fixes the module, so a hit is what a fresh computation
+    would return; the tables live exactly as long as the Run.
+    """
+
+    def __init__(self) -> None:
+        self.decompositions: dict[bytes, Decomposition] = {}
+        self.ends: dict[bytes, _LeafInfo] = {}
+        self.vertices: dict[bytes, VertexResult] = {}
 
 
-def decompose(M: FpModule, seed: int = 0) -> Decomposition:
+def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     """Full Krull-Schmidt decomposition with per-class certificates.
 
     Deterministic: every split comes from a basis endomorphism or from the
-    radical of End, with no budget and no enumeration of units, so ``seed``
-    is accepted but unused.  Results are memoized by the module's exact
+    radical of End, with no budget and no enumeration of units, so there is
+    no seed.  The result is memoized in ``run`` by the module's exact
     fingerprint, and each summand's End analysis is kept for ``end_info``.
     """
+    run = run or Run()
     cache_key = M.fingerprint()
-    hit = _DECOMP_CACHE.get(cache_key)
+    hit = run.decompositions.get(cache_key)
     if hit is not None:
         return hit
     p = M.p
     pieces: list[tuple[FpModule, np.ndarray, _LeafInfo]] = []
-
-    def work(mats: list[np.ndarray], embed: np.ndarray, dim: int,
-             ends: list[np.ndarray] | None):
-        # ends: the End basis, read off the parent's; None for M itself
+    # depth first, left piece first: (actions, embedding, dim, End basis read
+    # off the parent's, or None for M itself).  A loop, not a recursive
+    # closure, so no reference cycle keeps the run's tables alive
+    todo = [([a.copy() for a in M.action], np.eye(M.dim, dtype=np.int64),
+             M.dim, None)] if M.dim else []
+    while todo:
+        mats, embed, dim, ends = todo.pop()
         mod = FpModule(M.group, p, mats, name=f"{M.name}[{len(pieces)}]",
                        check=False, dim=dim)
         key = mod.fingerprint()
-        # a local End has no splitting basis element, so a cached local
+        # a local End has no splitting basis element, so a memoized local
         # analysis is what _leaf_or_split would find; a non-local one is not
-        # used, or the split would depend on what the cache holds
-        info = _CERT_CACHE.get(key)
+        # used, or the split would depend on what the run holds
+        info = run.ends.get(key)
         if info is None or not info.local:
             if ends is None:
                 ends = hom_space_from_actions(mats, dim, mats, dim, p)
             kind, payload = _leaf_or_split(mats, dim, p, ends)
             if kind == "split":
                 left, right, P, r, left_ends, right_ends = payload
-                work(left, (embed @ P[:, :r]) % p, r, left_ends)
-                work(right, (embed @ P[:, r:]) % p, dim - r, right_ends)
-                return
-            _CERT_CACHE[key] = info = payload
+                todo.append((right, (embed @ P[:, r:]) % p, dim - r, right_ends))
+                todo.append((left, (embed @ P[:, :r]) % p, r, left_ends))
+                continue
+            run.ends[key] = info = payload
         pieces.append((mod, embed, info))
 
-    if M.dim:
-        work([a.copy() for a in M.action], np.eye(M.dim, dtype=np.int64), M.dim,
-             None)
-
-    # group into isomorphism classes
-    classes: list[tuple[FpModule, _LeafInfo, int]] = []
-    for mod, embed, info in pieces:
-        placed = False
-        for idx, (rep, rep_info, count) in enumerate(classes):
-            if rep.dim == mod.dim and _iso_indec(rep, mod):
-                classes[idx] = (rep, rep_info, count + 1)
-                placed = True
-                break
-        if not placed:
-            classes.append((mod, info, 1))
-
-    order = sorted(range(len(classes)),
-                   key=lambda i: (classes[i][0].dim, i))
-    summands = [(classes[i][0], classes[i][2]) for i in order]
-    certificates = [classes[i][1].certificate() for i in order]
+    summands = sorted(_tally([(mod, 1) for mod, _, _ in pieces], run),
+                      key=lambda c: c[0].dim)
+    info_of = {id(mod): info for mod, _, info in pieces}
+    certificates = [info_of[id(mod)].certificate() for mod, _ in summands]
 
     if pieces:
         cob = np.concatenate([embed for _, embed, _ in pieces], axis=1) % p
@@ -433,34 +435,32 @@ def decompose(M: FpModule, seed: int = 0) -> Decomposition:
 
     result = Decomposition(M, summands, cob, certificates,
                            [mod for mod, _, _ in pieces])
-    if len(_DECOMP_CACHE) >= _DECOMP_CACHE_CAP:
-        _DECOMP_CACHE.pop(next(iter(_DECOMP_CACHE)))
-    _DECOMP_CACHE[cache_key] = result
+    run.decompositions[cache_key] = result
     return result
 
 
-def end_info(M: FpModule) -> _LeafInfo:
-    """Locality analysis of End(M), cached by module fingerprint."""
+def end_info(M: FpModule, run: Run | None = None) -> _LeafInfo:
+    """Locality analysis of End(M), memoized in ``run`` by fingerprint."""
+    run = run or Run()
     key = M.fingerprint()
-    hit = _CERT_CACHE.get(key)
+    hit = run.ends.get(key)
     if hit is None:
-        ends = hom_space(M, M)
-        hit = _analyze_end(ends, M.p, M.dim)
-        _CERT_CACHE[key] = hit
+        hit = run.ends[key] = _analyze_end(hom_space(M, M), M.p, M.dim)
     return hit
 
 
-def certify_indecomposable(M: FpModule) -> SummandCertificate:
-    info = end_info(M)
+def certify_indecomposable(M: FpModule,
+                           run: Run | None = None) -> SummandCertificate:
+    info = end_info(M, run)
     if not info.local:
         raise InputError(f"{M.name} is decomposable")
     return info.certificate()
 
 
-def is_indecomposable(M: FpModule) -> bool:
+def is_indecomposable(M: FpModule, run: Run | None = None) -> bool:
     if M.dim == 0:
         return False
-    return end_info(M).local
+    return end_info(M, run).local
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +468,7 @@ def is_indecomposable(M: FpModule) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _is_retract(M: FpModule, X: FpModule) -> bool:
+def _is_retract(M: FpModule, X: FpModule, run: Run) -> bool:
     """Whether the indecomposable M is a direct summand of X.
 
     M | X iff some composite beta∘alpha (alpha: M -> X, beta: X -> M) lies
@@ -493,7 +493,7 @@ def _is_retract(M: FpModule, X: FpModule) -> bool:
         if X.dim == M.dim and any(rank(a, p) == M.dim for a in alphas):
             return True
         betas = hom_space(X, M) if alphas else []
-    info = end_info(M)
+    info = end_info(M, run)
     if not info.local:
         raise InputError("direct-summand test requires an indecomposable M")
     RJ, pivJ = info.radical_flat
@@ -501,7 +501,8 @@ def _is_retract(M: FpModule, X: FpModule) -> bool:
                for a in alphas for b in betas)
 
 
-def is_direct_summand(M: FpModule, X: FpModule) -> bool:
+def is_direct_summand(M: FpModule, X: FpModule,
+                      run: Run | None = None) -> bool:
     """Whether the certified-indecomposable M is a direct summand of X.
 
     Exact for every X: M | X iff some composite beta∘alpha of homs
@@ -511,7 +512,7 @@ def is_direct_summand(M: FpModule, X: FpModule) -> bool:
     """
     if M.dim == 0:
         return True
-    return _is_retract(M, X)
+    return _is_retract(M, X, run or Run())
 
 
 def _block_diag(block: np.ndarray, copies: int) -> np.ndarray:
@@ -522,13 +523,13 @@ def _block_diag(block: np.ndarray, copies: int) -> np.ndarray:
     return out
 
 
-def _iso_indec(M: FpModule, N: FpModule) -> bool:
+def _iso_indec(M: FpModule, N: FpModule, run: Run | None = None) -> bool:
     """Exact isomorphism test for certified-indecomposable modules: M ≅ N iff
     the dimensions agree and M is a direct summand of N."""
-    return M.dim == N.dim and _is_retract(M, N)
+    return M.dim == N.dim and _is_retract(M, N, run or Run())
 
 
-def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0) -> bool:
+def is_isomorphic(M: FpModule, N: FpModule, run: Run | None = None) -> bool:
     """General isomorphism test.
 
     An invertible basis hom decides at once; otherwise the Krull-Schmidt
@@ -541,41 +542,44 @@ def is_isomorphic(M: FpModule, N: FpModule, seed: int = 0) -> bool:
         return True
     if any(rank(F, M.p) == M.dim for F in hom_space(M, N)):
         return True
-    return same_multiset(decompose(M, seed).summands,
-                         decompose(N, seed).summands)
+    run = run or Run()
+    return same_multiset(decompose(M, run).summands,
+                         decompose(N, run).summands, run)
 
 
-def multiset_of_classes(decs: list[Decomposition]) -> list[tuple[FpModule, int]]:
+def _tally(items: list[tuple[FpModule, int]], run: Run,
+           classes: list[tuple[FpModule, int]] = ()
+           ) -> list[tuple[FpModule, int]]:
+    """Fold (certified indecomposable, multiplicity) items into the
+    isomorphism classes ``classes``, first fit: an item joins the first class
+    whose representative is isomorphic to it, or opens a new class."""
+    out = [list(c) for c in classes]
+    for mod, mult in items:
+        for c in out:
+            if c[0].dim == mod.dim and _iso_indec(c[0], mod, run):
+                c[1] += mult
+                break
+        else:
+            out.append([mod, mult])
+    return [(rep, count) for rep, count in out]
+
+
+def multiset_of_classes(decs: list[Decomposition],
+                        run: Run | None = None) -> list[tuple[FpModule, int]]:
     """Merge decompositions into one multiset of iso classes with counts."""
-    merged: list[tuple[FpModule, int]] = []
-    for dec in decs:
-        for mod, mult in dec.summands:
-            for i, (rep, count) in enumerate(merged):
-                if rep.dim == mod.dim and _iso_indec(rep, mod):
-                    merged[i] = (rep, count + mult)
-                    break
-            else:
-                merged.append((mod, mult))
-    return merged
+    return _tally([s for dec in decs for s in dec.summands], run or Run())
 
 
 def same_multiset(a: list[tuple[FpModule, int]],
-                  b: list[tuple[FpModule, int]]) -> bool:
+                  b: list[tuple[FpModule, int]],
+                  run: Run | None = None) -> bool:
+    """Whether two multisets of iso classes are equal: folding b into a must
+    double every count of a and open no class."""
     if sorted((m.dim, c) for m, c in a) != sorted((m.dim, c) for m, c in b):
         return False
-    used = [False] * len(b)
-    for mod, count in a:
-        ok = False
-        for j, (other, count2) in enumerate(b):
-            if used[j] or other.dim != mod.dim or count != count2:
-                continue
-            if _iso_indec(mod, other):
-                used[j] = True
-                ok = True
-                break
-        if not ok:
-            return False
-    return all(used)
+    merged = _tally(b, run or Run(), a)
+    return len(merged) == len(a) and all(
+        n == 2 * c for (_, n), (_, c) in zip(merged, a))
 
 
 # ---------------------------------------------------------------------------
@@ -649,24 +653,22 @@ class VertexResult:
     checked: list[tuple[int, bool]]  # (subgroup order, relatively projective)
 
 
-_VERTEX_CACHE: dict[tuple[bytes, int], VertexResult] = {}
-
-
-def vertex(M: FpModule, seed: int = 0) -> VertexResult:
+def vertex(M: FpModule, run: Run | None = None) -> VertexResult:
     """A minimal subgroup D with M relatively D-projective, plus a source.
 
     Starts at a Sylow p-subgroup (every module is projective relative to it
     in this cohomological setting) and descends through subgroups up to
-    conjugacy.  M must be certified indecomposable.  Memoized per module
-    fingerprint and seed.
+    conjugacy.  M must be certified indecomposable.  Memoized in ``run`` by
+    module fingerprint.
     """
-    cache_key = (M.fingerprint(), seed)
-    hit = _VERTEX_CACHE.get(cache_key)
+    run = run or Run()
+    cache_key = M.fingerprint()
+    hit = run.vertices.get(cache_key)
     if hit is not None:
         return hit
     G = M.group
     p = M.p
-    if M.dim == 0 or not end_info(M).local:
+    if M.dim == 0 or not end_info(M, run).local:
         raise InputError("vertex is defined for certified indecomposables")
     S = sylow(G, p)
     if not is_relatively_projective(M, S):
@@ -692,16 +694,13 @@ def vertex(M: FpModule, seed: int = 0) -> VertexResult:
     if current.order == G.order:
         source = M
     else:
-        dec = decompose(restrict(M, current), seed)
+        dec = decompose(restrict(M, current), run)
         for s_mod, _ in dec.summands:
             ind = induce(s_mod, current)
-            if is_direct_summand(M, ind):
+            if is_direct_summand(M, ind, run):
                 source = s_mod
                 break
     if source is None:
         raise TheoremViolationError("no summand of the restriction induces M back")
-    result = VertexResult(canon, source, checked)
-    if len(_VERTEX_CACHE) >= _DECOMP_CACHE_CAP:
-        _VERTEX_CACHE.pop(next(iter(_VERTEX_CACHE)))
-    _VERTEX_CACHE[cache_key] = result
+    result = run.vertices[cache_key] = VertexResult(canon, source, checked)
     return result

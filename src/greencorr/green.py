@@ -21,12 +21,15 @@ import numpy as np
 from . import linalg
 from .boundary import partial
 from .decompose import (
+    Run,
     decompose,
     end_info,
     is_direct_summand,
+    is_relatively_projective,
     relative_trace_image,
     vertex,
     _iso_indec,
+    _tally,
 )
 from .errors import InputError, TheoremViolationError
 from .groupoids import GroupoidFunctor, group_groupoid, identity_functor
@@ -147,31 +150,16 @@ def quotient_hom_dim(M: FpModule, N: FpModule,
 
 
 def is_x_object(M: FpModule, family: list[SubgroupEmbedding],
-                seed: int = 0) -> bool:
+                run: Run | None = None) -> bool:
     """Whether the indecomposable M lies in the additive closure of modules
     induced from the family: tested via vertex subconjugacy."""
     if not family:
         return False
     if M.dim == 0:
         return True
-    v = vertex(M, seed).vertex
+    v = vertex(M, run).vertex
     G = M.group
     return any(is_subconjugate(G, v, X) for X in family)
-
-
-def is_x_object_summand_check(M: FpModule, family: list[SubgroupEmbedding],
-                              seed: int = 0) -> bool:
-    """Direct cross-check: M is a retract of ⊕_X Ind_X Res_X M."""
-    if not family:
-        return False
-    from .decompose import multiset_of_classes
-
-    pieces = []
-    for X in family:
-        ind = induce(restrict(M, X), X)
-        pieces.append(decompose(ind, seed))
-    merged = multiset_of_classes(pieces)
-    return any(rep.dim == M.dim and _iso_indec(M, rep) for rep, _ in merged)
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +167,12 @@ def is_x_object_summand_check(M: FpModule, family: list[SubgroupEmbedding],
 # ---------------------------------------------------------------------------
 
 
-def _dedup_classes(mods: list[FpModule]) -> list[FpModule]:
-    out: list[FpModule] = []
-    for m in mods:
-        if m.dim == 0:
-            continue
-        if not any(r.dim == m.dim and _iso_indec(r, m) for r in out):
-            out.append(m)
-    return out
+def _dedup_classes(mods: list[FpModule], run: Run) -> list[FpModule]:
+    return [rep for rep, _ in _tally([(m, 1) for m in mods if m.dim], run)]
 
 
-def generating_family_over_D(sc: Scenario, seed: int = 0) -> list[FpModule]:
+def generating_family_over_D(sc: Scenario,
+                             run: Run | None = None) -> list[FpModule]:
     """Indecomposable kD-modules seeding the eligible sets: summands of the
     trivial and regular modules and of k[D/E] over subgroup classes E <= D.
 
@@ -206,14 +189,15 @@ def generating_family_over_D(sc: Scenario, seed: int = 0) -> list[FpModule]:
             continue
         seen_keys.add(key)
         sources.append(induce(trivial_module(E.group, sc.p), E))
+    run = run or Run()
     for src in sources:
-        for mod, _ in decompose(src, seed).summands:
+        for mod, _ in decompose(src, run).summands:
             mods.append(mod)
-    return _dedup_classes(mods)
+    return _dedup_classes(mods, run)
 
 
 def module_catalog(sc: Scenario, side: str,
-                   seed: int = 0) -> list[tuple[FpModule, bool, bool]]:
+                   run: Run | None = None) -> list[tuple[FpModule, bool, bool]]:
     """Indecomposable classes discovered on one side with their verdicts.
 
     Returns (module, is_D_object, is_X_object) triples, sorted by dimension;
@@ -230,28 +214,29 @@ def module_catalog(sc: Scenario, side: str,
         fam = sc.x_in_g()
     else:
         raise InputError("side must be 'H' or 'G'")
+    run = run or Run()
     candidates: list[FpModule] = [trivial_module(amb_group, sc.p)]
-    for mod, _ in decompose(regular_module(amb_group, sc.p), seed).summands:
+    for mod, _ in decompose(regular_module(amb_group, sc.p), run).summands:
         candidates.append(mod)
-    for s in generating_family_over_D(sc, seed):
-        for mod, _ in decompose(induce(s, d_emb), seed).summands:
+    for s in generating_family_over_D(sc, run):
+        for mod, _ in decompose(induce(s, d_emb), run).summands:
             candidates.append(mod)
-    from .decompose import is_relatively_projective
 
     out = []
-    for mod in _dedup_classes(candidates):
-        if not end_info(mod).local:
+    for mod in _dedup_classes(candidates, run):
+        if not end_info(mod, run).local:
             continue
         d_obj = is_relatively_projective(mod, d_emb)
-        x_obj = is_x_object(mod, fam, seed)
+        x_obj = is_x_object(mod, fam, run)
         out.append((mod, d_obj, x_obj))
     out.sort(key=lambda t: t[0].dim)
     return out
 
 
-def eligible_modules(sc: Scenario, side: str, seed: int = 0) -> list[FpModule]:
+def eligible_modules(sc: Scenario, side: str,
+                     run: Run | None = None) -> list[FpModule]:
     """Certified-indecomposable D-objects that are not X-objects, over H or G."""
-    return [mod for mod, d_obj, x_obj in module_catalog(sc, side, seed)
+    return [mod for mod, d_obj, x_obj in module_catalog(sc, side, run)
             if d_obj and not x_obj]
 
 
@@ -260,37 +245,39 @@ def eligible_modules(sc: Scenario, side: str, seed: int = 0) -> list[FpModule]:
 # ---------------------------------------------------------------------------
 
 
-def correspondent_up(n: FpModule, sc: Scenario, seed: int = 0) -> FpModule:
+def correspondent_up(n: FpModule, sc: Scenario,
+                     run: Run | None = None) -> FpModule:
     """The X-free part of Ind_H^G n, which the Green correspondence promises
     is a single indecomposable with multiplicity one."""
-    _require_eligible(n, sc, "H", seed)
-    dec = decompose(induce(n, sc.H), seed)
+    run = run or Run()
+    _require_eligible(n, sc, "H", run)
+    dec = decompose(induce(n, sc.H), run)
     fam = sc.x_in_g()
     survivors = [(mod, mult) for mod, mult in dec.summands
-                 if not is_x_object(mod, fam, seed)]
+                 if not is_x_object(mod, fam, run)]
     if len(survivors) != 1 or survivors[0][1] != 1:
         raise TheoremViolationError(
             f"induction of {n.name} has {survivors} surviving classes")
     return survivors[0][0]
 
 
-def correspondent_down(m: FpModule, sc: Scenario, seed: int = 0) -> FpModule:
+def correspondent_down(m: FpModule, sc: Scenario,
+                       run: Run | None = None) -> FpModule:
     """The Y-free part of Res_H^G m."""
-    _require_eligible(m, sc, "G", seed)
-    dec = decompose(restrict(m, sc.H), seed)
+    run = run or Run()
+    _require_eligible(m, sc, "G", run)
+    dec = decompose(restrict(m, sc.H), run)
     fam = sc.y_in_h()
     survivors = [(mod, mult) for mod, mult in dec.summands
-                 if not is_x_object(mod, fam, seed)]
+                 if not is_x_object(mod, fam, run)]
     if len(survivors) != 1 or survivors[0][1] != 1:
         raise TheoremViolationError(
             f"restriction of {m.name} has {survivors} surviving classes")
     return survivors[0][0]
 
 
-def _require_eligible(mod: FpModule, sc: Scenario, side: str, seed: int) -> None:
-    from .decompose import is_relatively_projective
-
-    if mod.dim == 0 or not end_info(mod).local:
+def _require_eligible(mod: FpModule, sc: Scenario, side: str, run: Run) -> None:
+    if mod.dim == 0 or not end_info(mod, run).local:
         raise InputError("correspondent requires a certified indecomposable")
     if side == "H":
         d_emb, fam = sc.d_in_h, sc.x_in_h()
@@ -298,7 +285,7 @@ def _require_eligible(mod: FpModule, sc: Scenario, side: str, seed: int) -> None
         d_emb, fam = sc.D, sc.x_in_g()
     if not is_relatively_projective(mod, d_emb):
         raise InputError("correspondent requires a D-object")
-    if is_x_object(mod, fam, seed):
+    if is_x_object(mod, fam, run):
         raise InputError("correspondent requires a module outside the X-objects")
 
 
@@ -352,9 +339,9 @@ class GreenReport:
 
 
 def _vertex_class_in_g(sc: Scenario, mod: FpModule, side: str,
-                       seed: int) -> tuple[tuple[int, ...], int]:
+                       run: Run) -> tuple[tuple[int, ...], int]:
     """Vertex of a module on either side, as a canonical G-conjugacy key."""
-    v = vertex(mod, seed).vertex
+    v = vertex(mod, run).vertex
     if side == "H":
         amb = SubgroupEmbedding(
             sc.G, tuple(sc.H.to_ambient[x] for x in v.element_indices), "v")
@@ -364,8 +351,8 @@ def _vertex_class_in_g(sc: Scenario, mod: FpModule, side: str,
 
 
 def _entry_vertex(sc: Scenario, mod: FpModule, side: str,
-                  d_key: tuple[int, ...], seed: int) -> tuple[int, bool]:
-    key, order = _vertex_class_in_g(sc, mod, side, seed)
+                  d_key: tuple[int, ...], run: Run) -> tuple[int, bool]:
+    key, order = _vertex_class_in_g(sc, mod, side, run)
     return order, key == d_key
 
 
@@ -405,11 +392,13 @@ def boundary_families_match(sc: Scenario) -> bool:
     return True
 
 
-def verify_scenario(sc: Scenario, seed: int = 0) -> GreenReport:
+def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     """Run every machine check of the Green equivalence and correspondence on
-    the scenario's finite eligible test set."""
-    cat_h = module_catalog(sc, "H", seed)
-    cat_g = module_catalog(sc, "G", seed)
+    the scenario's finite eligible test set, with one ``run`` memoizing
+    decompositions, End analyses and vertices across all of them."""
+    run = run or Run()
+    cat_h = module_catalog(sc, "H", run)
+    cat_g = module_catalog(sc, "G", run)
     elig_h = [mod for mod, d_obj, x_obj in cat_h if d_obj and not x_obj]
     elig_g = [mod for mod, d_obj, x_obj in cat_g if d_obj and not x_obj]
     names_h = [f"H:d{mod.dim}#{k}" for k, (mod, d_obj, x_obj) in enumerate(cat_h)
@@ -443,15 +432,15 @@ def verify_scenario(sc: Scenario, seed: int = 0) -> GreenReport:
     bij_ok = True
     up_images: list[FpModule] = []
     for i1, n in enumerate(elig_h):
-        m = correspondent_up(n, sc, seed)
-        back = correspondent_down(m, sc, seed)
-        round_trip = _iso_indec(n, back)
-        m_le_ind = is_direct_summand(m, induce(n, sc.H))
-        n_le_res = is_direct_summand(n, restrict(m, sc.H))
+        m = correspondent_up(n, sc, run)
+        back = correspondent_down(m, sc, run)
+        round_trip = _iso_indec(n, back, run)
+        m_le_ind = is_direct_summand(m, induce(n, sc.H), run)
+        n_le_res = is_direct_summand(n, restrict(m, sc.H), run)
         bij_ok = bij_ok and round_trip and m_le_ind and n_le_res
         up_images.append(m)
         match_g = next((names_g[j] for j, mg in enumerate(elig_g)
-                        if mg.dim == m.dim and _iso_indec(mg, m)), None)
+                        if mg.dim == m.dim and _iso_indec(mg, m, run)), None)
         bij_ok = bij_ok and match_g is not None
         pairs.append({
             "n": names_h[i1], "m": match_g or f"G:d{m.dim}?",
@@ -462,7 +451,7 @@ def verify_scenario(sc: Scenario, seed: int = 0) -> GreenReport:
         })
     # surjectivity up to retracts: every eligible m over G is hit
     for j, m in enumerate(elig_g):
-        hit = any(mu.dim == m.dim and _iso_indec(mu, m) for mu in up_images)
+        hit = any(mu.dim == m.dim and _iso_indec(mu, m, run) for mu in up_images)
         if not hit:
             bij_ok = False
     verdicts["bijection_round_trip"] = bij_ok
@@ -471,8 +460,8 @@ def verify_scenario(sc: Scenario, seed: int = 0) -> GreenReport:
     vertex_ok = True
     vertex_d_ok = True
     for i1, (n, m) in enumerate(zip(elig_h, up_images)):
-        key_n, ord_n = _vertex_class_in_g(sc, n, "H", seed)
-        key_m, ord_m = _vertex_class_in_g(sc, m, "G", seed)
+        key_n, ord_n = _vertex_class_in_g(sc, n, "H", run)
+        key_m, ord_m = _vertex_class_in_g(sc, m, "G", run)
         same = key_n == key_m
         vertex_ok = vertex_ok and same
         n_is_d = key_n == d_key
@@ -483,12 +472,12 @@ def verify_scenario(sc: Scenario, seed: int = 0) -> GreenReport:
         pairs[i1]["vertex_preserved"] = same
     entries_h = [
         ModuleEntry(f"H:d{mod.dim}#{k}", mod.dim,
-                    *_entry_vertex(sc, mod, "H", d_key, seed), x_obj)
+                    *_entry_vertex(sc, mod, "H", d_key, run), x_obj)
         for k, (mod, d_obj, x_obj) in enumerate(cat_h) if d_obj
     ]
     entries_g = [
         ModuleEntry(f"G:d{mod.dim}#{k}", mod.dim,
-                    *_entry_vertex(sc, mod, "G", d_key, seed), x_obj)
+                    *_entry_vertex(sc, mod, "G", d_key, run), x_obj)
         for k, (mod, d_obj, x_obj) in enumerate(cat_g) if d_obj
     ]
     verdicts["vertex_preservation"] = vertex_ok
@@ -498,8 +487,8 @@ def verify_scenario(sc: Scenario, seed: int = 0) -> GreenReport:
     # (e) groupoid-level cross-checks
     verdicts["boundary_families_match"] = boundary_families_match(sc)
 
-    # ideal property spot check: the factoring subspace is closed under
-    # pre/post composition by arbitrary homs
+    # ideal property check: the factoring subspace is closed under pre- and
+    # postcomposition by every End basis element
     verdicts["factoring_is_ideal"] = _ideal_spotcheck(sc, elig_h, fam_h)
 
     family_orders = {
@@ -532,7 +521,7 @@ def _ideal_spotcheck(sc: Scenario, elig_h: list[FpModule],
         return True
     for row in R:
         F = row.reshape(M.dim, M.dim)
-        for e in ends[: min(len(ends), 4)]:
+        for e in ends:
             pre = ((F @ e) % p).ravel()
             post = ((e @ F) % p).ravel()
             if not linalg.in_row_space(pre, R, piv, p):

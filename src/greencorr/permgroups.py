@@ -171,8 +171,8 @@ class PermGroup:
         """g x g^-1 by index."""
         return int(self.mult[self.mult[g, x], self.inv[g]])
 
-    def subgroup_closure(self, seed: set[int]) -> frozenset[int]:
-        seen = set(seed) | {self.identity}
+    def subgroup_closure(self, gens: set[int]) -> frozenset[int]:
+        seen = set(gens) | {self.identity}
         frontier = list(seen)
         while frontier:
             new = []

@@ -344,6 +344,23 @@ def summand_route_relatively_projective(M, emb):
     return True
 
 
+def is_x_object_summand_check(M, family):
+    """The reference for green.is_x_object: the indecomposable M is an
+    X-object iff it is a retract of some Ind_X Res_X M, X in the family,
+    found by decomposing each induced module instead of by vertices."""
+    from greencorr.decompose import (
+        Run, decompose, multiset_of_classes, _iso_indec)
+    from greencorr.modules import induce, restrict
+
+    if not family:
+        return False
+    run = Run()
+    pieces = [decompose(induce(restrict(M, X), X), run) for X in family]
+    merged = multiset_of_classes(pieces, run)
+    return any(rep.dim == M.dim and _iso_indec(M, rep, run)
+               for rep, _ in merged)
+
+
 def literal_trace_image(M, N, emb):
     """Image of Tr_X^G : Hom_X(Res M, Res N) -> Hom_G(M, N) by the literal
     sum over all left cosets, as (reduced echelon rows, pivots) on flattened

@@ -17,6 +17,7 @@ from greencorr.catalog import (
     symmetric,
 )
 from greencorr.decompose import (
+    Run,
     decompose,
     multiset_of_classes,
     same_multiset,
@@ -154,9 +155,9 @@ def test_criterion_3_geography_and_factorization():
     _report(3, "geography equivalence and strict factorization", t0)
 
 
-def _mackey_sides(G, K, H, M, seed):
+def _mackey_sides(G, K, H, M, run):
     """LHS and RHS of the Mackey formula as class multisets over K."""
-    lhs = decompose(restrict(induce(M, H), K), seed)
+    lhs = decompose(restrict(induce(M, H), K), run)
     parts = []
     for g, L in double_cosets(G, K, H):
         L_inner = L.conjugated(int(G.inv[g]))  # g^-1 L g <= H
@@ -166,8 +167,8 @@ def _mackey_sides(G, K, H, M, seed):
         conjM, _ = conjugate_module(resM, L_inner, g, target=L)
         l_in_k = SubgroupEmbedding(
             K.group, tuple(K.from_ambient[a] for a in L.element_indices))
-        parts.append(decompose(induce(conjM, l_in_k), seed))
-    return multiset_of_classes([lhs]), multiset_of_classes(parts)
+        parts.append(decompose(induce(conjM, l_in_k), run))
+    return multiset_of_classes([lhs], run), multiset_of_classes(parts, run)
 
 
 MACKEY_CORPUS_SIZE = 20
@@ -193,8 +194,9 @@ def test_criterion_4_mackey_formula(mackey_corpus):
     t0 = time.time()
     for (go, ho, p), (G, H, mods) in sorted(mackey_corpus.items()):
         for k, M in enumerate(mods):
-            lhs, rhs = _mackey_sides(G, H, H, M, seed=0)
-            assert same_multiset(lhs, rhs), (go, ho, p, k, M.dim)
+            run = Run()
+            lhs, rhs = _mackey_sides(G, H, H, M, run)
+            assert same_multiset(lhs, rhs, run), (go, ho, p, k, M.dim)
     elapsed = time.time() - t0
     assert elapsed < 600.0
     _report(4, "module-level Mackey formula", t0)
@@ -204,11 +206,15 @@ def test_criterion_5_krull_schmidt_determinism(mackey_corpus):
     t0 = time.time()
     for (go, ho, p), (G, H, mods) in sorted(mackey_corpus.items()):
         for M in mods:
-            decs = [decompose(M, seed) for seed in range(5)]
-            base = list(decs[0].summands)
+            # five fresh Runs, so each decomposition is made from scratch
+            decs = [decompose(M, Run()) for _ in range(5)]
+            assert len({id(dec) for dec in decs}) == 5
             for other in decs[1:]:
-                assert same_multiset(base, list(other.summands)), (go, p, M.dim)
-    _report(5, "Krull-Schmidt determinism across seeds", t0)
+                assert np.array_equal(decs[0].change_of_basis,
+                                      other.change_of_basis), (go, p, M.dim)
+                assert same_multiset(decs[0].summands, other.summands), \
+                    (go, p, M.dim)
+    _report(5, "Krull-Schmidt determinism across fresh runs", t0)
 
 
 # random_module(A5, p, 6) returns the trivial module: the permutation modules

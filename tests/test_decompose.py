@@ -7,6 +7,7 @@ import pytest
 from greencorr import cli
 from greencorr.catalog import alternating, chain_s3, cyclic, symmetric
 from greencorr.decompose import (
+    Run,
     decompose,
     is_direct_summand,
     is_indecomposable,
@@ -126,16 +127,18 @@ def test_change_of_basis_certifies_the_splitting():
 
 
 def test_decomposition_seed_determinism():
-    # Krull-Schmidt: multisets of iso classes agree across seeds
+    # five fresh Runs decompose from scratch and agree exactly
     rng = np.random.default_rng(11)
     G = alternating(4)
     for p in (2, 3):
         for _ in range(3):
             M = random_module(G, p, 8, rng)
-            decs = [decompose(M, seed) for seed in range(5)]
-            base = [(m, c) for m, c in decs[0].summands]
+            decs = [decompose(M, Run()) for _ in range(5)]
+            assert len({id(dec) for dec in decs}) == 5
             for other in decs[1:]:
-                assert same_multiset(base, list(other.summands))
+                assert np.array_equal(decs[0].change_of_basis,
+                                      other.change_of_basis)
+                assert same_multiset(decs[0].summands, other.summands)
 
 
 def test_matches_oracle_on_random_modules():
@@ -288,7 +291,7 @@ def test_vertex_conjugation_invariance():
     from greencorr.modules import conjugate_module
     W = whole_group(G)
     Mc = restrict(target, W)  # relabel through the whole group (identity)
-    v2 = vertex(target, seed=5)
+    v2 = vertex(target, Run())
     assert v1.vertex.canonical_class_key() == v2.vertex.canonical_class_key()
 
 
@@ -393,11 +396,9 @@ def test_vertex_conjugation_invariance_nontrivial():
 
 
 def check_piece_ends(monkeypatch) -> list[int]:
-    """Empty the caches and make every split check that the End basis passed
-    down to each piece equals a fresh hom_space_from_actions on that piece.
-    Returns the list that collects the dimension of each module split."""
-    for cache in ("_DECOMP_CACHE", "_CERT_CACHE", "_VERTEX_CACHE"):
-        monkeypatch.setattr(D, cache, {})
+    """Make every split check that the End basis passed down to each piece
+    equals a fresh hom_space_from_actions on that piece.  Returns the list
+    that collects the dimension of each module split."""
     split_dims = []
     original = D._leaf_or_split
 

@@ -12,7 +12,6 @@ from greencorr.green import (
     eligible_modules,
     factoring_subspace,
     is_x_object,
-    is_x_object_summand_check,
     quotient_hom_dim,
     verify_scenario,
 )
@@ -25,6 +24,8 @@ from greencorr.modules import (
     trivial_module,
 )
 from greencorr.permgroups import subgroup, trivial_subgroup, whole_group
+
+from oracles import is_x_object_summand_check
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from greencorr import cli
 from greencorr.catalog import alternating, cyclic, symmetric
-from greencorr.decompose import decompose, end_info
+from greencorr.decompose import Run, decompose, end_info
 from greencorr.linalg import mat_inv, mat_pow, rank
 from greencorr.modules import (
     FpModule,
@@ -220,14 +220,10 @@ def test_matrix_algebra_quotient_splits_into_two_isomorphic_summands(make):
     assert brute_isomorphic(a.action, b.action, p)
 
 
-def test_split_is_identical_for_every_seed(monkeypatch):
+def test_split_is_identical_for_every_seed():
     M = a4_two_copies()
-    bases = []
-    for seed in range(5):
-        # fresh caches, so each seed decomposes from scratch
-        monkeypatch.setattr(D, "_DECOMP_CACHE", {})
-        monkeypatch.setattr(D, "_CERT_CACHE", {})
-        bases.append(decompose(M, seed).change_of_basis)
+    # a fresh Run each time, so each decomposes from scratch
+    bases = [decompose(M, Run()).change_of_basis for _ in range(5)]
     assert all(np.array_equal(bases[0], other) for other in bases[1:])
 
 
@@ -240,12 +236,13 @@ def test_end_info_of_summands_needs_no_hom_space(monkeypatch):
     rng = np.random.default_rng(17)
     G = alternating(4)
     M = direct_sum(random_module(G, 2, 6, rng), regular_module(G, 2))
-    dec = decompose(M)
+    run = Run()
+    dec = decompose(M, run)
     calls = []
     monkeypatch.setattr(D, "hom_space",
                         lambda *args: calls.append(args) or hom_space(*args))
     for mod in [mod for mod, _ in dec.summands] + dec.pieces:
-        assert end_info(mod).local
+        assert end_info(mod, run).local
     assert calls == []
 
 
@@ -281,13 +278,11 @@ RECORDED_CERTIFICATES = {
 
 @pytest.mark.parametrize("name", sorted(RECORDED_CERTIFICATES))
 def test_config_certificates_match_recorded(name, monkeypatch, tmp_path):
-    for cache in ("_DECOMP_CACHE", "_CERT_CACHE", "_VERTEX_CACHE"):
-        monkeypatch.setattr(D, cache, {})
     rows = set()
     original = D.decompose
 
-    def recording(M, seed=0):
-        dec = original(M, seed)
+    def recording(M, run=None):
+        dec = original(M, run)
         rows.update((mod.dim, mult, c.end_dim, c.radical_dim, c.residue_degree)
                     for (mod, mult), c in zip(dec.summands, dec.certificates))
         return dec

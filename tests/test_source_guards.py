@@ -1,0 +1,65 @@
+"""Static checks on the package source.
+
+No module may hold a mutable container at top level: such a global outlives
+every call, so a memo kept in one would leak results between runs.  Memo
+tables belong to a ``decompose.Run``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "greencorr"
+MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict",
+                           "OrderedDict", "Counter", "deque"})
+MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                 ast.SetComp)
+
+
+def is_mutable_container(node: ast.expr | None) -> bool:
+    if isinstance(node, MUTABLE_NODES):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else \
+            getattr(func, "id", None)
+        return name in MUTABLE_CALLS
+    return False
+
+
+def module_level_mutables(source: str) -> list[str]:
+    """Line and target of each top-level assignment of a mutable container."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and \
+                is_mutable_container(stmt.value):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target]
+            found.append(f"{stmt.lineno}: {', '.join(map(ast.unparse, targets))}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_mutable_containers(path):
+    assert module_level_mutables(path.read_text()) == []
+
+
+@pytest.mark.parametrize("line", [
+    "_CACHE = {}",
+    "_CACHE: dict[bytes, int] = {}",
+    "_SEEN = set()",
+    "_ITEMS = [1, 2]",
+    "_BY_KEY = collections.defaultdict(list)",
+    "_BY_KEY = defaultdict(list)",
+    "_SQUARES = {k: k * k for k in range(3)}",
+])
+def test_guard_flags_each_kind_of_container(line):
+    assert len(module_level_mutables(line)) == 1
+
+
+def test_guard_allows_constants_and_function_locals():
+    assert module_level_mutables(
+        "LIMIT = 32\nNAMES = ('a', 'b')\nKEYS = frozenset({1})\n"
+        "def f():\n    memo = {}\n    return memo\n") == []
