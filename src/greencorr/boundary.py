@@ -84,26 +84,18 @@ def partial(i: GroupoidFunctor, iota_e: GroupoidFunctor,
     ambient = isocomma(compose_functors(i, iota_e), compose_functors(i, iota_f))
 
     # the comparison (E/F/H) -> (E/F/G): (x, y, h) |-> (x, y, i(h))
-    n_in = inner.groupoid.n_objects
-    obj_map = np.empty(n_in, dtype=np.int32)
-    for o, (x, y, h) in enumerate(inner.object_labels):
-        obj_map[o] = ambient.object_index(x, y, i.mor(h))
-    mor_map = np.empty(inner.groupoid.n_morphisms, dtype=np.int32)
-    for m in range(inner.groupoid.n_morphisms):
-        o, a, b = inner.morphism_parts(m)
-        mor_map[m] = ambient.morphism_index(int(obj_map[o]), a, b)
+    x, y, h = inner.object_parts()
+    obj_map = ambient.object_index(x, y, i.mor_map[h])
+    o, a, b = inner.morphism_parts()
+    mor_map = ambient.morphism_index(obj_map[o], a, b)
     embedding = GroupoidFunctor(inner.groupoid, ambient.groupoid,
                                 obj_map, mor_map, name="(E/F/i)")
 
     comp_of = ambient.groupoid.component_of()
-    hit = set(int(comp_of[o]) for o in obj_map)
-    h_objs = [o for o in range(ambient.groupoid.n_objects)
-              if int(comp_of[o]) in hit]
-    b_objs = [o for o in range(ambient.groupoid.n_objects)
-              if int(comp_of[o]) not in hit]
-    h_part, h_incl = full_subgroupoid(ambient.groupoid, h_objs,
+    in_h = np.isin(comp_of, comp_of[obj_map])
+    h_part, h_incl = full_subgroupoid(ambient.groupoid, np.flatnonzero(in_h),
                                       name=(name or "partial") + ":h-part")
-    bdry, b_incl = full_subgroupoid(ambient.groupoid, b_objs,
+    bdry, b_incl = full_subgroupoid(ambient.groupoid, np.flatnonzero(~in_h),
                                     name=(name or "partial") + ":boundary")
 
     pr1 = compose_functors(ambient.pr1, b_incl)
@@ -139,29 +131,17 @@ def diagonal_functor(k: GroupoidFunctor, ell: GroupoidFunctor,
 
     amb, amb2 = part.ambient, part_prime.ambient
     b_to_amb = part.boundary_inclusion
-    amb2_obj = part_prime.ambient_to_boundary_objects()
-    amb2_mor = part_prime.ambient_to_boundary_morphisms()
-
-    n_obj = part.boundary.n_objects
-    obj_map = np.empty(n_obj, dtype=np.int32)
-    for o in range(n_obj):
-        x, y, g = amb.object_labels[int(b_to_amb.obj_map[o])]
-        target = amb2.object_index(k.obj(x), ell.obj(y), g)
-        sub = int(amb2_obj[target])
-        if sub < 0:
-            raise TheoremViolationError(
-                "image of a boundary object fell into the H part")
-        obj_map[o] = sub
-    n_mor = part.boundary.n_morphisms
-    mor_map = np.empty(n_mor, dtype=np.int32)
-    for m in range(n_mor):
-        o, a, b = amb.morphism_parts(int(b_to_amb.mor_map[m]))
-        amb2_o = int(part_prime.boundary_inclusion.obj_map[
-            obj_map[int(part.boundary.msrc[m])]])
-        target = amb2.morphism_index(amb2_o, k.mor(a), ell.mor(b))
-        sub = int(amb2_mor[target])
-        assert sub >= 0
-        mor_map[m] = sub
+    x, y, g = amb.object_parts(b_to_amb.obj_map)
+    target = amb2.object_index(k.obj_map[x], ell.obj_map[y], g)
+    obj_map = part_prime.ambient_to_boundary_objects()[target]
+    if (obj_map < 0).any():
+        raise TheoremViolationError(
+            "image of a boundary object fell into the H part")
+    _, a, b = amb.morphism_parts(b_to_amb.mor_map)
+    src2 = part_prime.boundary_inclusion.obj_map[obj_map[part.boundary.msrc]]
+    target = amb2.morphism_index(src2, k.mor_map[a], ell.mor_map[b])
+    mor_map = part_prime.ambient_to_boundary_morphisms()[target]
+    assert (mor_map >= 0).all()
     return GroupoidFunctor(part.boundary, part_prime.boundary, obj_map, mor_map,
                            name="∂(k,ell)")
 
@@ -177,37 +157,26 @@ def geography_check(i: GroupoidFunctor, j1: GroupoidFunctor,
     H = i.domain
     part_dd = partial(i, j1, j2, name="dd")
     part_hd = partial(i, identity_functor(H), j2, name="hd")
-    b2 = part_hd.boundary
     u2 = part_hd.pr1_to_H  # equals pr1 since E = H
     Y = isocomma(j1, u2)
 
-    amb2_obj = part_hd.ambient_to_boundary_objects()
-    amb2_mor = part_hd.ambient_to_boundary_morphisms()
     Bdd = part_dd.boundary
     b_to_amb = part_dd.boundary_inclusion
-
-    obj_map = np.empty(Bdd.n_objects, dtype=np.int32)
-    b2_of = np.empty(Bdd.n_objects, dtype=np.int64)
-    for o in range(Bdd.n_objects):
-        x, y, g = part_dd.ambient.object_labels[int(b_to_amb.obj_map[o])]
-        amb_idx = part_hd.ambient.object_index(j1.obj(x), y, g)
-        sub = int(amb2_obj[amb_idx])
-        if sub < 0:
-            raise TheoremViolationError(
-                "boundary(D1,D2) object landed outside boundary(H,D2)")
-        b2_of[o] = sub
-        hx = j1.obj(x)
-        obj_map[o] = Y.object_index(x, sub, H.identity_morphism(hx))
-    mor_map = np.empty(Bdd.n_morphisms, dtype=np.int32)
-    for m in range(Bdd.n_morphisms):
-        amb_m = int(b_to_amb.mor_map[m])
-        _, a, b = part_dd.ambient.morphism_parts(amb_m)
-        o = int(Bdd.msrc[m])
-        amb2_src = int(part_hd.boundary_inclusion.obj_map[b2_of[o]])
-        w = part_hd.ambient.morphism_index(amb2_src, j1.mor(a), b)
-        wsub = int(amb2_mor[w])
-        assert wsub >= 0
-        mor_map[m] = Y.morphism_index(int(obj_map[o]), a, wsub)
+    x, y, g = part_dd.ambient.object_parts(b_to_amb.obj_map)
+    hx = j1.obj_map[x]
+    b2_of = part_hd.ambient_to_boundary_objects()[
+        part_hd.ambient.object_index(hx, y, g)]
+    if (b2_of < 0).any():
+        raise TheoremViolationError(
+            "boundary(D1,D2) object landed outside boundary(H,D2)")
+    obj_map = Y.object_index(x, b2_of, H.ident[hx])
+    _, a, b = part_dd.ambient.morphism_parts(b_to_amb.mor_map)
+    src = Bdd.msrc
+    amb2_src = part_hd.boundary_inclusion.obj_map[b2_of[src]]
+    w = part_hd.ambient_to_boundary_morphisms()[
+        part_hd.ambient.morphism_index(amb2_src, j1.mor_map[a], b)]
+    assert (w >= 0).all()
+    mor_map = Y.morphism_index(obj_map[src], a, w)
     witness = GroupoidFunctor(Bdd, Y.groupoid, obj_map, mor_map,
                               name="geography-comparison")
     return is_equivalence(witness), witness
@@ -247,41 +216,26 @@ def tricky_factorization(i: GroupoidFunctor, j: GroupoidFunctor) -> TrickyFactor
     t_mor = part_hd.ambient_to_boundary_morphisms()
 
     comp_of = M.groupoid.component_of()
-    h_comps = set(int(c) for c in comp_of[part_hb.h_part_inclusion.obj_map])
+    in_h = np.isin(comp_of, comp_of[part_hb.h_part_inclusion.obj_map])
 
+    # object (x, b, g) of M, with b = (xd, yd, a) in B: on the (H/B/H) side
+    # the triple is pushed along a, elsewhere the first projection is applied
     dd_amb = part_dd.ambient
-    b_to_dd = part_dd.boundary_inclusion
-    Ggpd = i.codomain
+    x, b_obj, g = M.object_parts()
+    xd, yd, a = dd_amb.object_parts(part_dd.boundary_inclusion.obj_map[b_obj])
+    pushed = G.compose_many(a, g)
+    target = W.object_index(x, np.where(in_h, yd, xd), np.where(in_h, pushed, g))
+    obj_map = t_obj[target]
+    if (obj_map < 0).any():
+        raise TheoremViolationError(
+            "factorization image left boundary(H,D)")
 
-    n_obj = M.groupoid.n_objects
-    obj_map = np.empty(n_obj, dtype=np.int32)
-    for o in range(n_obj):
-        x, b_obj, g = M.object_labels[o]
-        xd, yd, a = dd_amb.object_labels[int(b_to_dd.obj_map[b_obj])]
-        if int(comp_of[o]) in h_comps:
-            target = W.object_index(x, yd, Ggpd.compose(a, g))
-        else:
-            target = W.object_index(x, xd, g)
-        sub = int(t_obj[target])
-        if sub < 0:
-            raise TheoremViolationError(
-                "factorization image left boundary(H,D)")
-        obj_map[o] = sub
-
-    n_mor = M.groupoid.n_morphisms
-    mor_map = np.empty(n_mor, dtype=np.int32)
+    o, h_m, bm = M.morphism_parts()
+    _, d1, d2 = dd_amb.morphism_parts(part_dd.boundary_inclusion.mor_map[bm])
+    w_src = part_hd.boundary_inclusion.obj_map[obj_map[o]]
+    mor_map = t_mor[W.morphism_index(w_src, h_m, np.where(in_h[o], d2, d1))]
+    assert (mor_map >= 0).all()
     Tgpd = part_hd.boundary
-    for m in range(n_mor):
-        o, h_m, bm = M.morphism_parts(m)
-        _, d1, d2 = dd_amb.morphism_parts(int(b_to_dd.mor_map[bm]))
-        w_src = int(part_hd.boundary_inclusion.obj_map[obj_map[o]])
-        if int(comp_of[o]) in h_comps:
-            w = W.morphism_index(w_src, h_m, d2)
-        else:
-            w = W.morphism_index(w_src, h_m, d1)
-        sub = int(t_mor[w])
-        assert sub >= 0
-        mor_map[m] = sub
     u = GroupoidFunctor(M.groupoid, Tgpd, obj_map, mor_map, name="u")
 
     # strict equality pr1 ∘ u = pr1 on objects and morphisms

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -163,6 +162,22 @@ def _radical(alg: _EndAlgebra, mult: np.ndarray) -> tuple[np.ndarray, list[int]]
     return level, pivots
 
 
+def _lex_vectors(p: int, span: int):
+    """The vectors of {0, ..., p-1}^span in lexicographic order, made one at
+    a time; itertools.product would first build the tuple range(p), which is
+    too big for p near the mat_mul bound."""
+    x = [0] * span
+    while True:
+        yield x
+        k = span - 1
+        while k >= 0 and x[k] == p - 1:
+            x[k] = 0
+            k -= 1
+        if k < 0:
+            return
+        x[k] += 1
+
+
 class _Semisimple:
     """E/J, on the E-basis elements outside the pivots of J's echelon basis."""
 
@@ -220,7 +235,7 @@ class _Semisimple:
             return None
         # simple: M_k over the field of degree len(center), k >= 2
         span = math.isqrt(n // len(center)) * len(center) + 1
-        for coeffs in product(range(p), repeat=span):
+        for coeffs in _lex_vectors(p, span):
             x = np.zeros(n, dtype=np.int64)
             x[:span] = coeffs
             if x.any() and not self.is_unit(x):

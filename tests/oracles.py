@@ -2,6 +2,7 @@
 
 Everything here is deliberately naive and separate from the package code:
 dict-of-permutation groups, direct triple enumeration for isocommas,
+per-morphism isocomma groupoids with union-find components,
 kronecker-product nullspaces for hom spaces, exhaustive idempotent search
 for decompositions.
 """
@@ -389,3 +390,174 @@ def literal_trace_image(M, N, emb):
     if not traces:
         return np.zeros((0, M.dim * N.dim), dtype=np.int64), []
     return rref_mod(np.stack(traces), p)
+
+
+# ---------------------------------------------------------------------------
+# groupoids, one morphism at a time
+# ---------------------------------------------------------------------------
+
+
+class BruteGroupoid:
+    """A finite groupoid as plain lists, composed one pair at a time.
+
+    compose(g, f) and inverse(m) are per-morphism callables; out(), hom
+    and components() are the dict-of-lists and union-find constructions.
+    """
+
+    def __init__(self, objects, msrc, mtgt, ident, compose, inverse):
+        self.objects, self.msrc, self.mtgt, self.ident = objects, msrc, mtgt, ident
+        self.compose, self.inverse = compose, inverse
+
+    @classmethod
+    def of(cls, G):
+        """A library groupoid read through its scalar compose/inverse, with
+        its composition tabulated pair by pair."""
+        msrc, mtgt = [int(s) for s in G.msrc], [int(t) for t in G.mtgt]
+        out = _out_lists(len(G.objects), msrc)
+        table = {(g, f): G.compose(g, f)
+                 for f in range(len(msrc)) for g in out[mtgt[f]]}
+        inverse = [G.inverse(m) for m in range(len(msrc))]
+        return cls(list(G.objects), msrc, mtgt,
+                   [G.identity_morphism(x) for x in range(len(G.objects))],
+                   lambda g, f: table[(g, f)], inverse.__getitem__)
+
+    @property
+    def n_morphisms(self):
+        return len(self.msrc)
+
+    def out(self):
+        return _out_lists(len(self.objects), self.msrc)
+
+    @property
+    def hom(self):
+        """{(x, y): morphisms x -> y in index order}."""
+        hom = {}
+        for m in range(self.n_morphisms):
+            hom.setdefault((self.msrc[m], self.mtgt[m]), []).append(m)
+        return hom
+
+    def components(self):
+        """[(objects, base, loops)] by union-find, ordered by least object."""
+        parent = list(range(len(self.objects)))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for s, t in zip(self.msrc, self.mtgt):
+            a, b = find(s), find(t)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+        groups = {}
+        for x in range(len(self.objects)):
+            groups.setdefault(find(x), []).append(x)
+        hom = self.hom
+        return [(sorted(groups[r]), r, hom.get((r, r), [])) for r in sorted(groups)]
+
+    def full_subgroupoid(self, objs):
+        """(S, mor_of): the full subgroupoid on objs and its morphisms here."""
+        objs = sorted(objs)
+        sub = {o: k for k, o in enumerate(objs)}
+        mor_of = [m for m in range(self.n_morphisms)
+                  if self.msrc[m] in sub and self.mtgt[m] in sub]
+        mor_sub = {m: k for k, m in enumerate(mor_of)}
+        S = BruteGroupoid(
+            [self.objects[o] for o in objs],
+            [sub[self.msrc[m]] for m in mor_of],
+            [sub[self.mtgt[m]] for m in mor_of],
+            [mor_sub[self.ident[o]] for o in objs],
+            lambda g, f: mor_sub[self.compose(mor_of[g], mor_of[f])],
+            lambda m: mor_sub[self.inverse(mor_of[m])])
+        return S, mor_of
+
+
+def _out_lists(n_objects, msrc):
+    out = {x: [] for x in range(n_objects)}
+    for m, x in enumerate(msrc):
+        out[x].append(m)
+    return out
+
+
+def brute_isocomma(i, u):
+    """(i/u) built triple by triple and pair by pair.
+
+    Objects (x, y, g) are listed in key order; the morphisms out of each
+    are the pairs (a, b) over out(x) × out(y), a-major.  Also returns, per
+    morphism, its (source object, a, b), and the object index dict.
+    """
+    A, B = BruteGroupoid.of(i.domain), BruteGroupoid.of(u.domain)
+    C = BruteGroupoid.of(i.codomain)
+    hom_c = C.hom
+    labels = [(x, y, g)
+              for x in range(len(A.objects)) for y in range(len(B.objects))
+              for g in hom_c.get((i.obj(x), u.obj(y)), [])]
+    obj_index = {lab: k for k, lab in enumerate(labels)}
+    out_a, out_b = A.out(), B.out()
+    pos_a = {a: k for ms in out_a.values() for k, a in enumerate(ms)}
+    pos_b = {b: k for ms in out_b.values() for k, b in enumerate(ms)}
+    offsets, parts, mtgt = [], [], []
+    for o, (x, y, g) in enumerate(labels):
+        offsets.append(len(parts))
+        for a in out_a[x]:
+            ia_inv = C.inverse(i.mor(a))
+            for b in out_b[y]:
+                parts.append((o, a, b))
+                gp = C.compose(C.compose(u.mor(b), g), ia_inv)
+                mtgt.append(obj_index[(A.mtgt[a], B.mtgt[b], gp)])
+
+    def index(o, a, b):
+        return offsets[o] + pos_a[a] * len(out_b[labels[o][1]]) + pos_b[b]
+
+    def compose(g2, f1):
+        o, a1, b1 = parts[f1]
+        _, a2, b2 = parts[g2]
+        return index(o, A.compose(a2, a1), B.compose(b2, b1))
+
+    def inverse(m):
+        _, a, b = parts[m]
+        return index(mtgt[m], A.inverse(a), B.inverse(b))
+
+    ident = [index(o, A.ident[x], B.ident[y]) for o, (x, y, _) in enumerate(labels)]
+    P = BruteGroupoid(labels, [o for o, _, _ in parts], mtgt, ident, compose, inverse)
+    return P, parts, obj_index
+
+
+def brute_partial(i, iota_e, iota_f):
+    """The boundary of (E/F/G) relative to (E/F/H) from the brute isocommas:
+    (boundary, its objects in the ambient, its morphisms in the ambient)."""
+    from greencorr.groupoids import compose_functors
+
+    inner, _, _ = brute_isocomma(iota_e, iota_f)
+    ambient, _, amb_index = brute_isocomma(compose_functors(i, iota_e),
+                                           compose_functors(i, iota_f))
+    hit = {amb_index[(x, y, i.mor(h))] for x, y, h in inner.objects}
+    objs = [o for comp, _, _ in ambient.components()
+            if not hit.intersection(comp) for o in comp]
+    boundary, mor_of = ambient.full_subgroupoid(objs)
+    return boundary, sorted(objs), mor_of
+
+
+# assert_same_groupoid composes one pair at a time in Python, about 2 s per
+# million pairs; property tests keep to groupoids with at most this many
+# composable pairs
+ORACLE_PAIRS = 100_000
+
+
+def assert_same_groupoid(G, brute):
+    """G (a library groupoid) equals the brute one: objects, endpoints,
+    identities, inverses, composition on every composable pair, and
+    components with their loops."""
+    n = brute.n_morphisms
+    assert G.objects == brute.objects
+    assert G.msrc.tolist() == brute.msrc
+    assert G.mtgt.tolist() == brute.mtgt
+    assert G.ident.tolist() == brute.ident
+    assert G.inv.tolist() == [brute.inverse(m) for m in range(n)]
+    out = brute.out()
+    pairs = [(g, f) for f in range(n) for g in out[brute.mtgt[f]]]
+    g, f = (list(c) for c in zip(*pairs)) if pairs else ([], [])
+    assert G.compose_many(g, f).tolist() == [brute.compose(*gf) for gf in pairs]
+    assert [(c.objects, c.base, c.loops) for c in G.components] == \
+        brute.components()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greencorr.boundary import (
     diagonal_functor,
@@ -15,8 +17,11 @@ from greencorr.groupoids import (
     group_groupoid,
     identity_functor,
     is_equivalence,
+    subgroup_inclusion,
 )
-from greencorr.permgroups import subgroup, whole_group, x_y_u_families
+from greencorr.permgroups import all_subgroups, whole_group, x_y_u_families
+
+from oracles import ORACLE_PAIRS, assert_same_groupoid, brute_partial
 
 
 def chain_functors(G, H, D):
@@ -120,6 +125,30 @@ def test_rem_4_6_bridge_catalog():
                 assert sub >= 0, name
                 comp = res.boundary_components[int(b_comp_of[sub])]
                 assert comp.aut_order == S.order, name
+
+
+CHAINS = {name: (chain, all_subgroups(chain[1].group))
+          for name, chain in scenario_chains().items()}
+# (chain, E, F) for subgroups E, F <= H whose ambient isocomma (E/F/G) fits
+# the oracle: 301 of the 304, all but the largest three over A4 <= A5
+PARTIAL_CASES = [(name, e, f) for name, ((G, _, _), subs) in CHAINS.items()
+                 for e, E in enumerate(subs) for f, F in enumerate(subs)
+                 if G.order * (E.order * F.order) ** 2 <= ORACLE_PAIRS]
+
+
+@settings(max_examples=30)
+@given(case=st.sampled_from(PARTIAL_CASES))
+def test_partial_matches_per_morphism_oracle(case):
+    name, e, f = case
+    (G, H, D), subs = CHAINS[name]
+    Ggpd, Hgpd, Dgpd, i, j = chain_functors(G, H, D)
+    iota_e = subgroup_inclusion(subs[e], Hgpd)
+    iota_f = subgroup_inclusion(subs[f], Hgpd)
+    res = partial(i, iota_e, iota_f)
+    boundary, objs, mors = brute_partial(i, iota_e, iota_f)
+    assert res.boundary_inclusion.obj_map.tolist() == objs
+    assert res.boundary_inclusion.mor_map.tolist() == mors
+    assert_same_groupoid(res.boundary, boundary)
 
 
 def test_diagonal_functor_identity():

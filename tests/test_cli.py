@@ -176,6 +176,45 @@ def test_byte_identical_reports(s3_config, tmp_path):
             == md5, name
 
 
+GROUPOID_REPORTS = {
+    # config: md5 of the stdout of families, partial, isocomma H/D, isocomma D/D
+    "s3_c2_c2": ("922af67a9ce6c9868771e2e3a915daa4",
+                 "6d1309c457639dc861927502dc62fe8f",
+                 "da2902dfc270431a66b69aec9bc7143a",
+                 "87a93ce454a58ca18e51620b48aa7876"),
+    "degenerate_s3": ("23987edd001a93c0f661aa581b4ef15c",
+                      "226501fe43eec44b3776530331869e5f",
+                      "69408ec16768f955419458b56a91db19",
+                      "217a7d25bee5805597e407edb5be7ef7"),
+    "s4_d8_c4": ("e3d35b524e270074ad4e654ede3beb03",
+                 "e7dc75e1bc6d1ac62d17433e2f403d13",
+                 "07c8966b6b7a47b77a7121c00d8ca909",
+                 "37942be33d3cb9b19b3f9e43bea0139e"),
+    "s4_d8_d8": ("08ee58693b6153c5acd8589f556f2134",
+                 "1c23783f0fb2712622200ead3b323695",
+                 "dffacd552f6b5c7b8434b8f86fcebb5f",
+                 "da41e3a4fda6844f3c35cce3f6789895"),
+    "a5_a4_v4": ("977b352655d20eefc4a54c11c02a4cc5",
+                 "891a6a212f48b111f89b70006b85bb4d",
+                 "6c4a180b7372ef34cf41b457730cbb22",
+                 "458dc23b6f498cca71d2b159ff6ee600"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOID_REPORTS))
+def test_byte_identical_groupoid_reports(name, capsys):
+    # the shipped configs keep their recorded families, partial and
+    # isocomma reports on standard output
+    path = str(Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+    commands = (["families"], ["partial"],
+                ["isocomma", "--left", "H", "--right", "D"],
+                ["isocomma", "--left", "D", "--right", "D"])
+    for command, md5 in zip(commands, GROUPOID_REPORTS[name]):
+        assert run([*command, "--scenario", path]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.md5(out.encode()).hexdigest() == md5, (name, command)
+
+
 def test_report_json_roundtrip(s3_config, tmp_path):
     out = tmp_path / "rt"
     run(["verify", "--scenario", s3_config, "--out", str(out)])

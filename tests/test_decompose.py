@@ -280,19 +280,25 @@ def test_vertex_trivial_module_is_sylow():
 
 
 def test_vertex_conjugation_invariance():
-    # vertex(conj_g M) is the same conjugacy class
+    # vertex(conj_g M) is the same conjugacy class, for a g that moves C2
+    from greencorr.modules import conjugate_module
+    from greencorr.permgroups import SubgroupEmbedding
+
     G = alternating(4)
     p = 2
     C2 = subgroup(G, ["(0 1)(2 3)"], tag="C2")
     M = induce(trivial_module(C2.group, p), C2)
     dec = decompose(M)
     target = next(mod for mod, _ in dec.summands if is_indecomposable(mod))
+    g = G.index[(1, 2, 0, 3)]  # the 3-cycle (0 1 2)
+    assert C2.conjugated(g).element_indices != C2.element_indices
+    conj, W = conjugate_module(target, whole_group(G), g)
+    assert any((a != b).any() for a, b in zip(target.action, conj.action))
     v1 = vertex(target)
-    from greencorr.modules import conjugate_module
-    W = whole_group(G)
-    Mc = restrict(target, W)  # relabel through the whole group (identity)
-    v2 = vertex(target, Run())
-    assert v1.vertex.canonical_class_key() == v2.vertex.canonical_class_key()
+    v2 = vertex(conj)
+    amb2 = SubgroupEmbedding(
+        G, tuple(W.to_ambient[x] for x in v2.vertex.element_indices))
+    assert v1.vertex.canonical_class_key() == amb2.canonical_class_key()
 
 
 def test_vertex_requires_indecomposable():

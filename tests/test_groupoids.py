@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greencorr.catalog import bridge_groups, cyclic, symmetric
 from greencorr.errors import InputError
@@ -25,7 +27,12 @@ from greencorr.groupoids import (
 )
 from greencorr.permgroups import all_subgroups, double_cosets, subgroup, trivial_subgroup
 
-from oracles import brute_isocomma_components
+from oracles import (
+    ORACLE_PAIRS,
+    assert_same_groupoid,
+    brute_isocomma,
+    brute_isocomma_components,
+)
 
 
 def s3_c2_setup():
@@ -210,10 +217,11 @@ def test_is_equivalence_matches_bruteforce():
     # brute-force fullness/faithfulness/ess-surjectivity oracle
     def brute(F):
         dom, cod = F.domain, F.codomain
-        for (x, y), homs in dom._hom_index.items():
-            imgs = [F.mor(m) for m in homs]
-            if len(set(imgs)) != len(imgs):
-                return False
+        for x in range(dom.n_objects):
+            for y in range(dom.n_objects):
+                imgs = [F.mor(m) for m in dom.hom(x, y)]
+                if len(set(imgs)) != len(imgs):
+                    return False
         for x in range(dom.n_objects):
             for y in range(dom.n_objects):
                 image = {F.mor(m) for m in dom.hom(x, y)}
@@ -258,6 +266,32 @@ def test_double_coset_component_bridge_small():
                 assert len(comps) == len(dcs)
                 assert sorted(c.aut_order for c in comps) == sorted(
                     S.order for _, S in dcs)
+
+
+BRIDGE = {name: (G, all_subgroups(G)) for name, G in bridge_groups().items()}
+# (group, H, K) for every subgroup pair whose isocomma (H/K/G), with
+# |G| |H|^2 |K|^2 composable pairs, fits the oracle: 1,097 of the 1,152
+BRIDGE_CASES = [(name, h, k) for name, (G, subs) in BRIDGE.items()
+                for h, H in enumerate(subs) for k, K in enumerate(subs)
+                if G.order * (H.order * K.order) ** 2 <= ORACLE_PAIRS]
+
+
+@settings(max_examples=30)
+@given(case=st.sampled_from(BRIDGE_CASES))
+def test_isocomma_matches_per_morphism_oracle(case):
+    name, h, k = case
+    G, subs = BRIDGE[name]
+    Ggpd = group_groupoid(G, name)
+    iso = isocomma(subgroup_inclusion(subs[h], Ggpd),
+                   subgroup_inclusion(subs[k], Ggpd))
+    brute, parts, _ = brute_isocomma(iso.left, iso.right)
+    assert_same_groupoid(iso.groupoid, brute)
+    o, a, b = iso.morphism_parts()
+    assert list(zip(o.tolist(), a.tolist(), b.tolist())) == parts
+    assert iso.object_index(*iso.object_parts()).tolist() == list(
+        range(iso.groupoid.n_objects))
+    assert iso.morphism_index(o, a, b).tolist() == list(
+        range(iso.groupoid.n_morphisms))
 
 
 def test_pasting_property_lem_3_6():
@@ -351,6 +385,21 @@ def test_groupoid_json_roundtrip():
     back = groupoid_from_json(doc)
     back.validate()
     assert groupoid_to_json(back) == doc
+
+
+def test_groupoid_json_missing_composition_raises():
+    # a document with one composition triple removed loads, and composing
+    # exactly that pair raises InputError
+    G, C2, Ggpd, i = s3_c2_setup()
+    doc = groupoid_to_json(isocomma(i, i).groupoid)
+    g, f, _ = doc["composition"].pop(len(doc["composition"]) // 2)
+    back = groupoid_from_json(doc)
+    with pytest.raises(InputError, match=rf"missing pair \({g}, {f}\)"):
+        back.compose(g, f)
+    with pytest.raises(InputError):
+        back.validate()
+    for g2, f2, h in doc["composition"]:
+        assert back.compose(g2, f2) == h
 
 
 def test_relabeling_invariance():

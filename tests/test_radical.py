@@ -7,6 +7,8 @@ exercise the trace form alone, modules with d >= p the levels i >= 1.
 """
 
 import importlib
+import itertools
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +220,31 @@ def test_matrix_algebra_quotient_splits_into_two_isomorphic_summands(make):
         assert (conj[:k, :k] == Aa).all() and (conj[k:, k:] == Ab).all()
         assert not conj[:k, k:].any() and not conj[k:, :k].any()
     assert brute_isomorphic(a.action, b.action, p)
+
+
+def test_span_vectors_come_lazily_in_product_order():
+    for p, span in ((2, 3), (3, 2), (5, 3)):
+        assert [tuple(x) for x in D._lex_vectors(p, span)] == list(
+            itertools.product(range(p), repeat=span))
+
+
+def test_matrix_units_split_at_a_prime_near_the_product_bound():
+    # M_2(GF(p)) on its matrix units at p = 67108859 < 2^26, where
+    # 2 * (p - 1)^2 < 2^53 still holds: the Chevalley-Warning span is
+    # walked without building range(p) as a tuple (about 2 GB here)
+    p = 67108859
+    units = [np.zeros((2, 2), dtype=np.int64) for _ in range(4)]
+    for k, unit in enumerate(units):
+        unit[k // 2, k % 2] = 1
+    tracemalloc.start()
+    try:
+        info = D._analyze_end(units, p, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not info.local and info.radical_dim == 0
+    assert fitting_splits(info.splitter, p)
+    assert peak < 2**20
 
 
 def test_split_is_identical_for_every_seed():
