@@ -7,7 +7,6 @@ from .permgroups import (
     SubgroupEmbedding,
     closure,
     subgroup,
-    whole_group,
 )
 
 
@@ -93,8 +92,3 @@ def scenario_chains() -> dict[str, tuple[PermGroup, SubgroupEmbedding, SubgroupE
         "s4_d8_d8": chain_s4_d8_d8(),
         "a5_a4_v4": chain_a5_a4_v4(),
     }
-
-
-def degenerate_chain(G: PermGroup) -> tuple[PermGroup, SubgroupEmbedding, SubgroupEmbedding]:
-    """H = D = G, the boundary case with empty families."""
-    return G, whole_group(G, "G"), whole_group(G, "G")

@@ -27,27 +27,26 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .boundary import geography_check, partial, tricky_factorization
+from .boundary import geography_check, tricky_factorization
 from .decompose import Run, decompose, vertex, _iso_indec
 from .errors import InputError, TheoremViolationError, UndecidedError
 from .green import (
     SCHEMA_VERSION,
     Scenario,
+    chain_boundary,
     correspondent_down,
     correspondent_up,
     eligible_modules,
     verify_scenario,
 )
-from .groupoids import GroupoidFunctor, group_groupoid, identity_functor
+from .groupoids import compose_functors, identity_functor, isocomma
 from .modules import (
     FpModule,
     module_from_json,
     regular_module,
     trivial_module,
 )
-from .permgroups import PermGroup, SubgroupEmbedding, coerce_perm, cycle_string
+from .permgroups import PermGroup, coerce_perm, cycle_string, subgroup
 
 COMMANDS = ("isocomma", "partial", "families", "decompose", "vertex",
             "correspond", "verify")
@@ -95,32 +94,11 @@ class Config:
     def scenario(self) -> Scenario:
         G = PermGroup(self.degree, [coerce_perm(g, self.degree)
                                     for g in self.generators_G])
-        H = _subgroup_of(G, self.generators_H, "H")
-        D = _subgroup_of(G, self.generators_D, "D")
+        H = subgroup(G, self.generators_H, "H")
+        D = subgroup(G, self.generators_D, "D")
         if not H.contains(D):
             raise InputError("config violates the chain D <= H <= G")
         return Scenario.build(self.p, G, H, D, name="config")
-
-
-def _subgroup_of(G: PermGroup, gens: list, tag: str) -> SubgroupEmbedding:
-    perms = [coerce_perm(g, G.degree) for g in gens]
-    for g in perms:
-        if g not in G.index:
-            raise InputError(f"{tag} generator {cycle_string(g)} is not in G")
-    elems = G.subgroup_closure({G.index[g] for g in perms})
-    return SubgroupEmbedding(G, tuple(elems), tag)
-
-
-def _chain_functors(sc: Scenario):
-    Ggpd = group_groupoid(sc.G, "G")
-    Hgpd = group_groupoid(sc.H.group, "H")
-    Dgpd = group_groupoid(sc.D.group, "D")
-    i = GroupoidFunctor(Hgpd, Ggpd, [0],
-                        np.array(sc.H.to_ambient, dtype=np.int32), name="i")
-    d_in_h = [sc.H.from_ambient[a] for a in sc.D.to_ambient]
-    j = GroupoidFunctor(Dgpd, Hgpd, [0], np.array(d_in_h, dtype=np.int32),
-                        name="j")
-    return Ggpd, Hgpd, Dgpd, i, j
 
 
 def _module_for(cfg: Config, sc: Scenario, which: str, group: str) -> FpModule:
@@ -160,14 +138,11 @@ def _component_summary(gpd) -> list[dict]:
 
 
 def run_isocomma(cfg: Config, sc: Scenario, left: str, right: str) -> dict:
-    Ggpd, Hgpd, Dgpd, i, j = _chain_functors(sc)
-    legs = {"G": identity_functor(Ggpd), "H": i,
-            "D": GroupoidFunctor(Dgpd, Ggpd, [0],
-                                 np.array(sc.D.to_ambient, dtype=np.int32))}
+    chain = chain_boundary(sc)
+    legs = {"G": identity_functor(chain.i.codomain), "H": chain.i,
+            "D": compose_functors(chain.i, chain.j)}
     if left not in legs or right not in legs:
         raise InputError("isocomma legs must be G, H or D")
-    from .groupoids import isocomma
-
     iso = isocomma(legs[left], legs[right])
     return {
         "command": "isocomma",
@@ -180,42 +155,27 @@ def run_isocomma(cfg: Config, sc: Scenario, left: str, right: str) -> dict:
 
 
 def run_partial(cfg: Config, sc: Scenario) -> dict:
-    Ggpd, Hgpd, Dgpd, i, j = _chain_functors(sc)
-    idh = identity_functor(Hgpd)
-    splits = {
-        "dd": (partial(i, j, j), sc.families.x_pairs),
-        "hd": (partial(i, idh, j), sc.families.y_pairs),
-        "hh": (partial(i, idh, idh), sc.families.u_pairs),
-    }
+    chain = chain_boundary(sc)
     out = {"command": "partial", "boundaries": {}}
-    ok = True
-    for key, (res, fam_pairs) in splits.items():
-        comps = res.boundary_components
-        matched = []
-        amb_to_b = res.ambient_to_boundary_objects()
-        b_comp_of = res.boundary.component_of()
-        for g, S in fam_pairs:
-            ginv = int(sc.G.inv[g])
-            sub = int(amb_to_b[res.ambient.object_index(0, 0, ginv)])
-            comp_idx = int(b_comp_of[sub]) if sub >= 0 else -1
-            agree = (comp_idx >= 0
-                     and comps[comp_idx].aut_order == S.order)
-            ok = ok and agree
-            matched.append({
+    for key, split in chain.splits.items():
+        matched = [
+            {
                 "coset_rep": cycle_string(sc.G.elements[g]),
                 "subgroup_order": S.order,
-                "component": comp_idx,
+                "component": comp,
                 "stabilizer_match": agree,
-            })
+            }
+            for (g, S), comp, agree in zip(split.pairs, split.components,
+                                           split.matches)
+        ]
         out["boundaries"][key] = {
-            "components": _component_summary(res.boundary),
+            "components": _component_summary(split.result.boundary),
             "matched_double_cosets": matched,
         }
-        ok = ok and len(comps) == len(fam_pairs)
-    geo_ok, _ = geography_check(i, j, j)
-    fact = tricky_factorization(i, j)
+    geo_ok, _ = geography_check(chain.i, chain.j, chain.j)
+    fact = tricky_factorization(chain.i, chain.j)
     out["verdicts"] = {
-        "boundary_matches_families": ok,
+        "boundary_matches_families": all(s.ok for s in chain.splits.values()),
         "geography": geo_ok,
         "factorization_strict": fact.strict_on_objects and fact.strict_on_morphisms,
     }

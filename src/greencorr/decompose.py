@@ -88,9 +88,6 @@ class Decomposition:
             out.extend([mod.dim] * mult)
         return sorted(out)
 
-    def class_count(self) -> int:
-        return len(self.summands)
-
 
 # ---------------------------------------------------------------------------
 # endomorphism algebra analysis
@@ -464,14 +461,6 @@ def end_info(M: FpModule, run: Run | None = None) -> _LeafInfo:
     return hit
 
 
-def certify_indecomposable(M: FpModule,
-                           run: Run | None = None) -> SummandCertificate:
-    info = end_info(M, run)
-    if not info.local:
-        raise InputError(f"{M.name} is decomposable")
-    return info.certificate()
-
-
 def is_indecomposable(M: FpModule, run: Run | None = None) -> bool:
     if M.dim == 0:
         return False
@@ -703,7 +692,7 @@ def vertex(M: FpModule, run: Run | None = None) -> VertexResult:
                 break
         if not descended:
             break
-    canon = SubgroupEmbedding(G, current.canonical_class_key(), tag="vertex")
+    canon = SubgroupEmbedding(G, current.canonical_class_key, tag="vertex")
     # a source: an indecomposable summand s of Res_D M with M <= Ind_D s
     source = None
     if current.order == G.order:

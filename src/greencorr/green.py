@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .boundary import partial
+from .boundary import PartialResult, partial
 from .decompose import (
     Run,
     decompose,
@@ -47,8 +47,10 @@ from .permgroups import (
     PermGroup,
     SubgroupEmbedding,
     all_subgroups,
+    class_representatives,
     is_subconjugate,
     normalizer,
+    require_prime,
     whole_group,
     x_y_u_families,
 )
@@ -71,8 +73,7 @@ class Scenario:
     @classmethod
     def build(cls, p: int, G: PermGroup, H: SubgroupEmbedding,
               D: SubgroupEmbedding, name: str = "scenario") -> "Scenario":
-        if p < 2 or any(p % k == 0 for k in range(2, int(p ** 0.5) + 1)):
-            raise InputError(f"{p} is not prime")
+        require_prime(p)
         if not H.contains(D):
             raise InputError("chain violation: D not contained in H")
         fams = x_y_u_families(G, H, D)
@@ -104,15 +105,15 @@ class Scenario:
         return self._y_in_h
 
     def _family_in_h(self, members: list[SubgroupEmbedding]) -> list[SubgroupEmbedding]:
-        seen: dict[tuple, SubgroupEmbedding] = {}
-        for S in members:
-            inside = SubgroupEmbedding(
+        inside = [
+            SubgroupEmbedding(
                 self.H.group,
                 tuple(self.H.from_ambient[a] for a in S.element_indices),
                 S.tag)
-            key = inside.canonical_class_key()
-            seen.setdefault(key, inside)
-        return sorted(seen.values(), key=lambda s: (-s.order, s.element_indices))
+            for S in members
+        ]
+        return sorted(class_representatives(inside),
+                      key=lambda s: (-s.order, s.element_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +183,9 @@ def generating_family_over_D(sc: Scenario,
     Dgrp = sc.D.group
     mods: list[FpModule] = []
     sources = [trivial_module(Dgrp, sc.p), regular_module(Dgrp, sc.p)]
-    seen_keys = set()
-    for E in all_subgroups(Dgrp):
-        key = E.canonical_class_key()
-        if key in seen_keys or E.order == Dgrp.order:
-            continue
-        seen_keys.add(key)
-        sources.append(induce(trivial_module(E.group, sc.p), E))
+    for E in class_representatives(all_subgroups(Dgrp)):
+        if E.order < Dgrp.order:
+            sources.append(induce(trivial_module(E.group, sc.p), E))
     run = run or Run()
     for src in sources:
         for mod, _ in decompose(src, run).summands:
@@ -347,7 +344,7 @@ def _vertex_class_in_g(sc: Scenario, mod: FpModule, side: str,
             sc.G, tuple(sc.H.to_ambient[x] for x in v.element_indices), "v")
     else:
         amb = v
-    return amb.canonical_class_key(), v.order
+    return amb.canonical_class_key, v.order
 
 
 def _entry_vertex(sc: Scenario, mod: FpModule, side: str,
@@ -356,11 +353,62 @@ def _entry_vertex(sc: Scenario, mod: FpModule, side: str,
     return order, key == d_key
 
 
-def boundary_families_match(sc: Scenario) -> bool:
-    """Boundary components and stabilizers of the three isocomma splits
-    must agree with the X/Y/U double-coset data."""
-    G = sc.G
-    Ggpd = group_groupoid(G, "G")
+@dataclass
+class BoundarySplit:
+    """One boundary of the chain, with the boundary component that each
+    family pair (g, S) lands in (-1 for none) and whether that component's
+    automorphism group has order |S|."""
+
+    result: PartialResult
+    pairs: list[tuple[int, SubgroupEmbedding]]
+    components: list[int]
+    matches: list[bool]
+
+    @property
+    def ok(self) -> bool:
+        return (len(self.result.boundary_components) == len(self.pairs)
+                and all(self.matches))
+
+
+@dataclass
+class ChainBoundary:
+    """The chain D <= H <= G as one-object groupoids with the inclusions
+    i: H -> G and j: D -> H, and its three boundary splits."""
+
+    sc: Scenario
+    i: GroupoidFunctor
+    j: GroupoidFunctor
+
+    @cached_property
+    def splits(self) -> dict[str, BoundarySplit]:
+        """The boundaries of the isocommas over D/D, H/D and H/H, each
+        matched against its family X, Y or U."""
+        fams = self.sc.families
+        i, j = self.i, self.j
+        idh = identity_functor(i.domain)
+        out = {}
+        for key, e, f, pairs in (("dd", j, j, fams.x_pairs),
+                                 ("hd", idh, j, fams.y_pairs),
+                                 ("hh", idh, idh, fams.u_pairs)):
+            res = partial(i, e, f)
+            amb_to_b = res.ambient_to_boundary_objects()
+            b_comp_of = res.boundary.component_of()
+            comps = res.boundary_components
+            found, matches = [], []
+            for g, S in pairs:
+                ginv = int(self.sc.G.inv[g])
+                sub = int(amb_to_b[res.ambient.object_index(0, 0, ginv)])
+                c = int(b_comp_of[sub]) if sub >= 0 else -1
+                found.append(c)
+                matches.append(c >= 0 and comps[c].aut_order == S.order)
+            out[key] = BoundarySplit(res, pairs, found, matches)
+        return out
+
+
+def chain_boundary(sc: Scenario) -> ChainBoundary:
+    """The chain functors of the scenario; the splits are computed on first
+    use."""
+    Ggpd = group_groupoid(sc.G, "G")
     Hgpd = group_groupoid(sc.H.group, "H")
     Dgpd = group_groupoid(sc.D.group, "D")
     i = GroupoidFunctor(Hgpd, Ggpd, [0],
@@ -368,28 +416,13 @@ def boundary_families_match(sc: Scenario) -> bool:
     d_in_h = [sc.H.from_ambient[a] for a in sc.D.to_ambient]
     j = GroupoidFunctor(Dgpd, Hgpd, [0], np.array(d_in_h, dtype=np.int32),
                         name="j")
-    idh = identity_functor(Hgpd)
-    splits = [
-        (partial(i, j, j), sc.families.x_pairs),
-        (partial(i, idh, j), sc.families.y_pairs),
-        (partial(i, idh, idh), sc.families.u_pairs),
-    ]
-    for res, pairs in splits:
-        comps = res.boundary_components
-        if len(comps) != len(pairs):
-            return False
-        amb_to_b = res.ambient_to_boundary_objects()
-        b_comp_of = res.boundary.component_of()
-        for g, S in pairs:
-            ginv = int(G.inv[g])
-            amb_idx = res.ambient.object_index(0, 0, ginv)
-            sub = int(amb_to_b[amb_idx])
-            if sub < 0:
-                return False
-            comp = comps[int(b_comp_of[sub])]
-            if comp.aut_order != S.order:
-                return False
-    return True
+    return ChainBoundary(sc, i, j)
+
+
+def boundary_families_match(sc: Scenario) -> bool:
+    """Boundary components and stabilizers of the three isocomma splits
+    must agree with the X/Y/U double-coset data."""
+    return all(split.ok for split in chain_boundary(sc).splits.values())
 
 
 def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
@@ -407,7 +440,7 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
                if d_obj and not x_obj]
     fam_g = sc.x_in_g()
     fam_h = sc.x_in_h()
-    d_key = sc.D.canonical_class_key()
+    d_key = sc.D.canonical_class_key
 
     verdicts: dict[str, bool] = {}
 

@@ -90,11 +90,6 @@ def same_context(M: FpModule, N: FpModule) -> None:
         raise InputError("modules use different generating sequences")
 
 
-def zero_module(group: PermGroup, p: int) -> FpModule:
-    return FpModule(group, p, [np.zeros((0, 0), dtype=np.int64)
-                               for _ in group.generators], name="0", dim=0)
-
-
 def trivial_module(group: PermGroup, p: int) -> FpModule:
     return FpModule(group, p, [np.eye(1, dtype=np.int64)
                                for _ in group.generators], name="k", dim=1)
@@ -255,13 +250,6 @@ class _SpinData:
         self.basis = np.stack(vectors) if vectors else np.zeros((0, 0), dtype=np.int64)
 
 
-def generating_seed_count(M: FpModule) -> int:
-    """Size of the greedy kG-generating set found by spinning."""
-    if M.dim == 0:
-        return 0
-    return len(_SpinData(M.action, M.dim, M.p).seeds)
-
-
 def hom_space_from_actions(action_m: list[np.ndarray], dim_m: int,
                            action_n: list[np.ndarray], dim_n: int,
                            p: int) -> list[np.ndarray]:
@@ -336,10 +324,6 @@ def hom_space(M: FpModule, N: FpModule) -> list[np.ndarray]:
 
 def hom_dim(M: FpModule, N: FpModule) -> int:
     return len(hom_space(M, N))
-
-
-def is_invertible_hom(F: np.ndarray, p: int) -> bool:
-    return F.shape[0] == F.shape[1] and linalg.rank(F, p) == F.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,20 @@ Everything is stored by full element enumeration (target scale |G| <= 120),
 with a deterministic element order: lexicographic on image tuples.  All
 representative choices downstream (coset reps, double-coset reps, subgroup
 canonical forms) refer to this order, so reports are reproducible.
+
+A PermGroup keeps three index tables: ``mult[a, b] = ab``,
+``inv[a] = a^-1`` and ``conj[g, x] = g x g^-1``.  Every subgroup, coset and
+conjugacy routine reads them: closures walk rows of ``mult``, a coset gS is
+the row ``mult[g, S]`` and a double coset HgK the block ``mult[Hg, K]``, and
+conjugates, normalizers, class keys and subconjugacy are rows of ``conj``
+tested against a subgroup's boolean ``mask``.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -88,9 +97,10 @@ class PermGroup:
     """A finite group of permutations of {0..n-1}, fully enumerated.
 
     Elements are sorted lexicographically by image tuple; all indices below
-    refer to that order.  The closure also records, for every non-identity
-    element, a factorization step elem = parent * generator, giving a
-    Cayley-graph spanning tree used downstream to evaluate representations.
+    refer to that order, as do the tables ``mult``, ``inv`` and ``conj``.  The
+    closure also records, for every non-identity element, a factorization
+    step elem = parent * generator, giving a Cayley-graph spanning tree used
+    downstream to evaluate representations.
     """
 
     def __init__(self, degree: int, generators: list[Perm]):
@@ -129,6 +139,8 @@ class PermGroup:
         self.inv = np.empty(n, dtype=np.int32)
         for i, a in enumerate(self.elements):
             self.inv[i] = self.index[pinv(a)]
+        # conj[g, x] = g x g^-1
+        self.conj = self.mult[self.mult, self.inv[:, None]]
         # spanning tree: factor_of[i] = (parent, gen_pos) with elem = parent * gen
         self.factor_of: list[tuple[int, int] | None] = [None] * n
         done = {self.identity}
@@ -169,19 +181,24 @@ class PermGroup:
 
     def conjugate(self, g: int, x: int) -> int:
         """g x g^-1 by index."""
-        return int(self.mult[self.mult[g, x], self.inv[g]])
+        return int(self.conj[g, x])
 
-    def subgroup_closure(self, gens: set[int]) -> frozenset[int]:
-        seen = set(gens) | {self.identity}
-        frontier = list(seen)
+    def subgroup_closure(self, gens: Iterable[int]) -> frozenset[int]:
+        """The subgroup generated by gens.
+
+        In a finite group the elements reached from the identity by right
+        multiplication with the generators already form a subgroup.
+        """
+        right = self.mult[:, sorted(gens)].tolist()
+        seen = {self.identity}
+        frontier = [self.identity]
         while frontier:
             new = []
             for x in frontier:
-                for y in list(seen):
-                    for z in (int(self.mult[x, y]), int(self.mult[y, x])):
-                        if z not in seen:
-                            seen.add(z)
-                            new.append(z)
+                for y in right[x]:
+                    if y not in seen:
+                        seen.add(y)
+                        new.append(y)
             frontier = new
         return frozenset(seen)
 
@@ -221,18 +238,23 @@ class SubgroupEmbedding:
     ambient: PermGroup
     element_indices: tuple[int, ...]
     tag: str = ""
+    # membership of each ambient element
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        elems = frozenset(self.element_indices)
-        object.__setattr__(self, "element_indices", tuple(sorted(elems)))
-        if self.ambient.identity not in elems:
-            raise InputError(f"subgroup {self.tag or self.element_indices} lacks identity")
-        for x in elems:
-            if int(self.ambient.inv[x]) not in elems:
-                raise InputError("subset not closed under inverse")
-            for y in elems:
-                if int(self.ambient.mult[x, y]) not in elems:
-                    raise InputError("subset not closed under multiplication")
+        elems = tuple(sorted({int(x) for x in self.element_indices}))
+        object.__setattr__(self, "element_indices", elems)
+        G = self.ambient
+        if G.identity not in elems:
+            raise InputError(f"subgroup {self.tag or elems} lacks identity")
+        e = np.array(elems)
+        mask = np.zeros(G.order, dtype=bool)
+        mask[e] = True
+        object.__setattr__(self, "mask", mask)
+        if not mask[G.inv[e]].all():
+            raise InputError("subset not closed under inverse")
+        if not mask[G.mult[e[:, None], e]].all():
+            raise InputError("subset not closed under multiplication")
 
     @property
     def order(self) -> int:
@@ -251,7 +273,7 @@ class SubgroupEmbedding:
         for x in self.element_indices:
             if x not in have:
                 gens.append(x)
-                have = set(G.subgroup_closure(set(gens)))
+                have = G.subgroup_closure(gens)
                 if len(have) == self.order:
                     break
         return tuple(gens)
@@ -266,7 +288,11 @@ class SubgroupEmbedding:
 
     @cached_property
     def to_ambient(self) -> tuple[int, ...]:
-        """Index map from self.group's element order into the ambient group."""
+        """Index map from self.group's element order into the ambient group.
+
+        Both groups sort their elements by image tuple, so the map is
+        increasing.
+        """
         return tuple(self.ambient.index[p] for p in self.group.elements)
 
     @cached_property
@@ -277,21 +303,20 @@ class SubgroupEmbedding:
         return other.element_set <= self.element_set
 
     def conjugated(self, g: int, tag: str = "") -> "SubgroupEmbedding":
-        G = self.ambient
-        elems = tuple(G.conjugate(g, x) for x in self.element_indices)
-        return SubgroupEmbedding(G, elems, tag or self.tag)
+        elems = self.ambient.conj[g, list(self.element_indices)]
+        return SubgroupEmbedding(self.ambient, tuple(elems.tolist()),
+                                 tag or self.tag)
 
+    @cached_property
     def canonical_class_key(self) -> tuple[int, ...]:
         """Minimal sorted element tuple over all ambient conjugates.
 
         Two subgroups are ambient-conjugate iff their keys agree.
         """
-        best = None
-        for g in range(self.ambient.order):
-            t = tuple(sorted(self.ambient.conjugate(g, x) for x in self.element_indices))
-            if best is None or t < best:
-                best = t
-        return best
+        conjugates = np.sort(self.ambient.conj[:, list(self.element_indices)],
+                             axis=1)
+        least = np.lexsort(conjugates.T[::-1])[0]
+        return tuple(conjugates[least].tolist())
 
     def __repr__(self) -> str:
         return f"Subgroup({self.tag or '?'}, order={self.order})"
@@ -301,8 +326,9 @@ def subgroup(G: PermGroup, generators: list, tag: str = "") -> SubgroupEmbedding
     gens = [coerce_perm(g, G.degree) for g in generators]
     for g in gens:
         if g not in G.index:
-            raise InputError(f"generator {cycle_string(g)} not in ambient group")
-    elems = G.subgroup_closure({G.index[g] for g in gens})
+            raise InputError(f"{tag or 'subgroup'} generator {cycle_string(g)} "
+                             f"is not in the ambient group")
+    elems = G.subgroup_closure(G.index[g] for g in gens)
     return SubgroupEmbedding(G, tuple(elems), tag)
 
 
@@ -314,24 +340,42 @@ def trivial_subgroup(G: PermGroup, tag: str = "1") -> SubgroupEmbedding:
     return SubgroupEmbedding(G, (G.identity,), tag)
 
 
+def class_representatives(
+    subgroups: list[SubgroupEmbedding],
+) -> list[SubgroupEmbedding]:
+    """The first member of each ambient conjugacy class, in input order."""
+    reps: dict[tuple[int, ...], SubgroupEmbedding] = {}
+    for S in subgroups:
+        reps.setdefault(S.canonical_class_key, S)
+    return list(reps.values())
+
+
 def all_subgroups(G: PermGroup) -> list[SubgroupEmbedding]:
-    """Every subgroup of G (not just up to conjugacy), by layered extension."""
-    found: dict[frozenset[int], None] = {frozenset({G.identity}): None}
-    frontier = [frozenset({G.identity})]
-    while frontier:
-        new = []
-        for S in frontier:
-            for x in range(G.order):
-                if x in S:
-                    continue
-                T = G.subgroup_closure(set(S) | {x})
-                if T not in found:
-                    found[T] = None
-                    new.append(T)
-        frontier = new
-    subs = [SubgroupEmbedding(G, tuple(S)) for S in found]
-    subs.sort(key=lambda s: (s.order, s.element_indices))
-    return subs
+    """Every subgroup of G (not just up to conjugacy), by layered extension.
+
+    Each subgroup found, with the generators that found it, is extended by
+    one element x of every other left coset xS (all of xS give the same
+    subgroup <S, x>).
+    """
+    found = [trivial_subgroup(G, tag="")]
+    gens_of = {found[0].element_indices: ()}
+    for S in found:  # grows while it is walked
+        gens = gens_of[S.element_indices]
+        for x in left_coset_representatives(G, S):
+            if S.mask[x]:
+                continue
+            T = tuple(sorted(G.subgroup_closure((*gens, x))))
+            if T not in gens_of:
+                gens_of[T] = (*gens, x)
+                found.append(SubgroupEmbedding(G, T))
+    found.sort(key=lambda s: (s.order, s.element_indices))
+    return found
+
+
+def _check_ambient(G: PermGroup, *subgroups: SubgroupEmbedding) -> None:
+    for S in subgroups:
+        if S.ambient is not G and not S.ambient.same_group(G):
+            raise InputError("subgroup not inside the given ambient group")
 
 
 def double_cosets(
@@ -343,51 +387,34 @@ def double_cosets(
     deterministic element order.  The orbit-counting identity
     |G| = sum |H||K| / |H ∩ gKg^-1| is asserted on every call.
     """
-    for S in (H, K):
-        if S.ambient is not G and not S.ambient.same_group(G):
-            raise InputError("subgroup not inside the given ambient group")
-    unassigned = np.ones(G.order, dtype=bool)
+    _check_ambient(G, H, K)
+    h = np.array(H.element_indices)
+    k = list(K.element_indices)
+    assigned = np.zeros(G.order, dtype=bool)
     out: list[tuple[int, SubgroupEmbedding]] = []
     total = 0
     for g in range(G.order):
-        if not unassigned[g]:
+        if assigned[g]:
             continue
-        # orbit of g under (h, k) . g = h g k
-        orbit = {g}
-        stack = [g]
-        while stack:
-            x = stack.pop()
-            for h in H.element_indices:
-                hx = int(G.mult[h, x])
-                for k in K.element_indices:
-                    y = int(G.mult[hx, k])
-                    if y not in orbit:
-                        orbit.add(y)
-                        stack.append(y)
-        for y in orbit:
-            unassigned[y] = False
+        # HgK as the products h g k
+        assigned[G.mult[G.mult[h, g][:, None], k]] = True
+        size = int(np.count_nonzero(assigned)) - total
         # x in H with g^-1 x g in K, i.e. H ∩ gKg^-1
-        inter_elems = tuple(
-            x for x in H.element_indices
-            if int(G.mult[G.mult[G.inv[g], x], g]) in K.element_set
-        )
-        emb = SubgroupEmbedding(G, inter_elems, f"H^g-cap-K@{g}")
-        assert len(orbit) == H.order * K.order // emb.order
-        total += len(orbit)
+        inter = h[K.mask[G.conj[G.inv[g], h]]]
+        emb = SubgroupEmbedding(G, tuple(inter.tolist()), f"H^g-cap-K@{g}")
+        assert size == H.order * K.order // emb.order
+        total += size
         out.append((g, emb))
     assert total == G.order
     return out
 
 
 def normalizer(G: PermGroup, D: SubgroupEmbedding) -> SubgroupEmbedding:
-    """N_G(D) by exhaustive conjugation."""
-    if D.ambient is not G and not D.ambient.same_group(G):
-        raise InputError("subgroup not inside the given ambient group")
-    elems = tuple(
-        g for g in range(G.order)
-        if {G.conjugate(g, x) for x in D.element_indices} == set(D.element_indices)
-    )
-    return SubgroupEmbedding(G, elems, f"N({D.tag or 'D'})")
+    """N_G(D): the rows g of the conjugation table that map D into D."""
+    _check_ambient(G, D)
+    stable = D.mask[G.conj[:, list(D.element_indices)]].all(axis=1)
+    return SubgroupEmbedding(G, tuple(np.flatnonzero(stable).tolist()),
+                             f"N({D.tag or 'D'})")
 
 
 def p_part(n: int, p: int) -> int:
@@ -395,6 +422,12 @@ def p_part(n: int, p: int) -> int:
     while n % (q * p) == 0:
         q *= p
     return q
+
+
+def require_prime(p: int) -> None:
+    """Raise InputError unless p is prime (trial division)."""
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise InputError(f"{p} is not prime")
 
 
 def sylow(G: PermGroup, p: int) -> SubgroupEmbedding:
@@ -405,53 +438,36 @@ def sylow(G: PermGroup, p: int) -> SubgroupEmbedding:
     p-group; Sylow theory guarantees such an element exists until the full
     p-part is reached.  If p does not divide |G| the trivial subgroup returns.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise InputError(f"{p} is not prime")
+    require_prime(p)
     target = p_part(G.order, p)
-    current = frozenset({G.identity})
-    while len(current) < target:
-        N = normalizer(G, SubgroupEmbedding(G, tuple(current)))
-        for g in N.element_indices:
-            if g in current:
+    current = trivial_subgroup(G, f"Syl_{p}")
+    gens: tuple[int, ...] = ()
+    while current.order < target:
+        for g in normalizer(G, current).element_indices:
+            if current.mask[g]:
                 continue
-            T = G.subgroup_closure(set(current) | {g})
+            T = G.subgroup_closure((*gens, g))
             if len(T) == p_part(len(T), p):
-                current = T
+                gens += (g,)
+                current = SubgroupEmbedding(G, tuple(T), f"Syl_{p}")
                 break
         else:
             raise AssertionError("Sylow growth step failed")  # unreachable
-    return SubgroupEmbedding(G, tuple(current), f"Syl_{p}")
-
-
-def subgroups_of(G: PermGroup, P: SubgroupEmbedding) -> list[SubgroupEmbedding]:
-    """All subgroups of P, as subgroups of the ambient G."""
-    found = {frozenset({G.identity})}
-    frontier = [frozenset({G.identity})]
-    while frontier:
-        new = []
-        for S in frontier:
-            for x in P.element_indices:
-                if x in S:
-                    continue
-                T = G.subgroup_closure(set(S) | {x})
-                if T <= P.element_set and T not in found:
-                    found.add(T)
-                    new.append(T)
-        frontier = new
-    return [SubgroupEmbedding(G, tuple(S)) for S in found]
+    return current
 
 
 def p_subgroups_up_to_conjugacy(
     G: PermGroup, P: SubgroupEmbedding
 ) -> list[SubgroupEmbedding]:
-    """Subgroups of P deduplicated up to G-conjugacy, sorted by order descending."""
-    reps: dict[tuple[int, ...], SubgroupEmbedding] = {}
-    for S in subgroups_of(G, P):
-        key = S.canonical_class_key()
-        if key not in reps or S.element_indices < reps[key].element_indices:
-            reps[key] = S
-    out = sorted(reps.values(), key=lambda s: (-s.order, s.element_indices))
-    return out
+    """Subgroups of P deduplicated up to G-conjugacy, sorted by order descending.
+
+    Each class keeps its member with the least element tuple: all_subgroups
+    lists them in that order, and to_ambient keeps it.
+    """
+    subs = [SubgroupEmbedding(G, tuple(P.to_ambient[i] for i in S.element_indices))
+            for S in all_subgroups(P.group)]
+    return sorted(class_representatives(subs),
+                  key=lambda s: (-s.order, s.element_indices))
 
 
 @dataclass
@@ -466,24 +482,16 @@ class Families:
     x_pairs: list[tuple[int, SubgroupEmbedding]]
     y_pairs: list[tuple[int, SubgroupEmbedding]]
     u_pairs: list[tuple[int, SubgroupEmbedding]]
-    x_classes: list[SubgroupEmbedding] = field(default_factory=list)
-    y_classes: list[SubgroupEmbedding] = field(default_factory=list)
-    u_classes: list[SubgroupEmbedding] = field(default_factory=list)
+    x_classes: list[SubgroupEmbedding] = field(init=False)
+    y_classes: list[SubgroupEmbedding] = field(init=False)
+    u_classes: list[SubgroupEmbedding] = field(init=False)
 
     def __post_init__(self):
-        for pairs, classes in (
-            (self.x_pairs, self.x_classes),
-            (self.y_pairs, self.y_classes),
-            (self.u_pairs, self.u_classes),
-        ):
-            if classes:
-                continue
-            seen = {}
-            for _, S in pairs:
-                key = S.canonical_class_key()
-                if key not in seen:
-                    seen[key] = S
-            classes.extend(sorted(seen.values(), key=lambda s: (-s.order, s.element_indices)))
+        for name in ("x", "y", "u"):
+            members = [S for _, S in getattr(self, f"{name}_pairs")]
+            setattr(self, f"{name}_classes",
+                    sorted(class_representatives(members),
+                           key=lambda s: (-s.order, s.element_indices)))
 
 
 def x_y_u_families(
@@ -493,46 +501,30 @@ def x_y_u_families(
     double-coset classes with representative g outside H."""
     if not H.contains(D):
         raise InputError("chain violation: D is not contained in H")
-    x_pairs = [
-        (g, SubgroupEmbedding(G, S.element_indices, f"X@{g}"))
-        for g, S in double_cosets(G, D, D)
-        if g not in H.element_set
+    families = [
+        [(g, SubgroupEmbedding(G, S.element_indices, f"{name}@{g}"))
+         for g, S in double_cosets(G, left, right) if not H.mask[g]]
+        for name, left, right in (("X", D, D), ("Y", H, D), ("U", H, H))
     ]
-    y_pairs = [
-        (g, SubgroupEmbedding(G, S.element_indices, f"Y@{g}"))
-        for g, S in double_cosets(G, H, D)
-        if g not in H.element_set
-    ]
-    u_pairs = [
-        (g, SubgroupEmbedding(G, S.element_indices, f"U@{g}"))
-        for g, S in double_cosets(G, H, H)
-        if g not in H.element_set
-    ]
-    return Families(x_pairs, y_pairs, u_pairs)
+    return Families(*families)
+
+
+def coset_lookup(G: PermGroup, S: SubgroupEmbedding) -> tuple[list[int], np.ndarray]:
+    """Left coset reps plus an array mapping each element to its rep position.
+
+    Row g of mult[:, S] is the coset gS; its minimum is the coset's
+    representative.
+    """
+    least = G.mult[:, list(S.element_indices)].min(axis=1)
+    reps = np.flatnonzero(least == np.arange(G.order))
+    position = np.empty(G.order, dtype=np.int32)
+    position[reps] = np.arange(len(reps))
+    return reps.tolist(), position[least]
 
 
 def left_coset_representatives(G: PermGroup, S: SubgroupEmbedding) -> list[int]:
     """Minimal representatives of the left cosets gS, sorted."""
-    seen = np.zeros(G.order, dtype=bool)
-    reps = []
-    for g in range(G.order):
-        if seen[g]:
-            continue
-        reps.append(g)
-        for s in S.element_indices:
-            seen[int(G.mult[g, s])] = True
-    return reps
-
-
-def coset_lookup(G: PermGroup, S: SubgroupEmbedding) -> tuple[list[int], np.ndarray]:
-    """Left coset reps plus an array mapping each element to its rep position."""
-    reps = left_coset_representatives(G, S)
-    where = np.full(G.order, -1, dtype=np.int32)
-    for pos, g in enumerate(reps):
-        for s in S.element_indices:
-            where[int(G.mult[g, s])] = pos
-    assert int(where.min()) >= 0
-    return reps, where
+    return coset_lookup(G, S)[0]
 
 
 def is_subconjugate(
@@ -541,7 +533,4 @@ def is_subconjugate(
     """True iff some G-conjugate of A is contained in B."""
     if A.order > B.order:
         return False
-    for g in range(G.order):
-        if all(G.conjugate(g, x) in B.element_set for x in A.element_indices):
-            return True
-    return False
+    return bool(B.mask[G.conj[:, list(A.element_indices)]].all(axis=1).any())

@@ -53,6 +53,76 @@ def brute_double_cosets(G, H, K):
     return classes
 
 
+def _conj(G, g, x):
+    return int(G.mult[G.mult[g, x], G.inv[g]])
+
+
+def brute_subgroup_closure(G, gens):
+    """Close gens under products on both sides with everything found so far."""
+    seen = set(gens) | {G.identity}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(seen):
+                for z in (int(G.mult[x, y]), int(G.mult[y, x])):
+                    if z not in seen:
+                        seen.add(z)
+                        new.append(z)
+        frontier = new
+    return frozenset(seen)
+
+
+def brute_all_subgroups(G):
+    """Every subgroup of the PermGroup G as a sorted index tuple, by
+    extending each subgroup found with every element outside it."""
+    found = {frozenset({G.identity})}
+    frontier = list(found)
+    while frontier:
+        new = []
+        for S in frontier:
+            for x in range(G.order):
+                if x not in S:
+                    T = brute_subgroup_closure(G, set(S) | {x})
+                    if T not in found:
+                        found.add(T)
+                        new.append(T)
+        frontier = new
+    return {tuple(sorted(S)) for S in found}
+
+
+def brute_class_key(G, elems):
+    """Least sorted element tuple over all conjugates g S g^-1."""
+    return min(tuple(sorted(_conj(G, g, x) for x in elems))
+               for g in range(G.order))
+
+
+def brute_normalizer(G, elems):
+    """The g with g S g^-1 = S, by conjugating every element."""
+    S = set(elems)
+    return tuple(g for g in range(G.order)
+                 if {_conj(G, g, x) for x in elems} == S)
+
+
+def brute_is_subconjugate(G, A, B):
+    """Whether some conjugate g A g^-1 lies inside B."""
+    B = set(B)
+    return any(all(_conj(G, g, x) in B for x in A) for g in range(G.order))
+
+
+def brute_coset_lookup(G, elems):
+    """Least representatives of the left cosets gS in element order, and the
+    position of each element's coset among them."""
+    where = [-1] * G.order
+    reps = []
+    for g in range(G.order):
+        if where[g] < 0:
+            for s in elems:
+                where[int(G.mult[g, s])] = len(reps)
+            reps.append(g)
+    return reps, where
+
+
 def brute_isocomma_components(G, H, K):
     """Components of the groupoid of triples (•, •, g) with morphism pairs
     (h, k), plus |Aut| of one base object per component.

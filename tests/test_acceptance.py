@@ -146,7 +146,7 @@ def test_criterion_3_geography_and_factorization():
             witness.validate()
         fact = tricky_factorization(i, j)
         assert fact.strict_on_objects and fact.strict_on_morphisms, name
-        if fact.u.domain.n_morphisms <= 20_000:
+        if fact.u.domain.n_morphisms <= 50_000:
             fact.u.validate()
         else:
             fact.u.spot_check(rng, samples=2048)

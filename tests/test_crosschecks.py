@@ -85,7 +85,7 @@ def test_trace_transitivity_matches_direct_sum():
 def _subgroup_classes(G):
     reps = {}
     for S in all_subgroups(G):
-        reps.setdefault(S.canonical_class_key(), S)
+        reps.setdefault(S.canonical_class_key, S)
     return sorted(reps.values(), key=lambda S: (S.order, S.element_indices))
 
 

@@ -298,7 +298,7 @@ def test_vertex_conjugation_invariance():
     v2 = vertex(conj)
     amb2 = SubgroupEmbedding(
         G, tuple(W.to_ambient[x] for x in v2.vertex.element_indices))
-    assert v1.vertex.canonical_class_key() == amb2.canonical_class_key()
+    assert v1.vertex.canonical_class_key == amb2.canonical_class_key
 
 
 def test_vertex_requires_indecomposable():
@@ -393,7 +393,7 @@ def test_vertex_conjugation_invariance_nontrivial():
     amb2 = SubgroupEmbedding(
         G, tuple(target.to_ambient[x] for x in v2.vertex.element_indices))
     assert v1.vertex.order == 2 and v2.vertex.order == 2
-    assert amb1.canonical_class_key() == amb2.canonical_class_key()
+    assert amb1.canonical_class_key == amb2.canonical_class_key
 
 
 # ---------------------------------------------------------------------------

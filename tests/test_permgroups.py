@@ -1,12 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from greencorr.catalog import a5, alternating, cyclic, dihedral8, symmetric
+from greencorr.catalog import (
+    a5,
+    alternating,
+    bridge_groups,
+    cyclic,
+    dihedral8,
+    symmetric,
+)
 from greencorr.errors import InputError
 from greencorr.permgroups import (
     SubgroupEmbedding,
     all_subgroups,
+    class_representatives,
     closure,
     coerce_perm,
+    coset_lookup,
     cycle_string,
     double_cosets,
     is_subconjugate,
@@ -21,7 +32,19 @@ from greencorr.permgroups import (
     x_y_u_families,
 )
 
-from oracles import brute_closure, brute_double_cosets
+from oracles import (
+    brute_all_subgroups,
+    brute_class_key,
+    brute_closure,
+    brute_coset_lookup,
+    brute_double_cosets,
+    brute_is_subconjugate,
+    brute_normalizer,
+    perm_inv,
+    perm_mul,
+)
+
+BRIDGE = {name: (G, all_subgroups(G)) for name, G in bridge_groups().items()}
 
 
 def test_parse_cycles_roundtrip():
@@ -191,10 +214,10 @@ def test_conjugation_invariance_of_families():
     H = subgroup(G, ["(0 1 2 3)", "(0 2)"], tag="D8")
     D = subgroup(G, ["(0 1 2 3)"], tag="C4")
     fam = x_y_u_families(G, H, D)
-    keys = {S.canonical_class_key() for _, S in fam.x_pairs}
+    keys = {S.canonical_class_key for _, S in fam.x_pairs}
     for g, S in fam.x_pairs:
         for t in range(G.order):
-            assert S.conjugated(t).canonical_class_key() in keys
+            assert S.conjugated(t).canonical_class_key in keys
 
 
 def test_coset_representatives():
@@ -268,3 +291,59 @@ def test_normalizer_of_v4_in_a5_is_a4():
     assert tables_isomorphic(mult_table(N.group), mult_table(alternating(4)))
     # and it is not the other order-12 candidates
     assert not tables_isomorphic(mult_table(N.group), mult_table(cyclic(12)))
+
+
+def test_all_subgroups_match_oracle():
+    for name, (G, subs) in BRIDGE.items():
+        want = sorted(brute_all_subgroups(G), key=lambda e: (len(e), e))
+        assert [S.element_indices for S in subs] == want, name
+        # one member per class, the first in input order
+        first = {}
+        for S in subs:
+            first.setdefault(brute_class_key(G, S.element_indices), S)
+        assert class_representatives(subs) == list(first.values()), name
+
+
+def test_all_subgroups_s5():
+    subs = all_subgroups(symmetric(5))
+    assert len(subs) == 156
+    assert len(class_representatives(subs)) == 19
+
+
+def test_subgroup_embedding_rejects_missing_inverse():
+    G = symmetric(3)
+    r = G.index[parse_cycles("(0 1 2)", 3)]
+    with pytest.raises(InputError, match="inverse"):
+        SubgroupEmbedding(G, (G.identity, r))
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(BRIDGE)), data=st.data())
+def test_subgroup_calculus_matches_oracles(name, data):
+    G, subs = BRIDGE[name]
+    A = data.draw(st.sampled_from(subs), label="A")
+    B = data.draw(st.sampled_from(subs), label="B")
+    g = data.draw(st.integers(0, G.order - 1), label="g")
+    a, b = A.element_indices, B.element_indices
+
+    key = brute_class_key(G, a)
+    assert A.canonical_class_key == key
+    assert A.conjugated(g).canonical_class_key == key
+    assert normalizer(G, A).element_indices == brute_normalizer(G, a)
+    assert is_subconjugate(G, A, B) == brute_is_subconjugate(G, a, b)
+
+    reps, where = coset_lookup(G, A)
+    assert (reps, where.tolist()) == brute_coset_lookup(G, a)
+    assert left_coset_representatives(G, A) == reps
+
+    # double cosets A g B on permutations, with A ∩ gBg^-1
+    E = G.elements
+    brute = brute_double_cosets(E, [E[x] for x in a], [E[y] for y in b])
+    ours = double_cosets(G, A, B)
+    assert [rep for rep, _ in ours] == [G.index[rep] for rep, _ in brute]
+    Bperms = {E[y] for y in b}
+    for (rep, inter), (_, orbit) in zip(ours, brute):
+        r = E[rep]
+        assert inter.element_indices == tuple(
+            x for x in a if perm_mul(perm_mul(perm_inv(r), E[x]), r) in Bperms)
+        assert len(orbit) == A.order * B.order // inter.order
