@@ -42,14 +42,11 @@ from .errors import InputError, TheoremViolationError, UndecidedError
 from .linalg import mat_inv, mat_mul, mat_pow, nullspace, rank, rref, solve
 from .modules import (
     FpModule,
-    InducedModule,
-    counit_ind_res,
     hom_space,
     hom_space_from_actions,
     induce,
     restrict,
     same_context,
-    unit_res_ind,
 )
 from .permgroups import (
     SubgroupEmbedding,
@@ -57,12 +54,6 @@ from .permgroups import (
     p_subgroups_up_to_conjugacy,
     sylow,
 )
-
-
-def column_space(A: np.ndarray, p: int) -> np.ndarray:
-    """Matrix whose columns span the column space of A."""
-    R, _ = rref(A.T % p, p)
-    return R.T
 
 
 @dataclass
@@ -294,81 +285,75 @@ def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
 # ---------------------------------------------------------------------------
 
 
-def _split_by(mats: list[np.ndarray], F: np.ndarray, p: int):
-    """Split the module along the invariant decomposition im(F) ⊕ ker(F)."""
-    d = F.shape[0]
-    im = column_space(F, p)
-    ker = nullspace(F, p).T
-    r = im.shape[1]
-    if r == 0 or r == d:
-        return None
-    P = np.concatenate([im, ker], axis=1) % p
-    if rank(P, p) != d:
-        return None
-    Pi = mat_inv(P, p)
-    left, right = [], []
-    for A in mats:
-        conj = (Pi @ A @ P) % p
-        if conj[r:, :r].any() or conj[:r, r:].any():
-            return None  # F was not an endomorphism; caller bug
-        left.append(conj[:r, :r])
-        right.append(conj[r:, r:])
-    return left, right, P, Pi, r
+def _fitting_split(mats: list[np.ndarray], ends: list[np.ndarray],
+                   f: np.ndarray, p: int):
+    """Split the module (generator actions ``mats``, End basis ``ends``)
+    along Fitting's im(f^K) ⊕ ker(f^K), K >= dim: two pieces, each as
+    (actions, basis columns, End basis), or None when f is invertible or
+    nilpotent.
 
-
-def _piece_ends(ends: list[np.ndarray], P: np.ndarray, Pi: np.ndarray,
-                r: int, p: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """End bases of the two pieces A (the first r coordinates) and B of the
-    split of M by P, read off the End basis of M.
-
-    Conjugated by P, each f in End(M) has its diagonal blocks in End(A) and
+    Conjugated by P, each e in End(M) has its diagonal blocks in End(A) and
     End(B), and each g in End(A) is the block of g extended by zero, so the
-    blocks of the basis span End(A) and End(B).  Their reduced echelon bases
-    are the unique ones that hom_space returns.
+    blocks of the basis span End(A) and End(B): their reduced echelon bases
+    are the ones hom_space returns.  Fitting's lemma rules out a singular P
+    and, for f in End(M), an off-diagonal action block; each raises
+    TheoremViolationError.
     """
-    d, m = P.shape[0], len(ends)
-    blocks = [np.empty((m, r * r), dtype=np.int64),
-              np.empty((m, (d - r) ** 2), dtype=np.int64)]
-    for batch in linalg.batches(m):
-        conj = mat_mul(mat_mul(Pi, np.stack(ends[batch]), p), P, p)
-        blocks[0][batch] = conj[:, :r, :r].reshape(len(conj), -1)
-        blocks[1][batch] = conj[:, r:, r:].reshape(len(conj), -1)
-    left, right = (rref(b, p)[0] for b in blocks)
-    return ([row.reshape(r, r) for row in left],
-            [row.reshape(d - r, d - r) for row in right])
-
-
-def _fitting_split(mats: list[np.ndarray], f: np.ndarray, dim: int, p: int):
-    """Split along Fitting's decomposition im(f^K) ⊕ ker(f^K), K >= dim, when
-    f is neither invertible nor nilpotent; else None."""
+    dim = f.shape[0]
     K = 1
     while K < dim:
         K <<= 1
     fK = mat_pow(f, K, p)
-    if 0 < rank(fK, p) < dim:
-        return _split_by(mats, fK, p)
-    return None
+    im, _ = rref(np.ascontiguousarray(fK.T), p)
+    r = len(im)
+    if r == 0 or r == dim:
+        return None
+    P = np.concatenate([im, nullspace(fK, p)]).T
+    try:
+        Pi = mat_inv(P, p)
+    except InputError:
+        raise TheoremViolationError("im(f^K) and ker(f^K) meet") from None
+    g = len(mats)
+    blocks = _conjugate(mats + ends, g, P, Pi, [r, dim - r], p)
+    # copies of the actions, so that a waiting piece holds no End blocks
+    return [([row.reshape(k, k).copy() for row in blk[:g]], cols,
+             [row.reshape(k, k) for row in rref(blk[g:], p)[0]])
+            for blk, cols, k in zip(blocks, (P[:, :r], P[:, r:]), (r, dim - r))]
+
+
+def _conjugate(mats: list[np.ndarray], acting: int, P: np.ndarray,
+               Pi: np.ndarray, sizes: list[int], p: int) -> list[np.ndarray]:
+    """The diagonal blocks of Pi A P, one (len(mats), k * k) array per block
+    size k, from one batched product per batch of ``mats``.  The first
+    ``acting`` are module actions: TheoremViolationError unless P makes them
+    block diagonal."""
+    cuts = np.cumsum([0, *sizes])
+    out = [np.empty((len(mats), k * k), dtype=np.int64) for k in sizes]
+    for batch in linalg.batches(len(mats)):
+        conj = mat_mul(mat_mul(Pi, np.stack(mats[batch]), p), P, p)
+        for blk, a, b in zip(out, cuts, cuts[1:]):
+            blk[batch] = conj[:, a:b, a:b].reshape(len(conj), -1)
+            conj[:, a:b, a:b] = 0
+        if conj[:max(0, acting - batch.start)].any():
+            raise TheoremViolationError("the split is not a module split")
+    return out
 
 
 def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int,
                    ends: list[np.ndarray]):
-    """From the End basis of the module, return ("leaf", _LeafInfo) or
-    ("split", (left, right, P, r, left_ends, right_ends))."""
-    split = None
-    if len(ends) > 1:
-        for f in ends:
-            split = _fitting_split(mats, f, dim, p)
-            if split is not None:
-                break
+    """From the End basis of the module, its _LeafInfo when End is local,
+    else the two pieces of a Fitting split, as _fitting_split returns them."""
+    for f in ends if len(ends) > 1 else ():
+        split = _fitting_split(mats, ends, f, p)
+        if split is not None:
+            return split
+    info = _analyze_end(ends, p, dim)
+    if info.local:
+        return info
+    split = _fitting_split(mats, ends, info.splitter, p)
     if split is None:
-        info = _analyze_end(ends, p, dim)
-        if info.local:
-            return "leaf", info
-        split = _fitting_split(mats, info.splitter, dim, p)
-        if split is None:
-            raise UndecidedError("certificate splitter failed to split")
-    left, right, P, Pi, r = split
-    return "split", (left, right, P, r, *_piece_ends(ends, P, Pi, r, p))
+        raise UndecidedError("certificate splitter failed to split")
+    return split
 
 
 class Run:
@@ -388,10 +373,14 @@ class Run:
 def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     """Full Krull-Schmidt decomposition with per-class certificates.
 
-    Deterministic: every split comes from a basis endomorphism or from the
-    radical of End, with no budget and no enumeration of units, so there is
-    no seed.  The result is memoized in ``run`` by the module's exact
-    fingerprint, and each summand's End analysis is kept for ``end_info``.
+    Deterministic: every split is Fitting's, on a basis endomorphism or on
+    an element read off the radical of End, with no budget and no
+    enumeration of units, so there is no seed.  Each piece's End basis is
+    read off its parent's.  The change of basis is checked with the same
+    conjugation as the splits: it must carry every generator action of M to
+    the block diagonal of the pieces' actions.  The result is memoized in
+    ``run`` by the module's exact fingerprint, and each summand's End
+    analysis is kept for ``end_info``.
     """
     run = run or Run()
     cache_key = M.fingerprint()
@@ -417,13 +406,14 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
         if info is None or not info.local:
             if ends is None:
                 ends = hom_space_from_actions(mats, dim, mats, dim, p)
-            kind, payload = _leaf_or_split(mats, dim, p, ends)
-            if kind == "split":
-                left, right, P, r, left_ends, right_ends = payload
-                todo.append((right, (embed @ P[:, r:]) % p, dim - r, right_ends))
-                todo.append((left, (embed @ P[:, :r]) % p, r, left_ends))
+            out = _leaf_or_split(mats, dim, p, ends)
+            if not isinstance(out, _LeafInfo):
+                # the left piece goes on top, so it is taken first
+                for acts, cols, piece_ends in reversed(out):
+                    todo.append((acts, (embed @ cols) % p, cols.shape[1],
+                                 piece_ends))
                 continue
-            run.ends[key] = info = payload
+            run.ends[key] = info = out
         pieces.append((mod, embed, info))
 
     summands = sorted(_tally([(mod, 1) for mod, _, _ in pieces], run),
@@ -434,14 +424,10 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     if pieces:
         cob = np.concatenate([embed for _, embed, _ in pieces], axis=1) % p
         assert rank(cob, p) == M.dim
-        cobi = mat_inv(cob, p)
-        conjugated = [(cobi @ A @ cob) % p for A in M.action]
-        offset = 0
-        for mod, embed, info in pieces:
-            k = embed.shape[1]
-            for conj, a_piece in zip(conjugated, mod.action):
-                assert (conj[offset:offset + k, offset:offset + k] == a_piece).all()
-            offset += k
+        blocks = _conjugate(M.action, len(M.action), cob, mat_inv(cob, p),
+                            [mod.dim for mod, _, _ in pieces], p)
+        for (mod, _, _), blk in zip(pieces, blocks):
+            assert (blk == np.reshape(mod.action, blk.shape)).all()
     else:
         cob = np.zeros((0, 0), dtype=np.int64)
 
@@ -476,27 +462,15 @@ def _is_retract(M: FpModule, X: FpModule, run: Run) -> bool:
     """Whether the indecomposable M is a direct summand of X.
 
     M | X iff some composite beta∘alpha (alpha: M -> X, beta: X -> M) lies
-    outside the radical J of the local ring End(M).  For X = Ind_S s the homs
-    come through the adjunctions from Hom_S(Res M, s) and Hom_S(s, Res M);
-    otherwise from hom_space, where an invertible basis hom (beta its
-    inverse) decides at once.  Raises InputError when J is needed and End(M)
-    is not local.
+    outside the radical J of the local ring End(M); the homs come from
+    hom_space, where an invertible basis hom (beta its inverse) decides at
+    once.  Raises InputError when J is needed and End(M) is not local.
     """
     p = M.p
-    if isinstance(X, InducedModule):
-        emb, s = X.embedding, X.base
-        r = len(X.coset_reps)
-        eta = unit_res_ind(M, emb)
-        eps = counit_ind_res(M, emb)
-        alphas = [(_block_diag(phi, r) @ eta) % p
-                  for phi in hom_space(restrict(M, emb), s)]
-        betas = [(eps @ _block_diag(psi, r)) % p
-                 for psi in hom_space(s, restrict(M, emb))]
-    else:
-        alphas = hom_space(M, X)
-        if X.dim == M.dim and any(rank(a, p) == M.dim for a in alphas):
-            return True
-        betas = hom_space(X, M) if alphas else []
+    alphas = hom_space(M, X)
+    if X.dim == M.dim and any(rank(a, p) == M.dim for a in alphas):
+        return True
+    betas = hom_space(X, M) if alphas else []
     info = end_info(M, run)
     if not info.local:
         raise InputError("direct-summand test requires an indecomposable M")
@@ -511,20 +485,12 @@ def is_direct_summand(M: FpModule, X: FpModule,
 
     Exact for every X: M | X iff some composite beta∘alpha of homs
     alpha: M -> X and beta: X -> M is a unit of the local ring End(M), i.e.
-    lies outside its radical.  The homs into and out of an induced X come
-    through the induction adjunctions.
+    lies outside its radical.  The homs both ways come from hom_space, for
+    an induced X as for any other.
     """
     if M.dim == 0:
         return True
     return _is_retract(M, X, run or Run())
-
-
-def _block_diag(block: np.ndarray, copies: int) -> np.ndarray:
-    rows, cols = block.shape
-    out = np.zeros((rows * copies, cols * copies), dtype=np.int64)
-    for i in range(copies):
-        out[i * rows:(i + 1) * rows, i * cols:(i + 1) * cols] = block
-    return out
 
 
 def _iso_indec(M: FpModule, N: FpModule, run: Run | None = None) -> bool:

@@ -18,7 +18,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
 from .boundary import PartialResult, partial
 from .decompose import (
     Run,
@@ -33,7 +32,7 @@ from .decompose import (
 )
 from .errors import InputError, TheoremViolationError
 from .groupoids import GroupoidFunctor, group_groupoid, identity_functor
-from .linalg import rref
+from .linalg import mat_mul, rref
 from .modules import (
     FpModule,
     hom_space,
@@ -520,9 +519,12 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     # (e) groupoid-level cross-checks
     verdicts["boundary_families_match"] = boundary_families_match(sc)
 
-    # ideal property check: the factoring subspace is closed under pre- and
-    # postcomposition by every End basis element
-    verdicts["factoring_is_ideal"] = _ideal_spotcheck(sc, elig_h, fam_h)
+    # ideal property check: on every eligible module of either side, the
+    # factoring subspace of End is closed under pre- and postcomposition by
+    # every End basis element
+    verdicts["factoring_is_ideal"] = all(
+        _factoring_is_ideal(M, fam)
+        for mods, fam in ((elig_h, fam_h), (elig_g, fam_g)) for M in mods)
 
     family_orders = {
         "X": [S.order for S in sc.families.x_classes],
@@ -542,26 +544,27 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     )
 
 
-def _ideal_spotcheck(sc: Scenario, elig_h: list[FpModule],
-                     fam_h: list[SubgroupEmbedding]) -> bool:
-    if not elig_h or not fam_h:
-        return True
-    p = sc.p
-    M = elig_h[0]
+def _factoring_is_ideal(M: FpModule,
+                        family: list[SubgroupEmbedding]) -> bool:
+    """Whether the family-factoring maps M -> M form a two-sided ideal of
+    End(M)."""
     ends = hom_space(M, M)
-    R, piv = factoring_subspace(M, M, fam_h, ends)
-    if R.shape[0] == 0:
-        return True
-    for row in R:
-        F = row.reshape(M.dim, M.dim)
-        for e in ends:
-            pre = ((F @ e) % p).ravel()
-            post = ((e @ F) % p).ravel()
-            if not linalg.in_row_space(pre, R, piv, p):
-                return False
-            if not linalg.in_row_space(post, R, piv, p):
-                return False
-    return True
+    R, piv = factoring_subspace(M, M, family, ends)
+    return not len(R) or _is_two_sided_ideal(R, piv, ends, M.p)
+
+
+def _is_two_sided_ideal(R: np.ndarray, piv: list[int],
+                        ends: list[np.ndarray], p: int) -> bool:
+    """Whether the span of the reduced echelon rows R (flattened d x d maps,
+    pivots piv) is closed under pre- and postcomposition by every element of
+    ``ends``."""
+    d = ends[0].shape[0]
+    F = R.reshape(-1, 1, d, d)
+    E = np.stack(ends)
+    V = np.concatenate([mat_mul(F, E, p), mat_mul(E, F, p)]).reshape(-1, d * d)
+    # a vector lies in the span of a reduced echelon basis iff it is the
+    # combination of the basis rows given by its entries at the pivots
+    return bool((mat_mul(V[:, piv], R, p) == V).all())
 
 
 def degenerate_scenario(p: int, G: PermGroup, name: str = "degenerate") -> Scenario:

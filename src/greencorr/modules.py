@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, TheoremViolationError
 from .linalg import SpanBuilder, as_fp, mat_inv, mat_mul, rref
 from .permgroups import PermGroup, SubgroupEmbedding, coset_lookup
 
@@ -139,7 +139,7 @@ def submodule_from_vectors(M: FpModule, vectors: list[np.ndarray],
     frontier = []
     for v in vectors:
         if span.add(v):
-            frontier.append(span.rows[-1])
+            frontier.append(v)
     while frontier:
         new = []
         for v in frontier:
@@ -154,7 +154,8 @@ def submodule_from_vectors(M: FpModule, vectors: list[np.ndarray],
     for A in M.action:
         img = (A @ B.T) % M.p  # dim x k, columns are images of basis rows
         coeff = linalg.solve(B.T, img, M.p)
-        assert coeff is not None
+        if coeff is None:
+            raise TheoremViolationError("spun span is not a submodule")
         mats.append(coeff % M.p)
     return FpModule(M.group, M.p, mats, name=name, dim=k)
 
@@ -360,10 +361,7 @@ class InducedModule(FpModule):
             mats.append(A)
         super().__init__(G, M.p, mats,
                          name=name or f"Ind({M.name})", check=False, dim=r * d)
-        self.base = M
-        self.embedding = emb
         self.coset_reps = reps
-        self.coset_of = where
 
 
 def induce(M: FpModule, emb: SubgroupEmbedding) -> FpModule:

@@ -288,7 +288,7 @@ def test_shipped_configs_parse_and_run(capsys):
 
     root = Path(__file__).resolve().parent.parent / "configs"
     for name in ("s3_c2_c2", "s4_d8_c4", "s4_d8_d8", "a5_a4_v4",
-                 "degenerate_s3"):
+                 "degenerate_s3", "s5_s4_d8"):
         path = root / f"{name}.json"
         assert path.exists(), name
         Config.from_file(str(path)).scenario()

@@ -18,7 +18,7 @@ from greencorr.decompose import (
     same_multiset,
     vertex,
 )
-from greencorr.errors import InputError
+from greencorr.errors import InputError, TheoremViolationError
 from greencorr.linalg import in_row_space
 from greencorr.modules import (
     direct_sum,
@@ -309,8 +309,8 @@ def test_vertex_requires_indecomposable():
 
 
 def test_is_direct_summand_adaptive_routes_agree():
-    # induced X takes its homs through the adjunction, any other X from
-    # hom_space; both agree with decomposing X
+    # the homs into and out of X come from hom_space whether X is induced or
+    # not; on both kinds of X the answer agrees with decomposing X
     G = alternating(4)
     p = 2
     V4 = subgroup(G, ["(0 1)(2 3)", "(0 2)(1 3)"])
@@ -409,16 +409,15 @@ def check_piece_ends(monkeypatch) -> list[int]:
     original = D._leaf_or_split
 
     def checking(mats, dim, p, ends):
-        kind, payload = original(mats, dim, p, ends)
-        if kind == "split":
-            left, right, _, r, left_ends, right_ends = payload
-            for piece, d, passed in ((left, r, left_ends),
-                                     (right, dim - r, right_ends)):
+        out = original(mats, dim, p, ends)
+        if not isinstance(out, D._LeafInfo):
+            for piece, cols, passed in out:
+                d = cols.shape[1]
                 fresh = hom_space_from_actions(piece, d, piece, d, p)
                 assert len(passed) == len(fresh), (dim, d)
                 assert all(np.array_equal(a, b) for a, b in zip(passed, fresh))
             split_dims.append(dim)
-        return kind, payload
+        return out
 
     monkeypatch.setattr(D, "_leaf_or_split", checking)
     return split_dims
@@ -443,3 +442,18 @@ def test_piece_ends_equal_a_fresh_solve_on_mackey_pool(monkeypatch):
     outcome = wl.mackey_run(wl.mackey_setup(2, ref), ref)
     assert outcome.attempted > 0 and outcome.failed == 0, outcome.errors
     assert max(split_dims) >= 40
+
+
+def test_fitting_split_rejects_a_map_that_is_not_an_endomorphism():
+    # on kC2 at p = 3 the projection onto e0 is idempotent but does not
+    # commute with the swap, so its im ⊕ ker is no module split
+    M = regular_module(cyclic(2), 3)
+    f = np.diag([1, 0]).astype(np.int64)
+    assert not any(np.array_equal(f, e) for e in hom_space(M, M))
+    with pytest.raises(TheoremViolationError):
+        D._fitting_split(M.action, hom_space(M, M), f, 3)
+    # an End element splits kC2 into its two one-dimensional pieces
+    e = (np.eye(2, dtype=np.int64) + M.action[0]) * 2 % 3  # (1 + g) / 2
+    pieces = D._fitting_split(M.action, hom_space(M, M), e, 3)
+    assert [cols.shape[1] for _, cols, _ in pieces] == [1, 1]
+    assert sorted(int(acts[0][0, 0]) for acts, _, _ in pieces) == [1, 2]

@@ -9,6 +9,7 @@ from greencorr.modules import (
     conjugate_module,
     counit_ind_res,
     counit_res_ind_on_base,
+    direct_sum,
     hom_dim,
     hom_space,
     induce,
@@ -204,6 +205,16 @@ def test_submodule_from_vectors():
     assert sub.dim == 1  # the all-ones vector spans the fixed line
     for A in sub.action:
         assert (A == np.eye(1, dtype=np.int64)).all()
+
+
+def test_submodule_from_vectors_spins_every_seed():
+    # in kS3 ⊕ kS3 at p = 3, e6 and e0 generate the two free summands; the
+    # span must spin from each seed, whatever the order of their pivots
+    kG = regular_module(symmetric(3), 3)
+    M = direct_sum(kG, kG)
+    e0, e6 = np.eye(12, dtype=np.int64)[[0, 6]]
+    for seeds in ([e6, e0], [e0, e6]):
+        assert submodule_from_vectors(M, seeds).dim == 12
 
 
 def test_random_module_determinism():

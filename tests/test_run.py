@@ -96,3 +96,20 @@ def test_factoring_is_ideal_verdict(span, ideal, monkeypatch):
     monkeypatch.setattr(GREEN, "factoring_subspace", replaced)
     report = GREEN.verify_scenario(scenario("configs/s4_d8_c4.json"), Run())
     assert report.verdicts["factoring_is_ideal"] is ideal
+
+
+def test_factoring_is_ideal_checks_nonzero_subspaces(monkeypatch):
+    # on d8_v4_c2 an eligible G-module has a nonzero X-factoring subspace of
+    # its End, so the closure test runs on it, and finds an ideal
+    sizes = []
+    original = GREEN._is_two_sided_ideal
+
+    def recording(R, piv, ends, p):
+        sizes.append(len(R))
+        return original(R, piv, ends, p)
+
+    monkeypatch.setattr(GREEN, "_is_two_sided_ideal", recording)
+    sc = scenario("perfbench/configs/d8_v4_c2.json")
+    report = GREEN.verify_scenario(sc, Run())
+    assert report.verdicts["factoring_is_ideal"] is True
+    assert sizes and min(sizes) > 0
