@@ -100,14 +100,21 @@ class _EndAlgebra:
     def coords(self, x: np.ndarray) -> np.ndarray:
         return x.ravel()[self.pivots] % self.p
 
+    def _combine(self, c: np.ndarray) -> np.ndarray:
+        """c @ basis mod p, on flattened matrices: through mat_mul while its
+        bound holds for inner length m, in int64 past it."""
+        if linalg.exact_in_float64(self.m, self.p):
+            return mat_mul(c, self._flat, self.p)
+        return (c @ self._flat) % self.p
+
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         """The element with coordinates c, or the stack of them for rows c."""
-        return ((c @ self._flat) % self.p).reshape(*c.shape[:-1], self.d, self.d)
+        return self._combine(c).reshape(*c.shape[:-1], self.d, self.d)
 
     def flat_echelon(self, coords: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """Reduced echelon basis, on flattened matrices, of a span given in
         basis coordinates (one row per element)."""
-        return rref((coords @ self._flat) % self.p, self.p)
+        return rref(self._combine(coords), self.p)
 
     def structure_constants(self) -> np.ndarray:
         """mult[i, j] = coords(basis[i] @ basis[j]).
@@ -304,7 +311,7 @@ def _fitting_split(mats: list[np.ndarray], ends: list[np.ndarray],
     while K < dim:
         K <<= 1
     fK = mat_pow(f, K, p)
-    im, _ = rref(np.ascontiguousarray(fK.T), p)
+    im, _ = rref(fK.T, p)
     r = len(im)
     if r == 0 or r == dim:
         return None
@@ -315,10 +322,14 @@ def _fitting_split(mats: list[np.ndarray], ends: list[np.ndarray],
         raise TheoremViolationError("im(f^K) and ker(f^K) meet") from None
     g = len(mats)
     blocks = _conjugate(mats + ends, g, P, Pi, [r, dim - r], p)
-    # copies of the actions, so that a waiting piece holds no End blocks
-    return [([row.reshape(k, k).copy() for row in blk[:g]], cols,
-             [row.reshape(k, k) for row in rref(blk[g:], p)[0]])
-            for blk, cols, k in zip(blocks, (P[:, :r], P[:, r:]), (r, dim - r))]
+    pieces = []
+    for blk, cols, k in zip(blocks, (P[:, :r], P[:, r:]), (r, dim - r)):
+        # copies of the actions, so that a waiting piece holds no End blocks;
+        # the End blocks are reduced where _conjugate wrote them
+        ends_k, _ = linalg._rref_in_place(blk[g:], p)
+        pieces.append(([row.reshape(k, k).copy() for row in blk[:g]], cols,
+                       [row.reshape(k, k) for row in ends_k]))
+    return pieces
 
 
 def _conjugate(mats: list[np.ndarray], acting: int, P: np.ndarray,

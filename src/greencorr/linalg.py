@@ -3,6 +3,18 @@
 Matrices are numpy int64 arrays with entries reduced into [0, p).  All
 routines are deterministic; bases coming out of nullspace/row-space
 computations are in reduced row echelon form.
+
+Products run in float64 BLAS while they are exact there, which
+``exact_in_float64(inner, m)`` decides for the modulus m that the product is
+reduced by: ``mat_mul`` raises past that bound for its p, and ``mat_pow``
+checks it for the modulus it is given (p * q in the radical's trace levels,
+which need not be prime) and squares in int64 past it.
+
+``rref`` reduces its own copy of the input through ``_rref_in_place``.  That
+routine is for arrays their caller has just built and will not read again:
+it takes a writable 2-d int64 array of residues in [0, p), overwrites it with
+its reduced echelon form, and returns (A[:rank], pivot columns), so the
+echelon rows are a view of the caller's array.
 """
 
 from __future__ import annotations
@@ -13,7 +25,9 @@ from .errors import InputError
 
 
 def as_fp(a, p: int) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64) % p
+    """A fresh C-ordered int64 array of the residues of a mod p, whatever
+    the memory order of a, so that rows of a transpose are contiguous."""
+    return np.remainder(np.asarray(a, dtype=np.int64), p, order="C")
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -33,6 +47,13 @@ def batches(n: int) -> list[slice]:
     return [slice(i, i + _BATCH) for i in range(0, n, _BATCH)]
 
 
+def exact_in_float64(inner: int, m: int) -> bool:
+    """Whether float64 products of residues mod m with this inner length are
+    exact: float64 holds every integer below 2^53, and each entry of the
+    product is at most inner * (m - 1)^2 before its reduction."""
+    return inner * (m - 1) ** 2 < 2 ** 53
+
+
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """(a @ b) mod p for arrays of residues in [0, p), with matmul broadcasting.
 
@@ -42,33 +63,56 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     Raises InputError when that bound fails.
     """
     inner = a.shape[-1]
-    if inner * (p - 1) ** 2 >= 2 ** 53:
+    if not exact_in_float64(inner, p):
         raise InputError(f"p = {p} is too large for exact products of "
                          f"length {inner} (inner length * (p - 1)^2 must "
                          "stay below 2^53)")
-    out = np.matmul(a.astype(np.float64), b.astype(np.float64))
-    np.fmod(out, p, out=out)  # the product of residues is not negative
-    return out.astype(np.int64)
+    return _reduced_product(a.astype(np.float64), b.astype(np.float64),
+                            p).astype(np.int64)
+
+
+def _reduced_product(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """(a @ b) mod m in the dtype of a and b, for residues in [0, m)."""
+    out = np.matmul(a, b)
+    np.fmod(out, m, out=out)  # the product of residues is not negative
+    return out
 
 
 def mat_pow(a: np.ndarray, k: int, p: int) -> np.ndarray:
-    """a^k mod p, for a square matrix or a stack of them."""
+    """a^k mod p, for a square matrix or a stack of them; a^0 is one
+    identity matrix.
+
+    p is any modulus.  The squarings keep float64 residues while
+    n * (p - 1)^2 < 2^53 for this p (see exact_in_float64), and run in
+    int64 past that bound.
+    """
     n = a.shape[-1]
-    out = np.eye(n, dtype=np.int64)
+    if k == 0:
+        return np.eye(n, dtype=np.int64)
     base = a % p
-    while k:
+    if exact_in_float64(n, p):
+        base = base.astype(np.float64)
+    out = None
+    while True:
         if k & 1:
-            out = (out @ base) % p
-        base = (base @ base) % p
+            out = base if out is None else _reduced_product(out, base, p)
         k >>= 1
-    return out
+        if not k:
+            return out.astype(np.int64, copy=False)
+        base = _reduced_product(base, base, p)
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    A = as_fp(a, p)  # a fresh array: the reduction copies
+    A = as_fp(a, p)  # a fresh array, which the reduction overwrites
     if A.ndim != 2:
         raise InputError("rref expects a 2-d array")
+    return _rref_in_place(A, p)
+
+
+def _rref_in_place(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Overwrite A, a writable 2-d int64 array of residues in [0, p), with
+    its reduced row echelon form; returns (A[:rank], pivot columns)."""
     m, n = A.shape
     pivots: list[int] = []
     r = 0
@@ -98,14 +142,21 @@ def rank(a: np.ndarray, p: int) -> int:
 
 def nullspace(a: np.ndarray, p: int) -> np.ndarray:
     """Basis of the right kernel {x : a x = 0}, one row per basis vector."""
-    n = np.shape(a)[1]
     R, pivots = rref(a, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(R[i, c])) % p
+    return _kernel_of_rref(R, pivots, np.shape(a)[1], p)
+
+
+def _kernel_of_rref(R: np.ndarray, pivots: list[int], n: int,
+                    p: int) -> np.ndarray:
+    """The nullspace basis of a matrix with n columns whose reduced echelon
+    form is R: one row per free column c, the row of the identity at c with
+    -R[:, c] at the pivot columns."""
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    cols = np.flatnonzero(free)
+    basis = np.zeros((cols.size, n), dtype=np.int64)
+    basis[np.arange(cols.size), cols] = 1
+    basis[:, pivots] = (-R[:, cols]).T % p
     return basis
 
 

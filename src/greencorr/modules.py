@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError, TheoremViolationError
-from .linalg import SpanBuilder, as_fp, mat_inv, mat_mul, rref
+from .linalg import SpanBuilder, as_fp, mat_inv, mat_mul
 from .permgroups import PermGroup, SubgroupEmbedding, coset_lookup
 
 
@@ -207,7 +207,9 @@ def _default_pool(group: PermGroup, p: int) -> list[FpModule]:
 class _SpinData:
     """Spin of the standard basis under the generator action.
 
-    seeds: indices (into the spin order) of the vectors that started orbits.
+    seeds: indices (into the spin order) of the vectors that started orbits;
+    each orbit is spun before the next seed is taken, so orbit k is the run
+    seeds[k] <= t < seeds[k + 1] of the spin order.
     prov: per spin vector, (parent_spin_index, generator_pos) or None for seeds.
     edges: leftover (spin_index, generator_pos) pairs that close up and hence
     contribute constraints.
@@ -275,27 +277,16 @@ def hom_space_from_actions(action_m: list[np.ndarray], dim_m: int,
             W[t] = (action_n[gpos] @ W[s]) % p
             block[t] = block[s]
 
+    # the edge constraints, one batch of edges at a time, fold into a
+    # running reduced echelon basis R of the constraint rows
     ibt = mat_inv(spin.basis.T, p)
-    if spin.edges:
-        vecs = np.stack([(action_m[g] @ spin.basis[s]) % p
-                         for s, g in spin.edges])
-        coords = mat_mul(vecs, ibt.T, p)  # row e: coordinates of A_g w_s
-        ne = len(spin.edges)
-        combos = np.zeros((ne, dN, u), dtype=np.int64)
-        for k in range(r):
-            mask = block == k
-            if mask.any():
-                combos[:, :, k * dN:(k + 1) * dN] = mat_mul(
-                    coords[:, mask], W[mask].reshape(-1, dN * dN),
-                    p).reshape(ne, dN, dN)
-        for e, (s, g) in enumerate(spin.edges):
-            kb = int(block[s])
-            seg = combos[e, :, kb * dN:(kb + 1) * dN]
-            combos[e, :, kb * dN:(kb + 1) * dN] = (seg - (action_n[g] @ W[s])) % p
-        system = combos.reshape(-1, u)
-        sols = linalg.nullspace(system, p)
-    else:
-        sols = np.eye(u, dtype=np.int64)
+    R, pivots = np.zeros((0, u), dtype=np.int64), []
+    for batch in linalg.batches(len(spin.edges)):
+        rows = _edge_constraints(spin, batch, ibt, W, block, action_m,
+                                 action_n, p)
+        if len(rows):
+            R, pivots = linalg._rref_in_place(np.concatenate([R, rows]), p)
+    sols = linalg._kernel_of_rref(R, pivots, u, p)
 
     if sols.shape[0] == 0:
         return []
@@ -309,8 +300,36 @@ def hom_space_from_actions(action_m: list[np.ndarray], dim_m: int,
         # F_k = Y_k^T @ ibt, all k of the batch in one product
         F = mat_mul(Y.reshape(dM, -1).T, ibt, p)
         flat[batch] = F.reshape(-1, dN * dM)
-    R, _ = rref(flat, p)
-    return [row.reshape(dN, dM) for row in R]
+    basis, _ = linalg._rref_in_place(flat, p)
+    return [row.reshape(dN, dM) for row in basis]
+
+
+def _edge_constraints(spin: _SpinData, batch: slice, ibt: np.ndarray,
+                      W: np.ndarray, block: np.ndarray,
+                      action_m: list[np.ndarray], action_n: list[np.ndarray],
+                      p: int) -> np.ndarray:
+    """The nonzero constraint rows, over the r * dN unknowns (r seeds), of
+    the Cayley edges (s, g) in spin.edges[batch]: A_g w_s, written in the
+    spin basis and mapped through the operators W, must equal
+    action_n[g] @ W[s] applied to the unknowns of the block of s."""
+    edges = spin.edges[batch]
+    r, dN = len(spin.seeds), W.shape[1]
+    ne, u = len(edges), r * dN
+    vecs = np.stack([(action_m[g] @ spin.basis[s]) % p for s, g in edges])
+    coords = mat_mul(vecs, ibt.T, p)  # row e: coordinates of A_g w_s
+    combos = np.zeros((ne, dN, u), dtype=np.int64)
+    orbits = [*spin.seeds, len(W)]
+    for k in range(r):
+        lo, hi = orbits[k], orbits[k + 1]
+        combos[:, :, k * dN:(k + 1) * dN] = mat_mul(
+            coords[:, lo:hi], W[lo:hi].reshape(-1, dN * dN),
+            p).reshape(ne, dN, dN)
+    for e, (s, g) in enumerate(edges):
+        kb = int(block[s])
+        seg = combos[e, :, kb * dN:(kb + 1) * dN]
+        combos[e, :, kb * dN:(kb + 1) * dN] = (seg - (action_n[g] @ W[s])) % p
+    rows = combos.reshape(-1, u)
+    return rows[rows.any(axis=1)]
 
 
 def hom_space(M: FpModule, N: FpModule) -> list[np.ndarray]:

@@ -185,6 +185,73 @@ def mat_mul_int64(a, b, p):
     return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p
 
 
+def mat_pow_int64(a, k, p):
+    """a^k mod p by repeated squaring in int64 matmul, for a square matrix or
+    a stack of them; a^0 is one identity matrix."""
+    n = a.shape[-1]
+    out = np.eye(n, dtype=np.int64)
+    base = a % p
+    while k:
+        if k & 1:
+            out = (out @ base) % p
+        base = (base @ base) % p
+        k >>= 1
+    return out
+
+
+def dense_hom_space(action_m, dim_m, action_n, dim_n, p):
+    """Hom(M, N) from the spin of M as one dense system: every Cayley edge's
+    constraint rows stacked into one (edges * dim_n) x (seeds * dim_n)
+    matrix, solved by one nullspace; returns the reduced echelon basis."""
+    from greencorr.modules import _SpinData
+
+    if dim_m == 0 or dim_n == 0:
+        return []
+    spin = _SpinData(action_m, dim_m, p)
+    r = len(spin.seeds)
+    dN, dM = dim_n, dim_m
+    u = r * dN
+    W = np.zeros((dM, dN, dN), dtype=np.int64)
+    block = np.full(dM, -1, dtype=np.int64)
+    for k, t in enumerate(spin.seeds):
+        W[t] = np.eye(dN, dtype=np.int64)
+        block[t] = k
+    for t in range(dM):
+        if block[t] < 0:
+            s, gpos = spin.prov[t]
+            W[t] = (action_n[gpos] @ W[s]) % p
+            block[t] = block[s]
+    ibt = inv_mod_mat(spin.basis.T, p)
+    if spin.edges:
+        vecs = np.stack([(action_m[g] @ spin.basis[s]) % p
+                         for s, g in spin.edges])
+        coords = mat_mul_int64(vecs, ibt.T, p)
+        ne = len(spin.edges)
+        combos = np.zeros((ne, dN, u), dtype=np.int64)
+        for k in range(r):
+            mask = block == k
+            combos[:, :, k * dN:(k + 1) * dN] = mat_mul_int64(
+                coords[:, mask], W[mask].reshape(-1, dN * dN),
+                p).reshape(ne, dN, dN)
+        for e, (s, g) in enumerate(spin.edges):
+            kb = int(block[s])
+            seg = combos[e, :, kb * dN:(kb + 1) * dN]
+            combos[e, :, kb * dN:(kb + 1) * dN] = \
+                (seg - (action_n[g] @ W[s])) % p
+        sols = np.array(nullspace_mod(combos.reshape(-1, u), p),
+                        dtype=np.int64).reshape(-1, u)
+    else:
+        sols = np.eye(u, dtype=np.int64)
+    if len(sols) == 0:
+        return []
+    # hom k sends spin vector w_t to W[t] @ x_block(t)
+    x = sols.reshape(len(sols), r, dN)[:, block, :]        # [k, t, :]
+    Y = np.einsum("tab,ktb->kat", W, x) % p                 # columns W[t] x
+    flat = np.stack([mat_mul_int64(y, ibt, p).ravel() for y in Y])
+    R, _ = rref_mod(flat, p)
+    return [row.reshape(dN, dM) for row in R]
+
+
 def rref_mod(A, p):
     """Reduced row echelon form: (nonzero rows, pivot columns)."""
     A = A.copy() % p

@@ -167,6 +167,8 @@ def test_byte_identical_reports(s3_config, tmp_path):
         "s4_d8_c4": "60117dcd2de2eb1bb9ed65084ca1baef",
         "s4_d8_d8": "d51671e6b9edbcb116d96f2155172a33",
         "a5_a4_v4": "d3a5d757b8336a3ad0ccb2523798a905",
+        # the stretch chain S5 >= S4 >= D8 at p = 2
+        "s5_s4_d8": "5cc1271ffa6f93019cb89bcc0f82194c",
     }
     for name, md5 in recorded.items():
         out = tmp_path / name

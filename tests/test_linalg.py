@@ -19,7 +19,7 @@ from greencorr.linalg import (
     solve,
 )
 
-from oracles import mat_mul_int64
+from oracles import mat_mul_int64, mat_pow_int64, nullspace_mod
 
 
 def random_matrix(rng, m, n, p):
@@ -177,3 +177,49 @@ def test_mat_mul_is_exact_up_to_its_bound():
     with pytest.raises(InputError):
         mat_mul(np.ones((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64),
                 2 ** 31 - 1)
+
+
+# ---------------------------------------------------------------------------
+# mat_pow, nullspace and rref against the int64 references
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(data=st.data(), p=PRIMES, i=st.integers(0, 3), n=st.integers(1, 8),
+       stack=st.sampled_from([(), (1,), (3,)]), k=st.integers(0, 70))
+def test_mat_pow_matches_int64(data, p, i, n, stack, k):
+    # the radical's trace levels raise to q = p^i modulo p * q
+    m = p * p ** i
+    a = residues(data, m, (*stack, n, n))
+    out = mat_pow(a, k, m)
+    assert out.dtype == np.int64
+    assert np.array_equal(out, mat_pow_int64(a, k, m))
+
+
+@settings(max_examples=20)
+@given(data=st.data(), n=st.integers(1, 5), stack=st.sampled_from([(), (2,)]),
+       k=st.integers(0, 9))
+def test_mat_pow_past_the_float64_bound_matches_int64(data, n, stack, k):
+    # 2 (p - 1)^2 < 2^53 <= 3 (p - 1)^2: n = 1, 2 square in float64, n >= 3
+    # in int64, and both must agree with the int64 reference
+    p = 67108859
+    a = residues(data, p, (*stack, n, n))
+    assert np.array_equal(mat_pow(a, k, p), mat_pow_int64(a, k, p))
+
+
+@settings(max_examples=60)
+@given(data=st.data(), p=PRIMES, m=SIDES, n=st.integers(1, 9))
+def test_nullspace_matches_oracle(data, p, m, n):
+    A = residues(data, p, (m, n))
+    want = np.array(nullspace_mod(A, p), dtype=np.int64).reshape(-1, n)
+    assert np.array_equal(nullspace(A, p), want)
+
+
+def test_rref_of_a_transpose_returns_c_ordered_rows():
+    rng = np.random.default_rng(5)
+    A = random_matrix(rng, 7, 11, 3)
+    A[:, 4] = (A[:, 1] + A[:, 2]) % 3  # a dependent row of A.T
+    R, pivots = rref(A.T, 3)
+    R_copy, pivots_copy = rref(np.ascontiguousarray(A.T), 3)
+    assert R.flags.c_contiguous and len(R) < A.shape[1]
+    assert np.array_equal(R, R_copy) and pivots == pivots_copy

@@ -1,5 +1,12 @@
+import importlib
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greencorr.catalog import alternating, cyclic, symmetric
 from greencorr.errors import InputError
@@ -12,6 +19,7 @@ from greencorr.modules import (
     direct_sum,
     hom_dim,
     hom_space,
+    hom_space_from_actions,
     induce,
     module_from_json,
     module_to_json,
@@ -25,7 +33,7 @@ from greencorr.modules import (
 )
 from greencorr.permgroups import subgroup, trivial_subgroup, whole_group
 
-from oracles import kron_hom_basis
+from oracles import dense_hom_space, kron_hom_basis
 
 
 def test_module_construction_and_cache():
@@ -334,3 +342,80 @@ def test_conjugate_module_defining_identity():
         elif (conj.action[pos] != M.element_action(S3.from_ambient[fwd])).any():
             flipped_breaks = True
     assert flipped_breaks
+
+
+# ---------------------------------------------------------------------------
+# the edge-batched hom solver against the dense system
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def assert_same_basis(ours, oracle):
+    assert len(ours) == len(oracle)
+    for F, B in zip(ours, oracle):
+        assert F.dtype == np.int64 and np.array_equal(F, B)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]),
+       group=st.sampled_from([symmetric(3), alternating(4), cyclic(4)]))
+def test_hom_space_matches_dense_system(seed, p, group):
+    rng = np.random.default_rng(seed)
+    M = random_module(group, p, 12, rng)
+    N = random_module(group, p, 12, rng)
+    for X, Y in ((M, N), (N, M), (M, M)):
+        assert_same_basis(
+            hom_space_from_actions(X.action, X.dim, Y.action, Y.dim, p),
+            dense_hom_space(X.action, X.dim, Y.action, Y.dim, p))
+
+
+@pytest.fixture(scope="module")
+def mackey_ends():
+    """(dim, p, actions) of each End that one mackey_odd_p benchmark job
+    (seed 0) solves on a module of dimension 40 to 60: Res_H Ind_H^G of the
+    pool modules of dims 4 and 5 over S3 at p = 3 and of dim 10 over D10 at
+    p = 5, and one induced module of dim 50 over D10."""
+    bench = ROOT / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        wl = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(bench))
+    decompose_module = importlib.import_module("greencorr.decompose")
+    found = []
+
+    def recording(action_m, dim_m, action_n, dim_n, p):
+        if 40 <= dim_m == dim_n and action_m is action_n:
+            found.append((dim_m, p, [a.copy() for a in action_m]))
+        return hom_space_from_actions(action_m, dim_m, action_n, dim_n, p)
+
+    ref = wl.load_reference(bench / "reference", "mackey_odd_p")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose_module, "hom_space_from_actions", recording)
+        outcome = wl.mackey_run(wl.mackey_setup(0, ref), ref)
+    assert outcome.failed == 0, outcome.errors
+    assert sorted((d, p) for d, p, _ in found) == [(40, 3), (50, 3), (50, 5),
+                                                   (60, 5)]
+    return found
+
+
+def test_mackey_ends_match_dense_system(mackey_ends):
+    for dim, p, acts in mackey_ends:
+        assert_same_basis(hom_space_from_actions(acts, dim, acts, dim, p),
+                          dense_hom_space(acts, dim, acts, dim, p))
+
+
+@pytest.mark.parametrize("dim, p", [(50, 3), (60, 5)])
+def test_hom_space_working_set_is_bounded_by_its_basis(mackey_ends, dim, p):
+    # the constraints fold into a running echelon basis one batch of edges
+    # at a time, and the basis is reduced where it is built, so the peak
+    # stays within a small multiple of what the call returns
+    acts = next(a for d, q, a in mackey_ends if (d, q) == (dim, p))
+    tracemalloc.start()
+    try:
+        basis = hom_space_from_actions(acts, dim, acts, dim, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sum(F.nbytes for F in basis)
