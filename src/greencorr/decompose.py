@@ -24,10 +24,12 @@ of a local End(M) is kept with its certificate: it decides direct summands
 and isomorphisms of indecomposables exactly, and Higman's criterion decides
 relative projectivity.
 
-Decompositions, End analyses and vertices are memoized in a ``Run``, by
-module fingerprint, for as long as the caller keeps it.  A public function
-called without one makes a fresh ``Run`` for that call only, so nothing is
-kept between calls that do not share one.
+A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
+End analyses with their End bases, and vertices, by module fingerprint;
+Higman verdicts, by module fingerprint and subgroup; and the p-subgroup
+classes that a vertex descent walks, by group and subgroup.  A public
+function called without one makes a fresh ``Run`` for that call only, so
+nothing is kept between calls that do not share one.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .modules import (
     same_context,
 )
 from .permgroups import (
+    PermGroup,
     SubgroupEmbedding,
     left_coset_representatives,
     p_subgroups_up_to_conjugacy,
@@ -92,9 +95,10 @@ class _EndAlgebra:
         self.p = p
         self.m = len(basis)
         self.d = basis[0].shape[0]
-        flat = np.stack([b.ravel() for b in basis])
+        # float64, the form mat_mul multiplies in, converted once
+        flat = np.array(basis, dtype=np.float64).reshape(self.m, -1)
         # hom_space returns reduced echelon bases, so coordinates are reads
-        self.pivots = [int(np.nonzero(row)[0][0]) for row in flat]
+        self.pivots = [int(row.nonzero()[0][0]) for row in flat]
         self._flat = flat
 
     def coords(self, x: np.ndarray) -> np.ndarray:
@@ -105,7 +109,7 @@ class _EndAlgebra:
         bound holds for inner length m, in int64 past it."""
         if linalg.exact_in_float64(self.m, self.p):
             return mat_mul(c, self._flat, self.p)
-        return (c @ self._flat) % self.p
+        return (c @ self._flat.astype(np.int64)) % self.p
 
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         """The element with coordinates c, or the stack of them for rows c."""
@@ -255,6 +259,9 @@ class _LeafInfo:
     end_dim: int
     radical_dim: int
     residue_degree: int
+    # the reduced echelon basis of End(M) that hom_space(M, M) returns, as
+    # the rows of one array that holds nothing else
+    ends: list[np.ndarray]
     # present only when not local: an endomorphism that is neither invertible
     # nor nilpotent, so Fitting's lemma on it splits M
     splitter: np.ndarray | None = None
@@ -272,8 +279,9 @@ def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
     m = len(ends)
     if m == 0:
         raise InputError("zero module has no endomorphism analysis")
+    ends = list(np.array(ends))
     if m == 1:
-        return _LeafInfo(True, 1, 0, 1, radical_flat=(
+        return _LeafInfo(True, 1, 0, 1, ends, radical_flat=(
             np.zeros((0, dim * dim), dtype=np.int64), []))
     alg = _EndAlgebra(ends, p)
     mult = alg.structure_constants()
@@ -281,9 +289,9 @@ def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
     quotient = _Semisimple(alg, mult, J, j_pivots)
     x = quotient.splitting_element()
     if x is None:
-        return _LeafInfo(True, m, len(J), m - len(J),
+        return _LeafInfo(True, m, len(J), m - len(J), ends,
                          radical_flat=alg.flat_echelon(J))
-    return _LeafInfo(False, m, len(J), 0,
+    return _LeafInfo(False, m, len(J), 0, ends,
                      splitter=alg.from_coords(quotient.lift(x)))
 
 
@@ -368,17 +376,25 @@ def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int,
 
 
 class Run:
-    """The memo tables of one top-level computation, each keyed by the exact
-    module fingerprint: decompositions, End analyses and vertices.
+    """The memo tables of one top-level computation.
 
-    A fingerprint fixes the module, so a hit is what a fresh computation
-    would return; the tables live exactly as long as the Run.
+    Keyed by the exact module fingerprint: decompositions, End analyses
+    (each with its End basis) and vertices.  Keyed by module fingerprint and
+    the subgroup's element indices: Higman verdicts, ``projective``.  Keyed
+    by group fingerprint and the subgroup's element indices: the classes of
+    its subgroups up to conjugacy in the group, ``p_subgroups``.
+
+    A key fixes what is computed, so a hit is what a fresh computation would
+    return; the tables live exactly as long as the Run.
     """
 
     def __init__(self) -> None:
         self.decompositions: dict[bytes, Decomposition] = {}
         self.ends: dict[bytes, _LeafInfo] = {}
         self.vertices: dict[bytes, VertexResult] = {}
+        self.projective: dict[tuple[bytes, tuple[int, ...]], bool] = {}
+        self.p_subgroups: dict[tuple[bytes, tuple[int, ...]],
+                               list[SubgroupEmbedding]] = {}
 
 
 def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
@@ -391,7 +407,7 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     conjugation as the splits: it must carry every generator action of M to
     the block diagonal of the pieces' actions.  The result is memoized in
     ``run`` by the module's exact fingerprint, and each summand's End
-    analysis is kept for ``end_info``.
+    analysis, with its End basis, is kept for ``end_info``.
     """
     run = run or Run()
     cache_key = M.fingerprint()
@@ -449,13 +465,21 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
 
 
 def end_info(M: FpModule, run: Run | None = None) -> _LeafInfo:
-    """Locality analysis of End(M), memoized in ``run`` by fingerprint."""
+    """Locality analysis of End(M), with the End basis it was made from,
+    memoized in ``run`` by fingerprint."""
     run = run or Run()
     key = M.fingerprint()
     hit = run.ends.get(key)
     if hit is None:
         hit = run.ends[key] = _analyze_end(hom_space(M, M), M.p, M.dim)
     return hit
+
+
+def end_basis(M: FpModule, run: Run | None = None) -> list[np.ndarray]:
+    """The basis that hom_space(M, M) returns: the one ``run`` keeps with
+    M's End analysis, else a fresh solve, which is not kept."""
+    info = run.ends.get(M.fingerprint()) if run else None
+    return info.ends if info is not None else hom_space(M, M)
 
 
 def is_indecomposable(M: FpModule, run: Run | None = None) -> bool:
@@ -475,9 +499,12 @@ def _is_retract(M: FpModule, X: FpModule, run: Run) -> bool:
     M | X iff some composite beta∘alpha (alpha: M -> X, beta: X -> M) lies
     outside the radical J of the local ring End(M); the homs come from
     hom_space, where an invertible basis hom (beta its inverse) decides at
-    once.  Raises InputError when J is needed and End(M) is not local.
+    once, as does an X with M's fingerprint, which is M.  Raises InputError
+    when J is needed and End(M) is not local.
     """
     p = M.p
+    if X.dim == M.dim and X.fingerprint() == M.fingerprint():
+        return True
     alphas = hom_space(M, X)
     if X.dim == M.dim and any(rank(a, p) == M.dim for a in alphas):
         return True
@@ -609,22 +636,40 @@ def relative_trace_image(M: FpModule, N: FpModule, emb: SubgroupEmbedding,
     return rref((R @ B) % p, p)
 
 
-def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding) -> bool:
+def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding,
+                             run: Run | None = None) -> bool:
     """Whether M is relatively D-projective (a D-object, a retract of
     Ind_D Res_D M).
 
     Decided by Higman's criterion: M is relatively D-projective iff id_M lies
     in the image of the relative trace Tr_D^G on End_kD(Res_D M)
-    (D. G. Higman, Duke Math. J. 21, 1954).
+    (D. G. Higman, Duke Math. J. 21, 1954).  The End basis is the one
+    ``run`` keeps, and the verdict is memoized in ``run`` by the module's
+    fingerprint and the subgroup.
     """
     G = M.group
     if not G.same_group(emb.ambient):
         raise InputError("subgroup is not inside the module's group")
     if emb.order == G.order or M.dim == 0:
         return True
-    R, piv = relative_trace_image(M, M, emb, hom_space(M, M))
-    ident = np.eye(M.dim, dtype=np.int64).ravel()
-    return linalg.in_row_space(ident, R, piv, M.p)
+    run = run or Run()
+    key = (M.fingerprint(), emb.element_indices)
+    hit = run.projective.get(key)
+    if hit is None:
+        R, piv = relative_trace_image(M, M, emb, end_basis(M, run))
+        ident = np.eye(M.dim, dtype=np.int64).ravel()
+        hit = run.projective[key] = linalg.in_row_space(ident, R, piv, M.p)
+    return hit
+
+
+def _p_subgroup_classes(G: PermGroup, P: SubgroupEmbedding,
+                        run: Run) -> list[SubgroupEmbedding]:
+    """p_subgroups_up_to_conjugacy(G, P), memoized in ``run``."""
+    key = (G.fingerprint, P.element_indices)
+    hit = run.p_subgroups.get(key)
+    if hit is None:
+        hit = run.p_subgroups[key] = p_subgroups_up_to_conjugacy(G, P)
+    return hit
 
 
 @dataclass
@@ -652,16 +697,16 @@ def vertex(M: FpModule, run: Run | None = None) -> VertexResult:
     if M.dim == 0 or not end_info(M, run).local:
         raise InputError("vertex is defined for certified indecomposables")
     S = sylow(G, p)
-    if not is_relatively_projective(M, S):
+    if not is_relatively_projective(M, S, run):
         raise TheoremViolationError("module not projective relative to Sylow")
     checked = [(S.order, True)]
     current = S
     while True:
         descended = False
-        for R in p_subgroups_up_to_conjugacy(G, current):
+        for R in _p_subgroup_classes(G, current, run):
             if R.order >= current.order:
                 continue
-            ok = is_relatively_projective(M, R)
+            ok = is_relatively_projective(M, R, run)
             checked.append((R.order, ok))
             if ok:
                 current = R

@@ -22,6 +22,7 @@ from .boundary import PartialResult, partial
 from .decompose import (
     Run,
     decompose,
+    end_basis,
     end_info,
     is_direct_summand,
     is_relatively_projective,
@@ -50,6 +51,7 @@ from .permgroups import (
     is_subconjugate,
     normalizer,
     require_prime,
+    trivial_subgroup,
     whole_group,
     x_y_u_families,
 )
@@ -140,9 +142,11 @@ def factoring_subspace(M: FpModule, N: FpModule,
 
 
 def quotient_hom_dim(M: FpModule, N: FpModule,
-                     family: list[SubgroupEmbedding]) -> int:
-    """dim Hom(M, N) minus the dimension of the family-factoring subspace."""
-    homs = hom_space(M, N)
+                     family: list[SubgroupEmbedding],
+                     run: Run | None = None) -> int:
+    """dim Hom(M, N) minus the dimension of the family-factoring subspace.
+    For N = M, the End basis comes from ``end_basis``."""
+    homs = end_basis(M, run) if M is N else hom_space(M, N)
     if not family:
         return len(homs)
     R, _ = factoring_subspace(M, N, family, homs)
@@ -198,7 +202,10 @@ def module_catalog(sc: Scenario, side: str,
 
     Returns (module, is_D_object, is_X_object) triples, sorted by dimension;
     generated from inductions of the kD catalog plus the trivial module and
-    the summands of the regular module.
+    the summands of the regular module.  Ind_D s of a projective s (Higman's
+    test with the trivial subgroup) is projective, so each of its summands is
+    a summand of the regular module, whose classes come first: it is not
+    induced, and the classes and their order are the same.
     """
     if side == "H":
         amb_group = sc.H.group
@@ -215,6 +222,8 @@ def module_catalog(sc: Scenario, side: str,
     for mod, _ in decompose(regular_module(amb_group, sc.p), run).summands:
         candidates.append(mod)
     for s in generating_family_over_D(sc, run):
+        if is_relatively_projective(s, trivial_subgroup(s.group), run):
+            continue
         for mod, _ in decompose(induce(s, d_emb), run).summands:
             candidates.append(mod)
 
@@ -222,7 +231,7 @@ def module_catalog(sc: Scenario, side: str,
     for mod in _dedup_classes(candidates, run):
         if not end_info(mod, run).local:
             continue
-        d_obj = is_relatively_projective(mod, d_emb)
+        d_obj = is_relatively_projective(mod, d_emb, run)
         x_obj = is_x_object(mod, fam, run)
         out.append((mod, d_obj, x_obj))
     out.sort(key=lambda t: t[0].dim)
@@ -279,7 +288,7 @@ def _require_eligible(mod: FpModule, sc: Scenario, side: str, run: Run) -> None:
         d_emb, fam = sc.d_in_h, sc.x_in_h()
     else:
         d_emb, fam = sc.D, sc.x_in_g()
-    if not is_relatively_projective(mod, d_emb):
+    if not is_relatively_projective(mod, d_emb, run):
         raise InputError("correspondent requires a D-object")
     if is_x_object(mod, fam, run):
         raise InputError("correspondent requires a module outside the X-objects")
@@ -449,8 +458,8 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     induced = [induce(n, sc.H) for n in elig_h]
     for i1, n1 in enumerate(elig_h):
         for i2, n2 in enumerate(elig_h):
-            dim_h = quotient_hom_dim(n1, n2, fam_h)
-            dim_g = quotient_hom_dim(induced[i1], induced[i2], fam_g)
+            dim_h = quotient_hom_dim(n1, n2, fam_h, run)
+            dim_g = quotient_hom_dim(induced[i1], induced[i2], fam_g, run)
             equal = dim_h == dim_g
             ff_ok = ff_ok and equal
             ff_rows.append({
@@ -523,7 +532,7 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     # factoring subspace of End is closed under pre- and postcomposition by
     # every End basis element
     verdicts["factoring_is_ideal"] = all(
-        _factoring_is_ideal(M, fam)
+        _factoring_is_ideal(M, fam, run)
         for mods, fam in ((elig_h, fam_h), (elig_g, fam_g)) for M in mods)
 
     family_orders = {
@@ -544,11 +553,11 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     )
 
 
-def _factoring_is_ideal(M: FpModule,
-                        family: list[SubgroupEmbedding]) -> bool:
+def _factoring_is_ideal(M: FpModule, family: list[SubgroupEmbedding],
+                        run: Run) -> bool:
     """Whether the family-factoring maps M -> M form a two-sided ideal of
     End(M)."""
-    ends = hom_space(M, M)
+    ends = end_basis(M, run)
     R, piv = factoring_subspace(M, M, family, ends)
     return not len(R) or _is_two_sided_ideal(R, piv, ends, M.p)
 

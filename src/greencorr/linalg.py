@@ -60,14 +60,17 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     The product runs in float64 BLAS, which holds every integer below 2^53
     exactly; so it is exact while inner length * (p - 1)^2 < 2^53, the
     delayed reduction of Dumas, Giorgi & Pernet (ACM TOMS 35(3), 2008).
-    Raises InputError when that bound fails.
+    Raises InputError when that bound fails.  An operand already in float64
+    is used as it is, so a caller that multiplies by the same matrix many
+    times converts it once.
     """
     inner = a.shape[-1]
     if not exact_in_float64(inner, p):
         raise InputError(f"p = {p} is too large for exact products of "
                          f"length {inner} (inner length * (p - 1)^2 must "
                          "stay below 2^53)")
-    return _reduced_product(a.astype(np.float64), b.astype(np.float64),
+    return _reduced_product(a.astype(np.float64, copy=False),
+                            b.astype(np.float64, copy=False),
                             p).astype(np.int64)
 
 
@@ -112,25 +115,34 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 def _rref_in_place(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Overwrite A, a writable 2-d int64 array of residues in [0, p), with
-    its reduced row echelon form; returns (A[:rank], pivot columns)."""
+    its reduced row echelon form; returns (A[:rank], pivot columns).
+
+    Column c is scanned once: its nonzero rows from r on hold the pivot, and
+    the others are the rows that the pivot row clears.
+    """
     m, n = A.shape
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        rows = np.nonzero(A[r:, c])[0]
-        if rows.size == 0:
+        nz = A[:, c].nonzero()[0]
+        k = int(nz.searchsorted(r))
+        if k == nz.size:
             continue
-        piv = r + int(rows[0])
+        piv = int(nz[k])
         if piv != r:
+            # row r is zero in column c, so after the swap the nonzero rows
+            # are those of nz with r in the place of piv
             A[[r, piv]] = A[[piv, r]]
-        A[r] = (A[r] * inv_mod(int(A[r, c]), p)) % p
-        col = A[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            A[nz] = (A[nz] - np.outer(col[nz], A[r])) % p
+            nz[k] = r
+        lead = int(A[r, c])
+        if lead != 1:
+            A[r] = (A[r] * inv_mod(lead, p)) % p
+        if nz.size > 1:
+            f = A[nz, c]
+            f[k] = 0
+            A[nz] = (A[nz] - f[:, None] * A[r]) % p
         pivots.append(c)
         r += 1
     return A[:r], pivots

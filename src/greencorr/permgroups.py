@@ -33,13 +33,6 @@ def pmul(a: Perm, b: Perm) -> Perm:
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-def pinv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[v] = i
-    return tuple(out)
-
-
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
 
@@ -132,13 +125,14 @@ class PermGroup:
 
     def _build_tables(self) -> None:
         n = len(self.elements)
-        self.mult = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                self.mult[i, j] = self.index[pmul(a, b)]
-        self.inv = np.empty(n, dtype=np.int32)
-        for i, a in enumerate(self.elements):
-            self.inv[i] = self.index[pinv(a)]
+        E = np.array(self.elements, dtype=np.int64).reshape(n, self.degree)
+        keys = _lex_keys(E)  # sorted, as the elements are
+        # (ab)(i) = a(b(i)): row a of E read at the images of b, every pair
+        self.mult = keys.searchsorted(
+            _lex_keys(E[np.arange(n)[:, None, None], E])).astype(np.int32)
+        inverses = np.empty_like(E)
+        inverses[np.arange(n)[:, None], E] = np.arange(self.degree)
+        self.inv = keys.searchsorted(_lex_keys(inverses)).astype(np.int32)
         # conj[g, x] = g x g^-1
         self.conj = self.mult[self.mult, self.inv[:, None]]
         # spanning tree: factor_of[i] = (parent, gen_pos) with elem = parent * gen
@@ -213,6 +207,16 @@ class PermGroup:
         return self is other or (
             self.degree == other.degree and self.elements == other.elements
         )
+
+
+def _lex_keys(images: np.ndarray) -> np.ndarray:
+    """One key per image tuple (last axis), ordered as the tuples are
+    lexicographically: the big-endian bytes of the images, compared as
+    bytes, after a zero that gives the identity of degree 0 a key too."""
+    *lead, degree = images.shape
+    b = np.zeros((*lead, degree + 1), dtype=">u4")
+    b[..., 1:] = images
+    return b.view(np.dtype((np.void, 4 * (degree + 1))))[..., 0]
 
 
 def closure(generators: list, degree: int | None = None) -> PermGroup:

@@ -39,6 +39,18 @@ def brute_closure(gens, degree):
     return sorted(seen)
 
 
+def brute_tables(G):
+    """The former per-pair build of G.mult and G.inv: one composition and one
+    index lookup per pair of elements."""
+    n = G.order
+    mult = np.empty((n, n), dtype=np.int32)
+    for i, a in enumerate(G.elements):
+        for j, b in enumerate(G.elements):
+            mult[i, j] = G.index[perm_mul(a, b)]
+    inv = np.array([G.index[perm_inv(a)] for a in G.elements], dtype=np.int32)
+    return mult, inv
+
+
 def brute_double_cosets(G, H, K):
     """Partition of G into sets HgK; G, H, K are element lists."""
     G = list(G)
@@ -497,6 +509,31 @@ def is_x_object_summand_check(M, family):
     merged = multiset_of_classes(pieces, run)
     return any(rep.dim == M.dim and _iso_indec(M, rep, run)
                for rep, _ in merged)
+
+
+def module_catalog_all_inductions(sc, side, run):
+    """The former catalog loop of green.module_catalog: it induces every
+    member of the kD family, projective or not, and keeps the first of each
+    class, as (module, is_D_object, is_X_object) sorted by dimension."""
+    from greencorr.decompose import (
+        decompose, end_info, is_relatively_projective)
+    from greencorr.green import (
+        _dedup_classes, generating_family_over_D, is_x_object)
+    from greencorr.modules import induce, regular_module, trivial_module
+
+    X, d_emb, fam = ((sc.H.group, sc.d_in_h, sc.x_in_h()) if side == "H"
+                     else (sc.G, sc.D, sc.x_in_g()))
+    candidates = [trivial_module(X, sc.p)]
+    candidates += [mod for mod, _ in
+                   decompose(regular_module(X, sc.p), run).summands]
+    for s in generating_family_over_D(sc, run):
+        candidates += [mod for mod, _ in
+                       decompose(induce(s, d_emb), run).summands]
+    out = [(mod, is_relatively_projective(mod, d_emb, run),
+            is_x_object(mod, fam, run))
+           for mod in _dedup_classes(candidates, run)
+           if end_info(mod, run).local]
+    return sorted(out, key=lambda t: t[0].dim)
 
 
 def literal_trace_image(M, N, emb):

@@ -40,6 +40,7 @@ from oracles import (
     brute_double_cosets,
     brute_is_subconjugate,
     brute_normalizer,
+    brute_tables,
     perm_inv,
     perm_mul,
 )
@@ -85,6 +86,16 @@ def test_mult_table_consistency():
             import greencorr.permgroups as pg
             assert G.elements[G.mult[i, j]] == pg.pmul(G.elements[i], G.elements[j])
         assert G.mult[i, G.inv[i]] == G.identity
+
+
+@pytest.mark.parametrize("G", [*bridge_groups().values(), symmetric(5),
+                               closure([], degree=0), closure([], degree=1)],
+                         ids=[*bridge_groups(), "S5", "degree 0", "degree 1"])
+def test_tables_match_per_pair_oracle(G):
+    mult, inv = brute_tables(G)
+    assert G.mult.dtype == mult.dtype and G.inv.dtype == inv.dtype
+    assert (G.mult == mult).all()
+    assert (G.inv == inv).all()
 
 
 def test_factorization_tree():

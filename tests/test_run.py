@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import sys
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -13,7 +14,11 @@ from greencorr import cli
 from greencorr.catalog import symmetric
 from greencorr.decompose import Run, decompose
 from greencorr.linalg import rref
-from greencorr.modules import regular_module
+from greencorr.modules import hom_space, regular_module
+from greencorr.permgroups import (
+    SubgroupEmbedding, p_subgroups_up_to_conjugacy, sylow)
+
+from oracles import module_catalog_all_inductions
 
 D = importlib.import_module("greencorr.decompose")
 GREEN = importlib.import_module("greencorr.green")
@@ -24,11 +29,12 @@ def scenario(path: str):
     return cli.Config.from_file(str(ROOT / path)).scenario()
 
 
-# (config, decompositions computed, vertices computed) in one verify, as the
-# process-global caches that Run replaced counted them
+# (config, decompositions computed, vertices computed) in one verify.  The
+# process-global caches that Run replaced counted 14 and 34 decompositions:
+# module_catalog no longer decomposes Ind_D s for a projective kD-module s
 VERIFY_WORK = [
-    ("perfbench/configs/d8_v4_c2.json", 14, 7),
-    ("configs/s4_d8_d8.json", 34, 21),
+    ("perfbench/configs/d8_v4_c2.json", 12, 7),
+    ("configs/s4_d8_d8.json", 33, 21),
 ]
 
 
@@ -113,3 +119,86 @@ def test_factoring_is_ideal_checks_nonzero_subspaces(monkeypatch):
     report = GREEN.verify_scenario(sc, Run())
     assert report.verdicts["factoring_is_ideal"] is True
     assert sizes and min(sizes) > 0
+
+
+CONFIGS = ["configs/s3_c2_c2.json", "configs/degenerate_s3.json",
+           "configs/s4_d8_c4.json", "configs/s4_d8_d8.json",
+           "configs/a5_a4_v4.json", "perfbench/configs/d8_v4_c2.json"]
+
+
+@pytest.mark.parametrize("path", CONFIGS)
+def test_run_tables_match_fresh_computations(path):
+    sc = scenario(path)
+    run = Run()
+    assert GREEN.verify_scenario(sc, run).all_pass
+    kept = dict(run.projective)
+    modules = {mod.fingerprint(): mod for dec in run.decompositions.values()
+               for mod in dec.pieces}
+    for side, X in (("H", sc.H.group), ("G", sc.G)):
+        catalog = GREEN.module_catalog(sc, side, run)
+        # skipping the induction of projective kD-modules changes no class,
+        # no order and no flag
+        old = module_catalog_all_inductions(sc, side, Run())
+        assert [(m.fingerprint(), d, x) for m, d, x in catalog] == \
+            [(m.fingerprint(), d, x) for m, d, x in old]
+        # the Higman verdict of each catalog module and p-subgroup class,
+        # read through the run's table, is what a call without a Run decides
+        classes = p_subgroups_up_to_conjugacy(X, sylow(X, sc.p))
+        for mod, _, _ in catalog:
+            modules[mod.fingerprint()] = mod
+            for R in classes:
+                assert D.is_relatively_projective(mod, R, run) == \
+                    D.is_relatively_projective(mod, R)
+    # so is every verdict that the verify itself kept
+    assert kept
+    for (key, elements), verdict in kept.items():
+        mod = modules[key]
+        R = SubgroupEmbedding(mod.group, elements)
+        assert verdict == D.is_relatively_projective(mod, R)
+    # each leaf keeps the End basis that hom_space returns, in an array of
+    # its own rather than a view into its parent's blocks
+    for mod in modules.values():
+        ends = run.ends[mod.fingerprint()].ends
+        assert all(e.base is ends[0].base for e in ends)
+        assert ends[0].base.shape == (len(ends), mod.dim, mod.dim)
+        fresh = hom_space(mod, mod)
+        assert len(ends) == len(fresh)
+        assert all((a == b).all() for a, b in zip(ends, fresh))
+
+
+@pytest.mark.parametrize("path", ["perfbench/configs/d8_v4_c2.json",
+                                  "configs/s4_d8_d8.json"])
+def test_one_verify_solves_each_end_and_higman_test_once(path, monkeypatch):
+    # End solves: the top-level solve of decompose and every hom_space(M, M)
+    # of one module object, by fingerprint; Higman tests: the trace images
+    # of End that is_relatively_projective computes, by module and subgroup
+    ends, higman = Counter(), Counter()
+    hom, from_actions = D.hom_space, D.hom_space_from_actions
+    trace = D.relative_trace_image
+
+    def counting_hom(M, N):
+        if M is N:
+            ends[M.fingerprint()] += 1
+        return hom(M, N)
+
+    def counting_from_actions(*args):
+        ends[sys._getframe(1).f_locals["M"].fingerprint()] += 1
+        return from_actions(*args)
+
+    def counting_trace(M, N, emb, homs):
+        if sys._getframe(1).f_code.co_name == "is_relatively_projective":
+            higman[(M.fingerprint(), emb.element_indices)] += 1
+        return trace(M, N, emb, homs)
+
+    for namespace in (D, GREEN):
+        monkeypatch.setattr(namespace, "hom_space", counting_hom)
+    monkeypatch.setattr(D, "hom_space_from_actions", counting_from_actions)
+    monkeypatch.setattr(D, "relative_trace_image", counting_trace)
+    run = Run()
+    assert GREEN.verify_scenario(scenario(path), run).all_pass
+    # the Run keeps End bases of certified indecomposables only; the End of
+    # a decomposable induced module is solved by decompose and again by the
+    # quotient hom of the fully-faithful table
+    leaves = {key for key, info in run.ends.items() if info.local}
+    assert higman and max(higman.values()) == 1
+    assert {key: n for key, n in ends.items() if key in leaves and n > 1} == {}

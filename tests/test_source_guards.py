@@ -1,8 +1,9 @@
 """Static checks on the package source.
 
-No module may hold a mutable container at top level: such a global outlives
-every call, so a memo kept in one would leak results between runs.  Memo
-tables belong to a ``decompose.Run``.
+No module may hold a mutable container at top level, and no module-level
+function may be memoized by ``functools.cache`` or ``functools.lru_cache``:
+such a global outlives every call, so a memo kept in one would leak results
+between runs.  Memo tables belong to a ``decompose.Run``.
 """
 
 import ast
@@ -15,16 +16,21 @@ MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict",
                            "OrderedDict", "Counter", "deque"})
 MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
                  ast.SetComp)
+MEMO_DECORATORS = frozenset({"cache", "lru_cache"})
+
+
+def called_name(func: ast.expr) -> str | None:
+    """The last part of a dotted name: ``lru_cache`` of
+    ``functools.lru_cache``."""
+    return func.attr if isinstance(func, ast.Attribute) else \
+        getattr(func, "id", None)
 
 
 def is_mutable_container(node: ast.expr | None) -> bool:
     if isinstance(node, MUTABLE_NODES):
         return True
     if isinstance(node, ast.Call):
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else \
-            getattr(func, "id", None)
-        return name in MUTABLE_CALLS
+        return called_name(node.func) in MUTABLE_CALLS
     return False
 
 
@@ -40,10 +46,47 @@ def module_level_mutables(source: str) -> list[str]:
     return found
 
 
+def module_level_memos(source: str) -> list[str]:
+    """Line and name of each top-level function with a cache decorator,
+    called (``@lru_cache(maxsize=None)``) or not (``@functools.cache``)."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                called_name(d.func if isinstance(d, ast.Call) else d)
+                in MEMO_DECORATORS for d in stmt.decorator_list):
+            found.append(f"{stmt.lineno}: {stmt.name}")
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_no_module_level_mutable_containers(path):
     assert module_level_mutables(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_memoized_module_level_functions(path):
+    assert module_level_memos(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import functools\n@functools.cache\ndef f(x):\n    return x\n",
+    "import functools\n@functools.lru_cache\ndef f(x):\n    return x\n",
+    "from functools import lru_cache\n@lru_cache(maxsize=None)\n"
+    "def f(x):\n    return x\n",
+    "from functools import cache\n@staticmethod\n@cache\n"
+    "async def f(x):\n    return x\n",
+])
+def test_memo_guard_flags_each_cache_decorator(source):
+    assert len(module_level_memos(source)) == 1
+
+
+def test_memo_guard_allows_cached_properties_and_plain_decorators():
+    assert module_level_memos(
+        "from functools import cached_property, wraps\n"
+        "class A:\n    @cached_property\n    def x(self):\n        return 1\n"
+        "@wraps(print)\ndef f():\n    pass\n") == []
 
 
 @pytest.mark.parametrize("line", [
