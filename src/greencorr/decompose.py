@@ -27,9 +27,11 @@ relative projectivity.
 A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
 End analyses with their End bases, and vertices, by module fingerprint;
 Higman verdicts, by module fingerprint and subgroup; and the p-subgroup
-classes that a vertex descent walks, by group and subgroup.  A public
-function called without one makes a fresh ``Run`` for that call only, so
-nothing is kept between calls that do not share one.
+classes that a vertex descent walks, by group and subgroup.  Higman's test
+with the trivial subgroup, read through that table, is how
+``green.module_catalog`` finds the projective kD-modules whose inductions it
+skips.  A public function called without one makes a fresh ``Run`` for that
+call only, so nothing is kept between calls that do not share one.
 """
 
 from __future__ import annotations

@@ -277,16 +277,16 @@ def hom_space_from_actions(action_m: list[np.ndarray], dim_m: int,
             W[t] = (action_n[gpos] @ W[s]) % p
             block[t] = block[s]
 
-    # the operands that every batch multiplies by, in the float64 that
+    # W and ibt are operands of every batch below: float64, the form that
     # mat_mul multiplies in, converted once
+    W = W.astype(np.float64)
     ibt = mat_inv(spin.basis.T, p).astype(np.float64)
-    W64 = W.astype(np.float64)
 
     # the edge constraints, one batch of edges at a time, fold into a
     # running reduced echelon basis R of the constraint rows
     R, pivots = np.zeros((0, u), dtype=np.int64), []
     for batch in linalg.batches(len(spin.edges)):
-        rows = _edge_constraints(spin, batch, ibt, W, W64, block, action_m,
+        rows = _edge_constraints(spin, batch, ibt, W, block, action_m,
                                  action_n, p)
         if len(rows):
             R, pivots = linalg._rref_in_place(np.concatenate([R, rows]), p)
@@ -296,7 +296,7 @@ def hom_space_from_actions(action_m: list[np.ndarray], dim_m: int,
         return []
     nsol = sols.shape[0]
     sol_blocks = sols.reshape(nsol, r, dN)
-    W_T = W64.transpose(0, 2, 1)
+    W_T = W.transpose(0, 2, 1)
     flat = np.empty((nsol, dN * dM), dtype=np.int64)
     for batch in linalg.batches(nsol):
         x = sol_blocks[batch][:, block, :].transpose(1, 0, 2)
@@ -309,14 +309,14 @@ def hom_space_from_actions(action_m: list[np.ndarray], dim_m: int,
 
 
 def _edge_constraints(spin: _SpinData, batch: slice, ibt: np.ndarray,
-                      W: np.ndarray, W64: np.ndarray, block: np.ndarray,
+                      W: np.ndarray, block: np.ndarray,
                       action_m: list[np.ndarray], action_n: list[np.ndarray],
                       p: int) -> np.ndarray:
     """The nonzero constraint rows, over the r * dN unknowns (r seeds), of
     the Cayley edges (s, g) in spin.edges[batch]: A_g w_s, written in the
     spin basis and mapped through the operators W, must equal
     action_n[g] @ W[s] applied to the unknowns of the block of s.  ibt and
-    W64, the float64 copy of W, are mat_mul operands."""
+    W are float64 residues, as mat_mul takes them."""
     edges = spin.edges[batch]
     r, dN = len(spin.seeds), W.shape[1]
     ne, u = len(edges), r * dN
@@ -327,12 +327,13 @@ def _edge_constraints(spin: _SpinData, batch: slice, ibt: np.ndarray,
     for k in range(r):
         lo, hi = orbits[k], orbits[k + 1]
         combos[:, :, k * dN:(k + 1) * dN] = mat_mul(
-            coords[:, lo:hi], W64[lo:hi].reshape(-1, dN * dN),
+            coords[:, lo:hi], W[lo:hi].reshape(-1, dN * dN),
             p).reshape(ne, dN, dN)
     for e, (s, g) in enumerate(edges):
         kb = int(block[s])
         seg = combos[e, :, kb * dN:(kb + 1) * dN]
-        combos[e, :, kb * dN:(kb + 1) * dN] = (seg - (action_n[g] @ W[s])) % p
+        combos[e, :, kb * dN:(kb + 1) * dN] = (
+            seg - (action_n[g] @ W[s].astype(np.int64))) % p
     rows = combos.reshape(-1, u)
     return rows[rows.any(axis=1)]
 
