@@ -182,6 +182,8 @@ def test_one_verify_solves_each_end_and_higman_test_once(path, monkeypatch):
         return hom(M, N)
 
     def counting_from_actions(*args):
+        # decompose is its only caller in decompose.py, solving End(M) for
+        # the module M it was given
         ends[sys._getframe(1).f_locals["M"].fingerprint()] += 1
         return from_actions(*args)
 
