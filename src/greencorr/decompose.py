@@ -18,6 +18,14 @@ the trace-form levels of Cohen, Ivanyos & Wales (J. Pure Appl. Algebra
   right ideal x(E/J) is generated by an idempotent that one linear solve
   finds, and Fitting's lemma on a lift of it splits M.
 
+Before any End is solved, M is cut into the connected components of its
+support graph, which joins basis indices i and j when some generator action
+has a nonzero (i, j) or (j, i) entry.  No action leaves a component's span,
+so the components are an exact direct sum: in the coset-block basis of
+Res_K Ind_H M they are the blocks of the Mackey formula, one per K-orbit on
+G/H.  Each component's End is solved on the component, and each Fitting
+piece below it reads its End basis off its parent's.
+
 No step is random and no step enumerates units, so a decomposition does not
 depend on any seed, and a wrong certificate is never returned.  The radical
 of a local End(M) is kept with its certificate: it decides direct summands
@@ -360,6 +368,29 @@ def _conjugate(mats: list[np.ndarray], acting: int, P: np.ndarray,
     return out
 
 
+def _support_components(mats: list[np.ndarray], dim: int) -> list[np.ndarray]:
+    """Index arrays of the connected components of the support graph of the
+    actions ``mats``, ordered by their smallest index.  The graph joins i and
+    j when some action has a nonzero (i, j) or (j, i) entry, so every action
+    maps the span of a component's basis vectors into itself."""
+    adj = np.zeros((dim, dim), dtype=bool)
+    for a in mats:
+        adj |= a != 0
+    adj |= adj.T
+    unseen = np.ones(dim, dtype=bool)
+    components = []
+    while unseen.any():
+        reach = np.zeros(dim, dtype=bool)
+        frontier = np.zeros(dim, dtype=bool)
+        frontier[unseen.argmax()] = True
+        while frontier.any():
+            reach |= frontier
+            frontier = adj[frontier].any(axis=0) & ~reach
+        unseen &= ~reach
+        components.append(np.flatnonzero(reach))
+    return components
+
+
 def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int,
                    ends: list[np.ndarray]):
     """From the End basis of the module, its _LeafInfo when End is local,
@@ -404,10 +435,13 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
 
     Deterministic: every split is Fitting's, on a basis endomorphism or on
     an element read off the radical of End, with no budget and no
-    enumeration of units, so there is no seed.  Each piece's End basis is
-    read off its parent's.  The change of basis is checked with the same
-    conjugation as the splits: it must carry every generator action of M to
-    the block diagonal of the pieces' actions.  The result is memoized in
+    enumeration of units, so there is no seed.  M is first cut into the
+    components of its support graph (``_support_components``), and the End
+    of each component is solved on that component; below a component, each
+    Fitting piece's End basis is read off its parent's.  The change of basis
+    is checked with the same conjugation as the splits: it must carry every
+    generator action of M to the block diagonal of the pieces' actions, so
+    it certifies the component cut too.  The result is memoized in
     ``run`` by the module's exact fingerprint, and each summand's End
     analysis, with its End basis, is kept for ``end_info``.
     """
@@ -419,10 +453,12 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     p = M.p
     pieces: list[tuple[FpModule, np.ndarray, _LeafInfo]] = []
     # depth first, left piece first: (actions, embedding, dim, End basis read
-    # off the parent's, or None for M itself).  A loop, not a recursive
-    # closure, so no reference cycle keeps the run's tables alive
-    todo = [([a.copy() for a in M.action], np.eye(M.dim, dtype=np.int64),
-             M.dim, None)] if M.dim else []
+    # off the parent's, or None for a support component of M, whose End is
+    # solved on it).  A loop, not a recursive closure, so no reference cycle
+    # keeps the run's tables alive
+    eye = np.eye(M.dim, dtype=np.int64)
+    todo = [([a[np.ix_(c, c)] for a in M.action], eye[:, c], len(c), None)
+            for c in reversed(_support_components(M.action, M.dim))]
     while todo:
         mats, embed, dim, ends = todo.pop()
         mod = FpModule(M.group, p, mats, name=f"{M.name}[{len(pieces)}]",

@@ -171,6 +171,75 @@ def brute_isocomma_components(G, H, K):
     return out
 
 
+def brute_support_components(mats, dim):
+    """Components of the support graph of the actions ``mats`` (i and j are
+    joined when some action has a nonzero (i, j) entry), by union-find over
+    the nonzero entries: sorted index lists, ordered by their least index."""
+    parent = list(range(dim))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for A in mats:
+        for i, j in zip(*np.nonzero(A)):
+            ra, rb = find(int(i)), find(int(j))
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    comps = {}
+    for i in range(dim):
+        comps.setdefault(find(i), []).append(i)
+    return [comps[root] for root in sorted(comps)]
+
+
+def dense_conjugate(mats, p, rng):
+    """P^-1 A P for each action A, with P a seeded random invertible matrix
+    whose entries are drawn uniformly, so it mixes every basis vector."""
+    d = mats[0].shape[0]
+    P = rng.integers(0, p, size=(d, d))
+    while rank_mod(P, p) < d:
+        P = rng.integers(0, p, size=(d, d))
+    Pi = inv_mod_mat(P, p)
+    return [(Pi @ A @ P) % p for A in mats]
+
+
+def mackey_job_modules(seed):
+    """The modules that one mackey_odd_p benchmark job hands to
+    ``decompose``, built as the job builds them but not decomposed: one
+    (Res_H Ind_H^G M, [the double-coset inductions], recorded class rows)
+    per pool module M of ``perfbench/workloads.mackey_setup(seed)``."""
+    import importlib
+    import sys
+    from pathlib import Path
+
+    import pytest
+
+    from greencorr.permgroups import double_cosets
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        wl = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(bench))
+    ref = wl.load_reference(bench / "reference", "mackey_odd_p")
+    recorded = {c["name"]: c["modules"] for c in ref["mackey"]["chains"]}
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        # mackey_sides imports decompose when called: hand back its input
+        mp.setattr(importlib.import_module("greencorr.decompose"),
+                   "decompose", lambda M: M)
+        for chain in wl.mackey_setup(seed, ref):
+            G, H = chain["G"], chain["H"]
+            cosets = double_cosets(G, H, H)
+            for k, M in chain["modules"]:
+                (lhs,), rhs = wl.mackey_sides(G, H, M, cosets)
+                out.append((lhs, rhs, recorded[chain["name"]][k]["classes"]))
+    return out
+
+
 def kron_hom_basis(gens_m, gens_n, p):
     """Nullspace construction of Hom(M, N): all F with F rho_M(g) = rho_N(g) F.
 

@@ -4,19 +4,27 @@ import numpy as np
 
 from greencorr.catalog import (
     alternating,
+    bridge_groups,
     chain_s3,
     chain_s4_d8_c4,
     cyclic,
     scenario_chains,
     symmetric,
 )
-from greencorr.decompose import Run, decompose, relative_trace_image, _iso_indec
+from greencorr.decompose import (
+    Run,
+    _iso_indec,
+    _support_components,
+    decompose,
+    relative_trace_image,
+)
 from greencorr.green import (
     Scenario,
     factoring_subspace,
     is_x_object,
     quotient_hom_dim,
 )
+from greencorr.groupoids import group_groupoid, isocomma, subgroup_inclusion
 from greencorr.linalg import rref
 from greencorr.modules import (
     counit_ind_res,
@@ -225,3 +233,25 @@ def test_iso_indec_symmetry():
     for a in mods:
         for b in mods:
             assert _iso_indec(a, b) == _iso_indec(b, a)
+
+
+def test_support_components_of_res_ind_match_the_isocomma():
+    # Res_K Ind_H^G k is the permutation module on G/H, whose support
+    # components are the K-orbits: one per double coset KgH, of size
+    # [K : K ∩ gHg^-1], which is K.order over the automorphism order of the
+    # matching component of the isocomma (H/K/G)
+    pairs = 0
+    for name, G in bridge_groups().items():
+        Ggpd = group_groupoid(G, name)
+        subs = all_subgroups(G)
+        inclusions = [subgroup_inclusion(S, Ggpd) for S in subs]
+        for H, iH in zip(subs, inclusions):
+            ind = induce(trivial_module(H.group, 2), H)
+            for K, iK in zip(subs, inclusions):
+                res = restrict(ind, K)
+                dims = [len(c) for c in _support_components(res.action, res.dim)]
+                comps = isocomma(iH, iK).groupoid.components
+                assert sorted(dims) == sorted(K.order // c.aut_order
+                                              for c in comps), (name, H, K)
+                pairs += 1
+    assert pairs == 1152

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greencorr import cli
 from greencorr.catalog import alternating, chain_s3, cyclic, symmetric
@@ -21,6 +23,7 @@ from greencorr.decompose import (
 from greencorr.errors import InputError, TheoremViolationError
 from greencorr.linalg import in_row_space
 from greencorr.modules import (
+    FpModule,
     direct_sum,
     hom_space,
     hom_space_from_actions,
@@ -35,6 +38,9 @@ from greencorr.permgroups import subgroup, sylow, trivial_subgroup, whole_group
 from oracles import (
     brute_decompose_dims,
     brute_isomorphic,
+    brute_support_components,
+    dense_conjugate,
+    mackey_job_modules,
     summand_route_relatively_projective,
 )
 
@@ -433,15 +439,78 @@ def test_piece_ends_equal_a_fresh_solve_on_configs(name, monkeypatch, tmp_path):
     assert split_dims
 
 
+def certificate_rows(dec) -> list[tuple[int, ...]]:
+    return sorted((mod.dim, mult, c.end_dim, c.radical_dim, c.residue_degree)
+                  for (mod, mult), c in zip(dec.summands, dec.certificates))
+
+
 def test_piece_ends_equal_a_fresh_solve_on_mackey_pool(monkeypatch):
-    bench = ROOT / "perfbench"
-    monkeypatch.syspath_prepend(str(bench))
-    wl = importlib.import_module("workloads")
-    ref = wl.load_reference(bench / "reference", "mackey_odd_p")
+    # decompose solves End(Res_H Ind_H^G M) on its support components, the
+    # blocks of the Mackey formula; a dense change of basis joins them, so
+    # the Fitting splits below start from the whole module
+    lhs, _, recorded = max(mackey_job_modules(2), key=lambda m: m[0].dim)
+    mixed = dense_conjugate(lhs.action, lhs.p, np.random.default_rng(2))
+    M = FpModule(lhs.group, lhs.p, mixed, name="mixed")
+    assert len(D._support_components(M.action, M.dim)) == 1
     split_dims = check_piece_ends(monkeypatch)
-    outcome = wl.mackey_run(wl.mackey_setup(2, ref), ref)
-    assert outcome.attempted > 0 and outcome.failed == 0, outcome.errors
+    assert certificate_rows(decompose(M)) == sorted(map(tuple, recorded))
     assert max(split_dims) >= 40
+
+
+# ---------------------------------------------------------------------------
+# support components, split before any End is solved
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]),
+       group=st.sampled_from([symmetric(3), alternating(4)]),
+       parts=st.integers(2, 3))
+def test_support_components_match_oracle_and_keep_the_decomposition(
+        seed, p, group, parts):
+    rng = np.random.default_rng(seed)
+    # random_module spins one vector, so a part of dim >= 2 acts by no
+    # scalar, and a dense change of basis can join every component
+    S = random_module(group, p, 8, rng)
+    while S.dim < 3:
+        S = random_module(group, p, 8, rng)
+    for _ in range(parts - 1):
+        S = direct_sum(S, random_module(group, p, 8, rng))
+    perm = rng.permutation(S.dim)
+    M = FpModule(group, p, [a[np.ix_(perm, perm)] for a in S.action],
+                 name="sum")
+    components = D._support_components(M.action, M.dim)
+    assert [c.tolist() for c in components] == \
+        brute_support_components(M.action, M.dim)
+    assert len(components) >= parts
+    mixed = FpModule(group, p, dense_conjugate(M.action, p, rng), name="mixed")
+    assert len(D._support_components(mixed.action, mixed.dim)) == 1
+    dec, ref = decompose(M), decompose(mixed)
+    assert certificate_rows(dec) == certificate_rows(ref)
+    assert same_multiset(dec.summands, ref.summands)
+
+
+def test_a_misplaced_component_index_fails_the_final_check(monkeypatch):
+    kS3 = regular_module(symmetric(3), 3)
+    M = direct_sum(kS3, kS3)
+    components = D._support_components
+
+    def misplaced(mats, dim):
+        first, second, *rest = components(mats, dim)
+        return [first[1:], np.sort(np.append(second, first[0])), *rest]
+
+    conjugate, checked = D._conjugate, []
+
+    def recording(mats, *args):
+        checked.append(mats is M.action)
+        return conjugate(mats, *args)
+
+    monkeypatch.setattr(D, "_support_components", misplaced)
+    monkeypatch.setattr(D, "_conjugate", recording)
+    with pytest.raises(TheoremViolationError):
+        decompose(M)
+    # the change of basis of the whole module is what failed
+    assert checked[-1]
 
 
 def test_fitting_split_rejects_a_map_that_is_not_an_endomorphism():

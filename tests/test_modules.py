@@ -1,7 +1,4 @@
-import importlib
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +30,7 @@ from greencorr.modules import (
 )
 from greencorr.permgroups import subgroup, trivial_subgroup, whole_group
 
-from oracles import dense_hom_space, kron_hom_basis
+from oracles import dense_hom_space, kron_hom_basis, mackey_job_modules
 
 
 def test_module_construction_and_cache():
@@ -348,9 +345,6 @@ def test_conjugate_module_defining_identity():
 # the edge-batched hom solver against the dense system
 # ---------------------------------------------------------------------------
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
 def assert_same_basis(ours, oracle):
     assert len(ours) == len(oracle)
     for F, B in zip(ours, oracle):
@@ -372,29 +366,14 @@ def test_hom_space_matches_dense_system(seed, p, group):
 
 @pytest.fixture(scope="module")
 def mackey_ends():
-    """(dim, p, actions) of each End that one mackey_odd_p benchmark job
-    (seed 0) solves on a module of dimension 40 to 60: Res_H Ind_H^G of the
-    pool modules of dims 4 and 5 over S3 at p = 3 and of dim 10 over D10 at
-    p = 5, and one induced module of dim 50 over D10."""
-    bench = ROOT / "perfbench"
-    sys.path.insert(0, str(bench))
-    try:
-        wl = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(bench))
-    decompose_module = importlib.import_module("greencorr.decompose")
-    found = []
-
-    def recording(action_m, dim_m, action_n, dim_n, p):
-        if 40 <= dim_m == dim_n and action_m is action_n:
-            found.append((dim_m, p, [a.copy() for a in action_m]))
-        return hom_space_from_actions(action_m, dim_m, action_n, dim_n, p)
-
-    ref = wl.load_reference(bench / "reference", "mackey_odd_p")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decompose_module, "hom_space_from_actions", recording)
-        outcome = wl.mackey_run(wl.mackey_setup(0, ref), ref)
-    assert outcome.failed == 0, outcome.errors
+    """(dim, p, actions) of each module of dimension 40 to 60 that one
+    mackey_odd_p benchmark job (seed 0) hands to decompose: Res_H Ind_H^G of
+    the pool modules of dims 4 and 5 over S3 at p = 3 and of dim 10 over D10
+    at p = 5, and one induced module of dim 50 over D10.  decompose solves
+    End on their support components only, so the modules are built here."""
+    found = [(X.dim, X.p, X.action)
+             for lhs, rhs, _ in mackey_job_modules(0)
+             for X in (lhs, *rhs) if X.dim >= 40]
     assert sorted((d, p) for d, p, _ in found) == [(40, 3), (50, 3), (50, 5),
                                                    (60, 5)]
     return found

@@ -62,6 +62,32 @@ def test_one_run_computes_each_fingerprint_once(path, decompositions, vertices,
     assert sum(computed["vertex"].values()) == vertices
 
 
+# (End solves in decompose, largest module dim solved) in one mackey_odd_p
+# job (seed 0).  Solving End of the whole module before cutting it into its
+# support components made 20 solves, four of them on dims 40 to 60
+MACKEY_WORK = (51, 24)
+
+
+def test_mackey_job_solves_no_end_of_a_whole_mackey_side(monkeypatch):
+    solved = []
+    from_actions = D.hom_space_from_actions
+
+    def counting(action_m, dim_m, action_n, dim_n, p):
+        # decompose is its only caller in decompose.py, on the same actions
+        solved.append(dim_m)
+        return from_actions(action_m, dim_m, action_n, dim_n, p)
+
+    monkeypatch.setattr(D, "hom_space_from_actions", counting)
+    bench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    wl = importlib.import_module("workloads")
+    ref = wl.load_reference(bench / "reference", "mackey_odd_p")
+    outcome = wl.mackey_run(wl.mackey_setup(0, ref), ref)
+    assert outcome.attempted > 0 and outcome.failed == 0, outcome.errors
+    assert max(solved) < 40
+    assert (len(solved), max(solved)) == MACKEY_WORK
+
+
 def test_calls_without_a_run_share_nothing():
     M = regular_module(symmetric(3), 2)
     run = Run()

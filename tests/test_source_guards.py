@@ -4,9 +4,14 @@ No module may hold a mutable container at top level, and no module-level
 function may be memoized by ``functools.cache`` or ``functools.lru_cache``:
 such a global outlives every call, so a memo kept in one would leak results
 between runs.  Memo tables belong to a ``decompose.Run``.
+
+No module may import anything outside numpy, the standard library and the
+package itself, anywhere in its source: numpy is the one declared
+dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +22,7 @@ MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict",
 MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
                  ast.SetComp)
 MEMO_DECORATORS = frozenset({"cache", "lru_cache"})
+ALLOWED_IMPORTS = frozenset({"numpy", "greencorr"}) | sys.stdlib_module_names
 
 
 def called_name(func: ast.expr) -> str | None:
@@ -56,6 +62,47 @@ def module_level_memos(source: str) -> list[str]:
                 in MEMO_DECORATORS for d in stmt.decorator_list):
             found.append(f"{stmt.lineno}: {stmt.name}")
     return found
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Line and module of each import, at any depth, of a top-level package
+    outside ALLOWED_IMPORTS; relative imports stay inside the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found.extend(f"{node.lineno}: {name}" for name in names
+                     if name.split(".")[0] not in ALLOWED_IMPORTS)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_stay_within_the_declared_dependencies(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "import scipy\n",
+    "import scipy.sparse.csgraph as csgraph\n",
+    "from scipy.sparse import csgraph\n",
+    "import math, networkx\n",
+    "def f():\n    import sympy\n    return sympy\n",
+])
+def test_import_guard_flags_each_foreign_import(source):
+    assert len(foreign_imports(source)) == 1
+
+
+def test_import_guard_allows_numpy_the_standard_library_and_the_package():
+    assert foreign_imports(
+        "from __future__ import annotations\nimport math\n"
+        "import numpy as np\nfrom numpy.linalg import matrix_rank\n"
+        "from . import linalg\nfrom .errors import InputError\n"
+        "import greencorr.modules\n") == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
