@@ -23,14 +23,19 @@ support graph, which joins basis indices i and j when some generator action
 has a nonzero (i, j) or (j, i) entry.  No action leaves a component's span,
 so the components are an exact direct sum: in the coset-block basis of
 Res_K Ind_H M they are the blocks of the Mackey formula, one per K-orbit on
-G/H.  Each component's End is solved on the component, and each Fitting
-piece below it reads its End basis off its parent's.
+G/H.  Each distinct component's End is solved on the component, and each
+Fitting piece below it reads its End basis off its parent's; a component
+whose actions equal those of one already split in the same call takes that
+split's pieces on its own columns.
 
 No step is random and no step enumerates units, so a decomposition does not
 depend on any seed, and a wrong certificate is never returned.  The radical
 of a local End(M) is kept with its certificate: it decides direct summands
 and isomorphisms of indecomposables exactly, and Higman's criterion decides
-relative projectivity.
+relative projectivity.  Isomorphism classes are found first fit; a pair that
+differs in the dimension, the trace of a generator action or the rank of
+(action - I), all invariant under conjugation, is told apart without a Hom
+solve.
 
 A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
 End analyses with their End bases, and vertices, by module fingerprint;
@@ -408,6 +413,40 @@ def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int,
     return split
 
 
+def _split_component(group: PermGroup, mats: list[np.ndarray], dim: int,
+                     p: int, run: Run
+                     ) -> list[tuple[list[np.ndarray], np.ndarray, _LeafInfo]]:
+    """The indecomposable pieces of the module with actions ``mats``, depth
+    first, left piece first: (actions, embedding, _LeafInfo) each.  Its End
+    is solved here, and each Fitting piece below reads its End basis off its
+    parent's.  A loop, not a recursive closure, so no reference cycle keeps
+    the run's tables alive."""
+    out = []
+    # (actions, embedding, dim, End basis read off the parent's, or None at
+    # the top, where End is solved)
+    todo = [(mats, np.eye(dim, dtype=np.int64), dim, None)]
+    while todo:
+        mats, embed, dim, ends = todo.pop()
+        key = FpModule(group, p, mats, check=False, dim=dim).fingerprint()
+        # a local End has no splitting basis element, so a memoized local
+        # analysis is what _leaf_or_split would find; a non-local one is not
+        # used, or the split would depend on what the run holds
+        info = run.ends.get(key)
+        if info is None or not info.local:
+            if ends is None:
+                ends = hom_space_from_actions(mats, dim, mats, dim, p)
+            split = _leaf_or_split(mats, dim, p, ends)
+            if not isinstance(split, _LeafInfo):
+                # the left piece goes on top, so it is taken first
+                for acts, cols, piece_ends in reversed(split):
+                    todo.append((acts, (embed @ cols) % p, cols.shape[1],
+                                 piece_ends))
+                continue
+            run.ends[key] = info = split
+        out.append((mats, embed, info))
+    return out
+
+
 class Run:
     """The memo tables of one top-level computation.
 
@@ -436,14 +475,19 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     Deterministic: every split is Fitting's, on a basis endomorphism or on
     an element read off the radical of End, with no budget and no
     enumeration of units, so there is no seed.  M is first cut into the
-    components of its support graph (``_support_components``), and the End
-    of each component is solved on that component; below a component, each
-    Fitting piece's End basis is read off its parent's.  The change of basis
-    is checked with the same conjugation as the splits: it must carry every
+    components of its support graph (``_support_components``), and
+    ``_split_component`` splits each distinct component, keyed by the
+    fingerprint of its actions for this call only: it solves End on the
+    component, and each Fitting piece's End basis is read off its parent's.
+    A repeated component reuses the first one's pieces, placed on its own
+    columns, as fresh modules.  The change of basis is checked with the same
+    conjugation as the splits: it must be invertible and carry every
     generator action of M to the block diagonal of the pieces' actions, so
-    it certifies the component cut too.  The result is memoized in
-    ``run`` by the module's exact fingerprint, and each summand's End
-    analysis, with its End basis, is kept for ``end_info``.
+    it certifies the component cut and the reuse too.  Pieces that differ
+    in a conjugation invariant are told apart without a Hom solve
+    (``_tally``).  The result is memoized in ``run`` by the module's exact
+    fingerprint, and each summand's End analysis, with its End basis, is
+    kept for ``end_info``.
     """
     run = run or Run()
     cache_key = M.fingerprint()
@@ -452,34 +496,24 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
         return hit
     p = M.p
     pieces: list[tuple[FpModule, np.ndarray, _LeafInfo]] = []
-    # depth first, left piece first: (actions, embedding, dim, End basis read
-    # off the parent's, or None for a support component of M, whose End is
-    # solved on it).  A loop, not a recursive closure, so no reference cycle
-    # keeps the run's tables alive
-    eye = np.eye(M.dim, dtype=np.int64)
-    todo = [([a[np.ix_(c, c)] for a in M.action], eye[:, c], len(c), None)
-            for c in reversed(_support_components(M.action, M.dim))]
-    while todo:
-        mats, embed, dim, ends = todo.pop()
-        mod = FpModule(M.group, p, mats, name=f"{M.name}[{len(pieces)}]",
-                       check=False, dim=dim)
-        key = mod.fingerprint()
-        # a local End has no splitting basis element, so a memoized local
-        # analysis is what _leaf_or_split would find; a non-local one is not
-        # used, or the split would depend on what the run holds
-        info = run.ends.get(key)
-        if info is None or not info.local:
-            if ends is None:
-                ends = hom_space_from_actions(mats, dim, mats, dim, p)
-            out = _leaf_or_split(mats, dim, p, ends)
-            if not isinstance(out, _LeafInfo):
-                # the left piece goes on top, so it is taken first
-                for acts, cols, piece_ends in reversed(out):
-                    todo.append((acts, (embed @ cols) % p, cols.shape[1],
-                                 piece_ends))
-                continue
-            run.ends[key] = info = out
-        pieces.append((mod, embed, info))
+    # the pieces of each distinct component, by the fingerprint of its
+    # actions: (actions, embedding in the component, _LeafInfo) per piece
+    split_of: dict[bytes, list[tuple[list[np.ndarray], np.ndarray,
+                                     _LeafInfo]]] = {}
+    for comp in _support_components(M.action, M.dim):
+        mats = [a[np.ix_(comp, comp)] for a in M.action]
+        key = FpModule(M.group, p, mats, check=False,
+                       dim=len(comp)).fingerprint()
+        split = split_of.get(key)
+        if split is None:
+            split = split_of[key] = _split_component(M.group, mats, len(comp),
+                                                     p, run)
+        for acts, local, info in split:
+            embed = np.zeros((M.dim, local.shape[1]), dtype=np.int64)
+            embed[comp] = local
+            mod = FpModule(M.group, p, acts, name=f"{M.name}[{len(pieces)}]",
+                           check=False, dim=local.shape[1])
+            pieces.append((mod, embed, info))
 
     summands = sorted(_tally([(mod, 1) for mod, _, _ in pieces], run),
                       key=lambda c: c[0].dim)
@@ -488,8 +522,11 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
 
     if pieces:
         cob = np.concatenate([embed for _, embed, _ in pieces], axis=1) % p
-        assert rank(cob, p) == M.dim
-        blocks = _conjugate(M.action, len(M.action), cob, mat_inv(cob, p),
+        try:
+            cob_inv = mat_inv(cob, p)
+        except InputError:
+            raise TheoremViolationError("the pieces do not span M") from None
+        blocks = _conjugate(M.action, len(M.action), cob, cob_inv,
                             [mod.dim for mod, _, _ in pieces], p)
         for (mod, _, _), blk in zip(pieces, blocks):
             assert (blk == np.reshape(mod.action, blk.shape)).all()
@@ -593,16 +630,27 @@ def is_isomorphic(M: FpModule, N: FpModule, run: Run | None = None) -> bool:
                          decompose(N, run).summands, run)
 
 
+def _invariants_differ(M: FpModule, N: FpModule) -> bool:
+    """Whether a conjugation invariant tells M and N apart: the dimension,
+    then the trace of each generator action, then rank(a - I) of each.
+    Isomorphic modules have conjugate actions, so they never differ."""
+    return (M.dim != N.dim
+            or M.generator_traces() != N.generator_traces()
+            or M.generator_moved_ranks() != N.generator_moved_ranks())
+
+
 def _tally(items: list[tuple[FpModule, int]], run: Run,
            classes: list[tuple[FpModule, int]] = ()
            ) -> list[tuple[FpModule, int]]:
     """Fold (certified indecomposable, multiplicity) items into the
     isomorphism classes ``classes``, first fit: an item joins the first class
-    whose representative is isomorphic to it, or opens a new class."""
+    whose representative is isomorphic to it, or opens a new class.  A class
+    whose representative differs from the item in a conjugation invariant
+    (``_invariants_differ``) is passed over without a Hom solve."""
     out = [list(c) for c in classes]
     for mod, mult in items:
         for c in out:
-            if c[0].dim == mod.dim and _iso_indec(c[0], mod, run):
+            if not _invariants_differ(c[0], mod) and _iso_indec(c[0], mod, run):
                 c[1] += mult
                 break
         else:
@@ -612,8 +660,15 @@ def _tally(items: list[tuple[FpModule, int]], run: Run,
 
 def multiset_of_classes(decs: list[Decomposition],
                         run: Run | None = None) -> list[tuple[FpModule, int]]:
-    """Merge decompositions into one multiset of iso classes with counts."""
-    return _tally([s for dec in decs for s in dec.summands], run or Run())
+    """Merge decompositions into one multiset of iso classes with counts.
+
+    The summands of one decomposition are pairwise non-isomorphic, since
+    ``decompose`` tallied them, so the first decomposition's summands are
+    the starting classes and only the others are folded in."""
+    if not decs:
+        return []
+    return _tally([s for dec in decs[1:] for s in dec.summands], run or Run(),
+                  decs[0].summands)
 
 
 def same_multiset(a: list[tuple[FpModule, int]],

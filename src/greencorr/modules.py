@@ -41,6 +41,9 @@ class FpModule:
         self.name = name
         self._elem_cache: dict[int, np.ndarray] = {
             group.identity: np.eye(self.dim, dtype=np.int64)}
+        # write-once conjugation invariants, see generator_traces
+        self._traces: tuple[int, ...] | None = None
+        self._moved_ranks: tuple[int, ...] | None = None
         if check and self.dim:
             for a in self.action:
                 if linalg.rank(a, p) != self.dim:
@@ -59,6 +62,22 @@ class FpModule:
         mat = (self.element_action(parent) @ self.action[gpos]) % self.p
         self._elem_cache[idx] = mat
         return mat
+
+    def generator_traces(self) -> tuple[int, ...]:
+        """The trace mod p of each generator action, computed once.  It is
+        invariant under conjugation, so isomorphic modules agree on it."""
+        if self._traces is None:
+            self._traces = tuple(int(np.trace(a)) % self.p for a in self.action)
+        return self._traces
+
+    def generator_moved_ranks(self) -> tuple[int, ...]:
+        """rank((a - I) mod p) of each generator action a, computed once;
+        invariant under conjugation like ``generator_traces``."""
+        if self._moved_ranks is None:
+            eye = np.eye(self.dim, dtype=np.int64)
+            self._moved_ranks = tuple(linalg.rank(a - eye, self.p)
+                                      for a in self.action)
+        return self._moved_ranks
 
     def spot_check(self, rng: np.random.Generator, samples: int = 10) -> None:
         """Random check that cached matrices respect the multiplication table."""

@@ -205,6 +205,24 @@ def dense_conjugate(mats, p, rng):
     return [(Pi @ A @ P) % p for A in mats]
 
 
+def first_fit_tally(items, run, classes=()):
+    """``decompose._tally`` without its invariant screen: each (certified
+    indecomposable, multiplicity) item joins the first class whose
+    representative has its dimension and is isomorphic to it by
+    ``_iso_indec``, or opens a new class."""
+    from greencorr.decompose import _iso_indec
+
+    out = [list(c) for c in classes]
+    for mod, mult in items:
+        for c in out:
+            if c[0].dim == mod.dim and _iso_indec(c[0], mod, run):
+                c[1] += mult
+                break
+        else:
+            out.append([mod, mult])
+    return [(rep, count) for rep, count in out]
+
+
 def mackey_job_modules(seed):
     """The modules that one mackey_odd_p benchmark job hands to
     ``decompose``, built as the job builds them but not decomposed: one

@@ -40,7 +40,9 @@ from oracles import (
     brute_isomorphic,
     brute_support_components,
     dense_conjugate,
+    first_fit_tally,
     mackey_job_modules,
+    rank_mod,
     summand_route_relatively_projective,
 )
 
@@ -490,6 +492,60 @@ def test_support_components_match_oracle_and_keep_the_decomposition(
     assert same_multiset(dec.summands, ref.summands)
 
 
+def riffled_sum(blocks: list[FpModule], rng) -> FpModule:
+    """The direct sum of ``blocks`` under a random basis permutation that
+    interleaves the blocks but keeps the order of each block's basis, so a
+    repeated block restricts to byte-equal actions on its components."""
+    S = blocks[0]
+    for B in blocks[1:]:
+        S = direct_sum(S, B)
+    starts = np.cumsum([0] + [B.dim for B in blocks])
+    owner = rng.permutation(np.repeat(np.arange(len(blocks)),
+                                      [B.dim for B in blocks]))
+    taken = starts[:-1].copy()
+    src = []
+    for b in owner:
+        src.append(taken[b])
+        taken[b] += 1
+    return FpModule(S.group, S.p, [a[np.ix_(src, src)] for a in S.action],
+                    name="riffled")
+
+
+@pytest.mark.parametrize("group, p, seed", [
+    (symmetric(3), 3, 0), (alternating(4), 2, 1), (cyclic(4), 5, 2)])
+def test_repeated_components_are_split_once(group, p, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    A = regular_module(group, p)
+    B = random_module(group, p, 5, rng)
+    M = riffled_sum([A, B, A, A, B], rng)
+    keys = [FpModule(group, p, [a[np.ix_(c, c)] for a in M.action],
+                     check=False, dim=len(c)).fingerprint()
+            for c in D._support_components(M.action, M.dim)]
+    assert len(keys) > len(set(keys))
+    solved = []
+    from_actions = D.hom_space_from_actions
+
+    def counting(action, dim, *args):
+        solved.append(FpModule(group, p, action, check=False,
+                               dim=dim).fingerprint())
+        return from_actions(action, dim, *args)
+
+    monkeypatch.setattr(D, "hom_space_from_actions", counting)
+    dec = decompose(M)
+    assert sorted(solved) == sorted(set(keys))
+    # the same decomposition as a single component, split from one End
+    mixed = FpModule(group, p, dense_conjugate(M.action, p, rng),
+                     name="mixed")
+    assert len(D._support_components(mixed.action, mixed.dim)) == 1
+    ref = decompose(mixed)
+    assert certificate_rows(dec) == certificate_rows(ref)
+    assert same_multiset(dec.summands, ref.summands)
+    # a repeated piece is a module of its own, named by its place
+    assert len({id(mod) for mod in dec.pieces}) == len(dec.pieces)
+    assert [mod.name for mod in dec.pieces] == \
+        [f"riffled[{i}]" for i in range(len(dec.pieces))]
+
+
 def test_a_misplaced_component_index_fails_the_final_check(monkeypatch):
     kS3 = regular_module(symmetric(3), 3)
     M = direct_sum(kS3, kS3)
@@ -526,3 +582,74 @@ def test_fitting_split_rejects_a_map_that_is_not_an_endomorphism():
     pieces = D._fitting_split(M.action, hom_space(M, M), e, 3)
     assert [cols.shape[1] for _, cols, _ in pieces] == [1, 1]
     assert sorted(int(acts[0][0, 0]) for acts, _, _ in pieces) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# isomorphism classes, screened by conjugation invariants
+# ---------------------------------------------------------------------------
+
+
+def check_screened_tally(group, p, seed):
+    """Certified indecomposables of random modules, of a direct sum of them
+    and of its dense conjugate, each with a dense conjugate copy: the copies
+    agree with their originals on every invariant, and the screened tally
+    finds the classes of the unscreened first fit, with the same
+    representatives."""
+    rng = np.random.default_rng(seed)
+    mods = [random_module(group, p, 6, rng) for _ in range(3)]
+    total = direct_sum(mods[0], mods[1])
+    mods += [total, FpModule(group, p, dense_conjugate(total.action, p, rng))]
+    run = Run()
+    pieces = [mod for M in mods for mod in decompose(M, run).pieces]
+    copies = [FpModule(group, p, dense_conjugate(mod.action, p, rng),
+                       name="copy") for mod in pieces]
+    for mod, copy in zip(pieces, copies):
+        assert mod.generator_traces() == copy.generator_traces()
+        assert mod.generator_moved_ranks() == copy.generator_moved_ranks()
+        assert not D._invariants_differ(mod, copy)
+    items = [(mod, 1) for mod in pieces + copies]
+    items = [items[i] for i in rng.permutation(len(items))]
+    screened = D._tally(items, run)
+    oracle = first_fit_tally(items, Run())
+    assert [(id(rep), n) for rep, n in screened] == \
+        [(id(rep), n) for rep, n in oracle]
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]),
+       group=st.sampled_from([symmetric(3), alternating(4), cyclic(4)]))
+def test_screened_tally_matches_first_fit_oracle(seed, p, group):
+    check_screened_tally(group, p, seed)
+
+
+def test_an_invariant_that_depends_on_the_basis_fails_the_check(monkeypatch):
+    check_screened_tally(symmetric(3), 3, 0)
+    monkeypatch.setattr(FpModule, "generator_traces", lambda self: tuple(
+        int(a[0, 0]) for a in self.action))
+    with pytest.raises(AssertionError):
+        check_screened_tally(symmetric(3), 3, 0)
+
+
+def test_mackey_job_tests_no_isomorphism_that_an_invariant_rules_out(
+        monkeypatch):
+    # the invariants are recomputed here, apart from the modules' memos
+    def invariants(M):
+        eye = np.eye(M.dim, dtype=np.int64)
+        return (M.dim, [int(np.trace(a)) % M.p for a in M.action],
+                [rank_mod(a - eye, M.p) for a in M.action])
+
+    pairs = []
+    retract = D._is_retract
+
+    def recording(M, X, run):
+        pairs.append(invariants(M) == invariants(X))
+        return retract(M, X, run)
+
+    monkeypatch.setattr(D, "_is_retract", recording)
+    bench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    wl = importlib.import_module("workloads")
+    ref = wl.load_reference(bench / "reference", "mackey_odd_p")
+    outcome = wl.mackey_run(wl.mackey_setup(0, ref), ref)
+    assert outcome.attempted > 0 and outcome.failed == 0, outcome.errors
+    assert pairs and all(pairs)

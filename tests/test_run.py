@@ -14,7 +14,7 @@ from greencorr import cli
 from greencorr.catalog import symmetric
 from greencorr.decompose import Run, decompose
 from greencorr.linalg import rref
-from greencorr.modules import hom_space, regular_module
+from greencorr.modules import FpModule, hom_space, regular_module
 from greencorr.permgroups import (
     SubgroupEmbedding, p_subgroups_up_to_conjugacy, sylow)
 
@@ -64,8 +64,9 @@ def test_one_run_computes_each_fingerprint_once(path, decompositions, vertices,
 
 # (End solves in decompose, largest module dim solved) in one mackey_odd_p
 # job (seed 0).  Solving End of the whole module before cutting it into its
-# support components made 20 solves, four of them on dims 40 to 60
-MACKEY_WORK = (51, 24)
+# support components made 20 solves, four of them on dims 40 to 60; solving
+# it on every component, repeats included, made 51
+MACKEY_WORK = (38, 24)
 
 
 def test_mackey_job_solves_no_end_of_a_whole_mackey_side(monkeypatch):
@@ -195,8 +196,8 @@ def test_run_tables_match_fresh_computations(path):
 @pytest.mark.parametrize("path", ["perfbench/configs/d8_v4_c2.json",
                                   "configs/s4_d8_d8.json"])
 def test_one_verify_solves_each_end_and_higman_test_once(path, monkeypatch):
-    # End solves: the top-level solve of decompose and every hom_space(M, M)
-    # of one module object, by fingerprint; Higman tests: the trace images
+    # End solves: the solve of each support component in decompose and every
+    # hom_space(M, M) of one module object, by fingerprint; Higman tests: the trace images
     # of End that is_relatively_projective computes, by module and subgroup
     ends, higman = Counter(), Counter()
     hom, from_actions = D.hom_space, D.hom_space_from_actions
@@ -207,11 +208,13 @@ def test_one_verify_solves_each_end_and_higman_test_once(path, monkeypatch):
             ends[M.fingerprint()] += 1
         return hom(M, N)
 
-    def counting_from_actions(*args):
-        # decompose is its only caller in decompose.py, solving End(M) for
-        # the module M it was given
-        ends[sys._getframe(1).f_locals["M"].fingerprint()] += 1
-        return from_actions(*args)
+    def counting_from_actions(action, dim, *args):
+        # decompose solves End of each distinct support component of the
+        # module it was given, through _split_component, over its group
+        group = sys._getframe(1).f_locals["group"]
+        ends[FpModule(group, args[-1], action, check=False,
+                      dim=dim).fingerprint()] += 1
+        return from_actions(action, dim, *args)
 
     def counting_trace(M, N, emb, homs):
         if sys._getframe(1).f_code.co_name == "is_relatively_projective":
