@@ -32,10 +32,10 @@ No step is random and no step enumerates units, so a decomposition does not
 depend on any seed, and a wrong certificate is never returned.  The radical
 of a local End(M) is kept with its certificate: it decides direct summands
 and isomorphisms of indecomposables exactly, and Higman's criterion decides
-relative projectivity.  Isomorphism classes are found first fit; a pair that
-differs in the dimension, the trace of a generator action or the rank of
-(action - I), all invariant under conjugation, is told apart without a Hom
-solve.
+relative projectivity.  Isomorphism classes are found first fit.  Every
+isomorphism test first compares the dimension, the trace of each generator
+action and the rank of each (action - I), all invariant under conjugation,
+and tells a pair that differs apart without a Hom solve.
 
 A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
 End analyses with their End bases, and vertices, by module fingerprint;
@@ -289,6 +289,13 @@ class _LeafInfo:
                                   self.residue_degree)
 
 
+def _undecided(reason: str, p: int, dim: int, end_dim: int,
+               radical_dim: int) -> UndecidedError:
+    """An UndecidedError that says where it fired."""
+    return UndecidedError(f"{reason} (p = {p}, dim M = {dim}, "
+                          f"dim End M = {end_dim}, dim J = {radical_dim})")
+
+
 def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
     """Decide locality of End(M) from its radical, or produce a splitter."""
     m = len(ends)
@@ -302,7 +309,10 @@ def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
     mult = alg.structure_constants()
     J, j_pivots = _radical(alg, mult)
     quotient = _Semisimple(alg, mult, J, j_pivots)
-    x = quotient.splitting_element()
+    try:
+        x = quotient.splitting_element()
+    except UndecidedError as exc:
+        raise _undecided(str(exc), p, dim, m, len(J)) from exc
     if x is None:
         return _LeafInfo(True, m, len(J), m - len(J), ends,
                          radical_flat=alg.flat_echelon(J))
@@ -409,7 +419,8 @@ def _leaf_or_split(mats: list[np.ndarray], dim: int, p: int,
         return info
     split = _fitting_split(mats, ends, info.splitter, p)
     if split is None:
-        raise UndecidedError("certificate splitter failed to split")
+        raise _undecided("certificate splitter failed to split", p, dim,
+                         info.end_dim, info.radical_dim)
     return split
 
 
@@ -485,9 +496,9 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     generator action of M to the block diagonal of the pieces' actions, so
     it certifies the component cut and the reuse too.  Pieces that differ
     in a conjugation invariant are told apart without a Hom solve
-    (``_tally``).  The result is memoized in ``run`` by the module's exact
-    fingerprint, and each summand's End analysis, with its End basis, is
-    kept for ``end_info``.
+    (``_iso_indec``).  The result is memoized in ``run`` by the module's
+    exact fingerprint, and each summand's End analysis, with its End basis,
+    is kept for ``end_info``.
     """
     run = run or Run()
     cache_key = M.fingerprint()
@@ -608,18 +619,20 @@ def is_direct_summand(M: FpModule, X: FpModule,
 
 def _iso_indec(M: FpModule, N: FpModule, run: Run | None = None) -> bool:
     """Exact isomorphism test for certified-indecomposable modules: M ≅ N iff
-    the dimensions agree and M is a direct summand of N."""
-    return M.dim == N.dim and _is_retract(M, N, run or Run())
+    no conjugation invariant tells them apart (``_invariants_differ``, the
+    dimension first) and M is a direct summand of N."""
+    return not _invariants_differ(M, N) and _is_retract(M, N, run or Run())
 
 
 def is_isomorphic(M: FpModule, N: FpModule, run: Run | None = None) -> bool:
     """General isomorphism test.
 
-    An invertible basis hom decides at once; otherwise the Krull-Schmidt
+    Modules that a conjugation invariant tells apart are not isomorphic.  An
+    invertible basis hom decides at once; otherwise the Krull-Schmidt
     multisets of both decompositions are compared class by class.
     """
     same_context(M, N)
-    if M.dim != N.dim:
+    if _invariants_differ(M, N):
         return False
     if M.dim == 0:
         return True
@@ -644,13 +657,13 @@ def _tally(items: list[tuple[FpModule, int]], run: Run,
            ) -> list[tuple[FpModule, int]]:
     """Fold (certified indecomposable, multiplicity) items into the
     isomorphism classes ``classes``, first fit: an item joins the first class
-    whose representative is isomorphic to it, or opens a new class.  A class
-    whose representative differs from the item in a conjugation invariant
-    (``_invariants_differ``) is passed over without a Hom solve."""
+    whose representative is isomorphic to it, or opens a new class.
+    ``_iso_indec`` passes over a class whose representative differs from the
+    item in a conjugation invariant without a Hom solve."""
     out = [list(c) for c in classes]
     for mod, mult in items:
         for c in out:
-            if not _invariants_differ(c[0], mod) and _iso_indec(c[0], mod, run):
+            if _iso_indec(c[0], mod, run):
                 c[1] += mult
                 break
         else:

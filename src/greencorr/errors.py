@@ -9,7 +9,8 @@ class UndecidedError(RuntimeError):
     """A certification routine exhausted its strategies without a verdict.
 
     Raised instead of guessing; callers treat it as a failure, never as a
-    silent default.
+    silent default.  The decomposition's raises name p, dim M, dim End M and
+    dim J(End M) of the module where they fired.
     """
 
 

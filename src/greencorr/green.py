@@ -481,7 +481,7 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
         bij_ok = bij_ok and round_trip and m_le_ind and n_le_res
         up_images.append(m)
         match_g = next((names_g[j] for j, mg in enumerate(elig_g)
-                        if mg.dim == m.dim and _iso_indec(mg, m, run)), None)
+                        if _iso_indec(mg, m, run)), None)
         bij_ok = bij_ok and match_g is not None
         pairs.append({
             "n": names_h[i1], "m": match_g or f"G:d{m.dim}?",
@@ -492,7 +492,7 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
         })
     # surjectivity up to retracts: every eligible m over G is hit
     for j, m in enumerate(elig_g):
-        hit = any(mu.dim == m.dim and _iso_indec(mu, m, run) for mu in up_images)
+        hit = any(_iso_indec(mu, m, run) for mu in up_images)
         if not hit:
             bij_ok = False
     verdicts["bijection_round_trip"] = bij_ok

@@ -58,6 +58,17 @@ def _chunked_spans(counts):
         yield owner, pos - (ends[owner] - counts[owner])
 
 
+def _distinct(a) -> np.ndarray:
+    """The sorted distinct values of a, flattened, as numpy's ``unique``
+    returns them, from one sort and one comparison of neighbours.  ``unique``
+    asks ``numpy.ma`` whether a is masked, and the first import of
+    ``numpy.ma`` costs more than a small verify."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def _locate(keys: np.ndarray, key) -> tuple[np.ndarray, np.ndarray]:
     """Positions of key in the sorted array keys, and the mask of keys absent."""
     pos = np.searchsorted(keys, key)
@@ -380,7 +391,7 @@ class GroupoidFunctor:
         """Injectivity of the morphism map on every hom-set."""
         keys, order = self.domain._hom_sorted
         images = keys * self.codomain.n_morphisms + self.mor_map[order]
-        return len(np.unique(images)) == self.domain.n_morphisms
+        return len(_distinct(images)) == self.domain.n_morphisms
 
     def _check_endpoints(self) -> None:
         dom, cod = self.domain, self.codomain
@@ -561,7 +572,7 @@ class _FullSubgroupoid(FiniteGroupoid):
 def full_subgroupoid(A: FiniteGroupoid, object_idxs,
                      name: str = "") -> tuple[FiniteGroupoid, GroupoidFunctor]:
     """Full subgroupoid on a subset of objects, with its inclusion functor."""
-    obj_of = np.unique(np.asarray(object_idxs, dtype=np.int64))
+    obj_of = _distinct(np.asarray(object_idxs, dtype=np.int64))
     S = _FullSubgroupoid(A, obj_of, name or f"{A.name}|full")
     incl = GroupoidFunctor(S, A, obj_of, S.mor_of, name=f"incl({S.name})")
     return S, incl
@@ -715,8 +726,8 @@ def isocomma_coproduct_relabeling(
                                      obj_map, mor_map, name="relabel"))
     all_objs = np.concatenate([F.obj_map for F in parts])
     all_mors = np.concatenate([F.mor_map for F in parts])
-    assert len(np.unique(all_objs)) == whole.groupoid.n_objects
-    assert len(np.unique(all_mors)) == whole.groupoid.n_morphisms
+    assert len(_distinct(all_objs)) == whole.groupoid.n_objects
+    assert len(_distinct(all_mors)) == whole.groupoid.n_morphisms
     return parts[0], parts[1]
 
 
@@ -775,10 +786,10 @@ def is_equivalence(F: GroupoidFunctor) -> bool:
     dcomp = dom.components
     images = F.obj_map[[c.base for c in dcomp]]
     hit = cod.component_of()[images]
-    if len(np.unique(hit)) != len(hit):
+    if len(_distinct(hit)) != len(hit):
         return False  # two components collapse: not full
     for c, img in zip(dcomp, images.tolist()):
-        if len(np.unique(F.mor_map[c.loops])) != len(c.loops):
+        if len(_distinct(F.mor_map[c.loops])) != len(c.loops):
             return False  # not faithful
         if len(c.loops) != len(cod.hom(img, img)):
             return False  # not full

@@ -156,15 +156,12 @@ class PermGroup:
 
     @cached_property
     def fingerprint(self) -> bytes:
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(f"{self.degree}|".encode())
-        for e in self.elements:
-            h.update(bytes(e))
-        for g in self.generators:
-            h.update(bytes(g))
-        return h.digest()
+        """A memo key for the group: the exact bytes of the degree, every
+        element and every generator, with no digest.  Equal keys mean the
+        same elements in the same order and the same generating sequence."""
+        return b"".join([f"{self.degree}|".encode(),
+                         *map(bytes, self.elements),
+                         *map(bytes, self.generators)])
 
     def element_order(self, i: int) -> int:
         k, x = 1, i

@@ -206,16 +206,16 @@ def dense_conjugate(mats, p, rng):
 
 
 def first_fit_tally(items, run, classes=()):
-    """``decompose._tally`` without its invariant screen: each (certified
-    indecomposable, multiplicity) item joins the first class whose
-    representative has its dimension and is isomorphic to it by
-    ``_iso_indec``, or opens a new class."""
-    from greencorr.decompose import _iso_indec
+    """``decompose._tally`` without the invariant screen of ``_iso_indec``:
+    each (certified indecomposable, multiplicity) item joins the first class
+    whose representative has its dimension and is a direct summand of it
+    (``_is_retract``), or opens a new class."""
+    from greencorr.decompose import _is_retract
 
     out = [list(c) for c in classes]
     for mod, mult in items:
         for c in out:
-            if c[0].dim == mod.dim and _iso_indec(c[0], mod, run):
+            if c[0].dim == mod.dim and _is_retract(c[0], mod, run):
                 c[1] += mult
                 break
         else:

@@ -1,4 +1,5 @@
 import importlib
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ from greencorr.decompose import (
     same_multiset,
     vertex,
 )
-from greencorr.errors import InputError, TheoremViolationError
+from greencorr.errors import InputError, TheoremViolationError, UndecidedError
+from greencorr.green import verify_scenario
 from greencorr.linalg import in_row_space
 from greencorr.modules import (
     FpModule,
@@ -630,14 +632,15 @@ def test_an_invariant_that_depends_on_the_basis_fails_the_check(monkeypatch):
         check_screened_tally(symmetric(3), 3, 0)
 
 
+def invariants(M):
+    """The screen's invariants, recomputed apart from the modules' memos."""
+    eye = np.eye(M.dim, dtype=np.int64)
+    return (M.dim, [int(np.trace(a)) % M.p for a in M.action],
+            [rank_mod(a - eye, M.p) for a in M.action])
+
+
 def test_mackey_job_tests_no_isomorphism_that_an_invariant_rules_out(
         monkeypatch):
-    # the invariants are recomputed here, apart from the modules' memos
-    def invariants(M):
-        eye = np.eye(M.dim, dtype=np.int64)
-        return (M.dim, [int(np.trace(a)) % M.p for a in M.action],
-                [rank_mod(a - eye, M.p) for a in M.action])
-
     pairs = []
     retract = D._is_retract
 
@@ -653,3 +656,75 @@ def test_mackey_job_tests_no_isomorphism_that_an_invariant_rules_out(
     outcome = wl.mackey_run(wl.mackey_setup(0, ref), ref)
     assert outcome.attempted > 0 and outcome.failed == 0, outcome.errors
     assert pairs and all(pairs)
+
+
+def test_verify_tests_no_isomorphism_that_an_invariant_rules_out(monkeypatch):
+    # every retract test that an isomorphism test makes, in the round trips
+    # and the bijection checks too; is_direct_summand's own retract tests
+    # may compare modules that differ in an invariant, and are left out
+    pairs = []
+    retract = D._is_retract
+
+    def recording(M, X, run):
+        if sys._getframe(1).f_code.co_name == "_iso_indec":
+            pairs.append(invariants(M) == invariants(X))
+        return retract(M, X, run)
+
+    monkeypatch.setattr(D, "_is_retract", recording)
+    sc = cli.Config.from_file(str(ROOT / "configs/s4_d8_d8.json")).scenario()
+    assert verify_scenario(sc, Run()).all_pass
+    assert pairs and all(pairs)
+
+
+def test_isomorphism_tests_tell_invariants_apart_without_a_hom(monkeypatch):
+    G = symmetric(3)
+    k = trivial_module(G, 3)
+    sign = FpModule(G, 3, [np.array([[2]]), np.array([[1]])], name="sign")
+    regular = regular_module(cyclic(2), 2)
+    two = direct_sum(trivial_module(cyclic(2), 2), trivial_module(cyclic(2), 2))
+
+    def no_hom(*args):
+        raise AssertionError("solved a Hom that an invariant rules out")
+
+    monkeypatch.setattr(D, "_is_retract", no_hom)
+    monkeypatch.setattr(D, "hom_space", no_hom)
+    assert not D._iso_indec(k, sign)  # traces 1 and 2 of the transposition
+    assert not is_isomorphic(k, sign)
+    assert not is_isomorphic(regular, two)  # rank(a - I) is 1 and 0
+
+
+def projective_cover_of_trivial_s3_p3():
+    """P_k, the summand of kS3 at p = 3 with k on top: dim 3, local End of
+    dim 2, radical of dim 1."""
+    G = symmetric(3)
+    k = trivial_module(G, 3)
+    return next(P for P in decompose(regular_module(G, 3)).pieces
+                if hom_space(P, k))
+
+
+def test_undecided_in_the_semisimple_quotient_says_where_it_fired(
+        monkeypatch):
+    P = projective_cover_of_trivial_s3_p3()
+
+    def stuck(self):
+        raise UndecidedError("stuck")
+
+    monkeypatch.setattr(D._Semisimple, "splitting_element", stuck)
+    with pytest.raises(UndecidedError) as exc:
+        decompose(P)
+    assert str(exc.value) == \
+        "stuck (p = 3, dim M = 3, dim End M = 2, dim J = 1)"
+
+
+def test_undecided_split_says_where_it_fired(monkeypatch):
+    # k ⊕ P_k under a dense basis: one support component of dim 4, End of
+    # dim 1 + 1 + 1 + 2 = 5, radical of dim 3
+    P = projective_cover_of_trivial_s3_p3()
+    k = trivial_module(P.group, 3)
+    M = FpModule(P.group, 3, dense_conjugate(direct_sum(k, P).action, 3,
+                                             np.random.default_rng(0)))
+    monkeypatch.setattr(D, "_fitting_split", lambda *args: None)
+    with pytest.raises(UndecidedError) as exc:
+        decompose(M)
+    assert str(exc.value) == ("certificate splitter failed to split "
+                              "(p = 3, dim M = 4, dim End M = 5, dim J = 3)")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from greencorr.catalog import bridge_groups, cyclic, symmetric
 from greencorr.errors import InputError
@@ -9,6 +10,7 @@ from greencorr.groupoids import (
     CommaSquare,
     GroupoidFunctor,
     TwoCell,
+    _distinct,
     compose_functors,
     coproduct,
     full_subgroupoid,
@@ -455,3 +457,20 @@ def test_functor_json_roundtrip():
     assert (back.obj_map == i.obj_map).all()
     assert (back.mor_map == i.mor_map).all()
     assert functor_to_json(back) == doc
+
+
+@settings(max_examples=80)
+@given(a=st.one_of(
+    st.lists(st.integers(-2**40, 2**40), max_size=12),
+    arrays(st.sampled_from([np.int32, np.int64]),
+           array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+           elements=st.integers(-4, 4))))
+@example(a=[])
+@example(a=np.zeros(0, dtype=np.int32))
+@example(a=np.full(5, 7))
+@example(a=np.full((3, 2), -1))
+@example(a=np.array([3, -2, 3, -2, -9], dtype=np.int32))
+def test_distinct_matches_numpy_unique(a):
+    got, want = _distinct(a), np.unique(a)
+    assert got.dtype == want.dtype
+    assert got.tolist() == want.tolist()

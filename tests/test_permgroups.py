@@ -358,3 +358,22 @@ def test_subgroup_calculus_matches_oracles(name, data):
         assert inter.element_indices == tuple(
             x for x in a if perm_mul(perm_mul(perm_inv(r), E[x]), r) in Bperms)
         assert len(orbit) == A.order * B.order // inter.order
+
+
+def test_fingerprint_is_the_exact_degree_elements_and_generators():
+    G = symmetric(3)
+    assert G.fingerprint == b"".join(
+        [b"3|", *(bytes(e) for e in G.elements),
+         *(bytes(g) for g in G.generators)])
+
+
+def test_fingerprint_tells_constructions_apart_by_their_generators():
+    gens = ["(0 1)", "(0 1 2)"]
+    key = closure(gens, degree=3).fingerprint
+    assert closure(list(gens), degree=3).fingerprint == key
+    assert closure([(1, 0, 2), (1, 2, 0)]).fingerprint == key
+    # the same elements from other generators, or in another order
+    assert closure(["(0 1)", "(1 2)"], degree=3).fingerprint != key
+    assert closure(gens[::-1], degree=3).fingerprint != key
+    # the same generators fixing one more point
+    assert closure(gens, degree=4).fingerprint != key

@@ -8,15 +8,23 @@ between runs.  Memo tables belong to a ``decompose.Run``.
 No module may import anything outside numpy, the standard library and the
 package itself, anywhere in its source: numpy is the one declared
 dependency.
+
+Once ``greencorr.cli`` is imported, no CLI command imports another module:
+every command runs in a fresh interpreter, so a lazy import on the run path
+is paid by every call (the first plain ``np.unique`` imports ``numpy.ma``).
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "greencorr"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "greencorr"
 MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict",
                            "OrderedDict", "Counter", "deque"})
 MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
@@ -153,3 +161,53 @@ def test_guard_allows_constants_and_function_locals():
     assert module_level_mutables(
         "LIMIT = 32\nNAMES = ('a', 'b')\nKEYS = frozenset({1})\n"
         "def f():\n    memo = {}\n    return memo\n") == []
+
+
+# Runs every command on two configs and prints the modules it imported after
+# the snapshot.  argv: output directory, then "mutant" to put np.unique back
+# in place of groupoids._distinct.  The snapshot follows one build_parser():
+# argparse translates its messages through gettext, which imports locale when
+# the first parser is built, in every argparse program.
+RUN_PATH_SCRIPT = """
+import contextlib, io, json, sys
+import numpy
+from greencorr import cli, groupoids
+out, mode = sys.argv[1:]
+if mode == "mutant":
+    groupoids._distinct = numpy.unique
+cli.build_parser()
+before = set(sys.modules)
+codes = []
+for config in ("configs/s3_c2_c2.json", "configs/s4_d8_c4.json"):
+    for command in ("verify", "isocomma", "partial", "decompose", "vertex",
+                    "correspond", "families"):
+        argv = [command, "--scenario", config, "--out", f"{out}/{len(codes)}"]
+        if command == "vertex":
+            argv += ["--module", "trivial"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.run(argv))
+print(json.dumps({"codes": codes,
+                  "added": sorted(set(sys.modules) - before)}))
+"""
+
+
+def modules_added_by_commands(out: Path, mode: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_PATH_SCRIPT, str(out), mode], cwd=ROOT,
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_commands_import_nothing_after_the_cli(tmp_path):
+    result = modules_added_by_commands(tmp_path, "as-is")
+    assert result["codes"] == [0] * 14
+    assert result["added"] == []
+
+
+def test_run_path_guard_catches_a_plain_unique(tmp_path):
+    result = modules_added_by_commands(tmp_path, "mutant")
+    assert result["codes"] == [0] * 14
+    assert "numpy.ma" in result["added"]
