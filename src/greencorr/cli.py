@@ -73,8 +73,12 @@ class Config:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Config":
+        if not isinstance(doc, dict):
+            raise InputError("malformed config: not a JSON object")
+        opts = doc.get("options", {})
+        if not isinstance(opts, dict):
+            raise InputError("malformed config: options is not a JSON object")
         try:
-            opts = doc.get("options", {})
             cfg = cls(
                 p=int(doc["p"]),
                 degree=int(doc["degree"]),
@@ -87,6 +91,8 @@ class Config:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed config: {exc}")
+        if cfg.degree < 0:
+            raise InputError(f"malformed config: degree {cfg.degree} < 0")
         if cfg.format not in ("json", "tsv"):
             raise InputError(f"unknown format {cfg.format!r}")
         return cfg

@@ -24,9 +24,12 @@ has a nonzero (i, j) or (j, i) entry.  No action leaves a component's span,
 so the components are an exact direct sum: in the coset-block basis of
 Res_K Ind_H M they are the blocks of the Mackey formula, one per K-orbit on
 G/H.  Each distinct component's End is solved on the component, and each
-Fitting piece below it reads its End basis off its parent's; a component
+Fitting piece below it reads its End basis off its parent's.  A component
 whose actions equal those of one already split in the same call takes that
-split's pieces on its own columns.
+split's pieces on its own columns; one that an invertible basis hom of
+Hom(B, C) shows isomorphic to a component B split before it takes B's
+pieces through that isomorphism, so the induced twists of the Mackey
+formula that are isomorphic are split once.
 
 No step is random and no step enumerates units, so a decomposition does not
 depend on any seed, and a wrong certificate is never returned.  The radical
@@ -458,6 +461,30 @@ def _split_component(group: PermGroup, mats: list[np.ndarray], dim: int,
     return out
 
 
+def _carried_split(C: FpModule, solved: list[tuple[FpModule, list]],
+                   run: Run) -> list[tuple[list[np.ndarray], np.ndarray,
+                                           _LeafInfo]]:
+    """The pieces of the component C, as ``_split_component`` gives them.
+
+    First fit over the components already split (``solved``): when a
+    conjugation invariant does not tell one apart from C and one of its
+    basis homs phi to C is invertible, its pieces are carried over, each
+    with embedding phi @ e and the same actions and _LeafInfo, since
+    C(g) phi e = phi B(g) e = phi e A(g) for a piece A of B embedded by e.
+    Otherwise C is split, and joins ``solved``.
+    """
+    p = C.p
+    for B, split in solved:
+        if _invariants_differ(B, C):
+            continue
+        phi = _first_invertible(hom_space(B, C), p)
+        if phi is not None:
+            return [(acts, (phi @ e) % p, info) for acts, e, info in split]
+    split = _split_component(C.group, C.action, C.dim, p, run)
+    solved.append((C, split))
+    return split
+
+
 class Run:
     """The memo tables of one top-level computation.
 
@@ -491,14 +518,20 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     fingerprint of its actions for this call only: it solves End on the
     component, and each Fitting piece's End basis is read off its parent's.
     A repeated component reuses the first one's pieces, placed on its own
-    columns, as fresh modules.  The change of basis is checked with the same
+    columns, as fresh modules.  A new component C is first compared, first
+    fit, with each component split before it in this call
+    (``_carried_split``): past a pair that a conjugation invariant tells
+    apart, the first invertible basis hom phi: B -> C carries B's pieces to
+    C, with embeddings phi e and B's actions and End analyses; only a C with
+    no such B is split.  The change of basis is checked with the same
     conjugation as the splits: it must be invertible and carry every
     generator action of M to the block diagonal of the pieces' actions, so
-    it certifies the component cut and the reuse too.  Pieces that differ
+    it certifies the component cut and both reuses too.  Pieces that differ
     in a conjugation invariant are told apart without a Hom solve
-    (``_iso_indec``).  The result is memoized in ``run`` by the module's
-    exact fingerprint, and each summand's End analysis, with its End basis,
-    is kept for ``end_info``.
+    (``_iso_indec``), and a carried piece has its source's actions, so a
+    class that its source represents takes it by fingerprint.  The result is memoized in ``run`` by
+    the module's exact fingerprint, and each summand's End analysis, with
+    its End basis, is kept for ``end_info``.
     """
     run = run or Run()
     cache_key = M.fingerprint()
@@ -511,14 +544,15 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     # actions: (actions, embedding in the component, _LeafInfo) per piece
     split_of: dict[bytes, list[tuple[list[np.ndarray], np.ndarray,
                                      _LeafInfo]]] = {}
+    # each component that _split_component split, with its pieces
+    solved: list[tuple[FpModule, list]] = []
     for comp in _support_components(M.action, M.dim):
-        mats = [a[np.ix_(comp, comp)] for a in M.action]
-        key = FpModule(M.group, p, mats, check=False,
-                       dim=len(comp)).fingerprint()
+        C = FpModule(M.group, p, [a[np.ix_(comp, comp)] for a in M.action],
+                     check=False, dim=len(comp))
+        key = C.fingerprint()
         split = split_of.get(key)
         if split is None:
-            split = split_of[key] = _split_component(M.group, mats, len(comp),
-                                                     p, run)
+            split = split_of[key] = _carried_split(C, solved, run)
         for acts, local, info in split:
             embed = np.zeros((M.dim, local.shape[1]), dtype=np.int64)
             embed[comp] = local
@@ -592,7 +626,7 @@ def _is_retract(M: FpModule, X: FpModule, run: Run) -> bool:
     if X.dim == M.dim and X.fingerprint() == M.fingerprint():
         return True
     alphas = hom_space(M, X)
-    if X.dim == M.dim and any(rank(a, p) == M.dim for a in alphas):
+    if _first_invertible(alphas, p) is not None:
         return True
     betas = hom_space(X, M) if alphas else []
     info = end_info(M, run)
@@ -636,11 +670,19 @@ def is_isomorphic(M: FpModule, N: FpModule, run: Run | None = None) -> bool:
         return False
     if M.dim == 0:
         return True
-    if any(rank(F, M.p) == M.dim for F in hom_space(M, N)):
+    if _first_invertible(hom_space(M, N), M.p) is not None:
         return True
     run = run or Run()
     return same_multiset(decompose(M, run).summands,
                          decompose(N, run).summands, run)
+
+
+def _first_invertible(homs: list[np.ndarray], p: int) -> np.ndarray | None:
+    """The first invertible map in the basis ``homs`` of Hom(M, N), an
+    isomorphism M -> N, else None.  None does not rule out M ≅ N: no basis
+    element need be invertible."""
+    return next((F for F in homs
+                 if F.shape[0] == F.shape[1] and rank(F, p) == len(F)), None)
 
 
 def _invariants_differ(M: FpModule, N: FpModule) -> bool:

@@ -47,7 +47,10 @@ def parse_cycles(text: str, degree: int) -> Perm:
     if not cycles or re.sub(r"\([^()]*\)|\s", "", text):
         raise InputError(f"cannot parse cycle notation: {text!r}")
     for cyc in cycles:
-        pts = [int(t) for t in re.split(r"[,\s]+", cyc.strip()) if t]
+        try:
+            pts = [int(t) for t in re.split(r"[,\s]+", cyc.strip()) if t]
+        except ValueError:
+            raise InputError(f"cannot parse cycle notation: {text!r}") from None
         if not pts:
             continue
         if any(x < 0 or x >= degree for x in pts):
@@ -80,8 +83,11 @@ def coerce_perm(value, degree: int) -> Perm:
     """Accept a permutation as an image list/tuple or as a cycle string."""
     if isinstance(value, str):
         return parse_cycles(value, degree)
-    p = tuple(int(v) for v in value)
-    if len(p) != degree or sorted(p) != list(range(degree)):
+    try:
+        p = tuple(int(v) for v in value)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or len(p) != degree or sorted(p) != list(range(degree)):
         raise InputError(f"not a permutation of 0..{degree - 1}: {value!r}")
     return p
 
@@ -157,11 +163,15 @@ class PermGroup:
     @cached_property
     def fingerprint(self) -> bytes:
         """A memo key for the group: the exact bytes of the degree, every
-        element and every generator, with no digest.  Equal keys mean the
-        same elements in the same order and the same generating sequence."""
+        element and every generator, with no digest.  Each point takes the
+        width of the smallest unsigned type that holds degree - 1, one byte
+        up to degree 256, so the degree fixes where each image starts.
+        Equal keys mean the same elements in the same order and the same
+        generating sequence."""
+        width = np.min_scalar_type(max(self.degree - 1, 0))
         return b"".join([f"{self.degree}|".encode(),
-                         *map(bytes, self.elements),
-                         *map(bytes, self.generators)])
+                         np.array(self.elements, dtype=width).tobytes(),
+                         np.array(self.generators, dtype=width).tobytes()])
 
     def element_order(self, i: int) -> int:
         k, x = 1, i

@@ -313,3 +313,40 @@ def test_config_rejects_generator_outside_group(tmp_path):
     }
     with pytest.raises(InputError):
         Config.from_dict(bad).scenario()
+
+
+MALFORMED_CONFIGS = {
+    "options_null": dict(S3_CONFIG, options=None),
+    "options_list": dict(S3_CONFIG, options=[{"seed": 0}]),
+    "top_level_array": [S3_CONFIG],
+    "generator_int": dict(S3_CONFIG, generators_G=[5]),
+    "generator_letters": dict(S3_CONFIG, generators_G=[["a", "b", "c"]]),
+    "cycle_letters": dict(S3_CONFIG, generators_H=["(a b)"]),
+    "negative_degree": dict(S3_CONFIG, degree=-1, generators_G=[],
+                            generators_H=[], generators_D=[]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_exits_2(kind, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED_CONFIGS[kind]))
+    assert run(["verify", "--scenario", str(path),
+                "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_on_degree_above_255(tmp_path):
+    # a point of a degree-300 group does not fit in one byte of the group's
+    # fingerprint; two commuting transpositions generate C2 x C2
+    path = tmp_path / "deg300.json"
+    path.write_text(json.dumps(dict(
+        S3_CONFIG, degree=300, generators_G=["(0 1)", "(2 299)"],
+        generators_H=["(0 1)"], generators_D=["(0 1)"])))
+    out = tmp_path / "out"
+    assert run(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+    doc = json.loads((out / "verify.json").read_text())
+    assert doc["all_pass"] is True

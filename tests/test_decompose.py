@@ -475,18 +475,23 @@ def test_support_components_match_oracle_and_keep_the_decomposition(
     rng = np.random.default_rng(seed)
     # random_module spins one vector, so a part of dim >= 2 acts by no
     # scalar, and a dense change of basis can join every component
-    S = random_module(group, p, 8, rng)
-    while S.dim < 3:
-        S = random_module(group, p, 8, rng)
+    first = random_module(group, p, 8, rng)
+    while first.dim < 3:
+        first = random_module(group, p, 8, rng)
+    S = first
     for _ in range(parts - 1):
         S = direct_sum(S, random_module(group, p, 8, rng))
+    # a dense conjugate of the first part repeats its isomorphism class on
+    # other actions, so its pieces may be carried over from the first's
+    S = direct_sum(S, FpModule(group, p, dense_conjugate(first.action, p,
+                                                         rng)))
     perm = rng.permutation(S.dim)
     M = FpModule(group, p, [a[np.ix_(perm, perm)] for a in S.action],
                  name="sum")
     components = D._support_components(M.action, M.dim)
     assert [c.tolist() for c in components] == \
         brute_support_components(M.action, M.dim)
-    assert len(components) >= parts
+    assert len(components) >= parts + 1
     mixed = FpModule(group, p, dense_conjugate(M.action, p, rng), name="mixed")
     assert len(D._support_components(mixed.action, mixed.dim)) == 1
     dec, ref = decompose(M), decompose(mixed)
@@ -546,6 +551,72 @@ def test_repeated_components_are_split_once(group, p, seed, monkeypatch):
     assert len({id(mod) for mod in dec.pieces}) == len(dec.pieces)
     assert [mod.name for mod in dec.pieces] == \
         [f"riffled[{i}]" for i in range(len(dec.pieces))]
+
+
+def conjugate_repeat(group, p, seed):
+    """A ⊕ A' ⊕ B with A the regular module, A' a dense conjugate of A and
+    B a random module of smaller dimension: three support components."""
+    rng = np.random.default_rng(seed)
+    A = regular_module(group, p)
+    conj = FpModule(group, p, dense_conjugate(A.action, p, rng), name="A'")
+    B = random_module(group, p, min(5, A.dim - 1), rng)
+    M = direct_sum(direct_sum(A, conj), B)
+    assert len(D._support_components(M.action, M.dim)) == 3
+    return M, A, B, rng
+
+
+@pytest.mark.parametrize("group, p, seed", [
+    (symmetric(3), 3, 0), (alternating(4), 2, 1), (cyclic(4), 5, 2)])
+def test_isomorphic_components_are_split_once(group, p, seed, monkeypatch):
+    M, A, B, rng = conjugate_repeat(group, p, seed)
+    solved, compared = [], []
+    from_actions, first_invertible = (D.hom_space_from_actions,
+                                      D._first_invertible)
+
+    def counting(action, dim, *args):
+        solved.append(FpModule(group, p, action, check=False,
+                               dim=dim).fingerprint())
+        return from_actions(action, dim, *args)
+
+    def recording(homs, p):
+        phi = first_invertible(homs, p)
+        if sys._getframe(1).f_code.co_name == "_carried_split":
+            compared.append(phi is not None)
+        return phi
+
+    monkeypatch.setattr(D, "hom_space_from_actions", counting)
+    monkeypatch.setattr(D, "_first_invertible", recording)
+    dec = decompose(M)
+    # End is solved on A and on B only; A' takes A's pieces through the
+    # isomorphism that the one comparison finds, and B differs from A in
+    # dimension, so no Hom is solved for it
+    assert solved == [A.fingerprint(), B.fingerprint()]
+    assert compared == [True]
+    # the same decomposition as a single component, split from one End
+    mixed = FpModule(group, p, dense_conjugate(M.action, p, rng),
+                     name="mixed")
+    assert len(D._support_components(mixed.action, mixed.dim)) == 1
+    ref = decompose(mixed)
+    assert certificate_rows(dec) == certificate_rows(ref)
+    assert same_multiset(dec.summands, ref.summands)
+    # a carried piece is a module of its own, with the actions of A's piece
+    n = len(dec.pieces) - len(decompose(B).pieces)
+    assert len({id(mod) for mod in dec.pieces}) == len(dec.pieces)
+    assert [m.fingerprint() for m in dec.pieces[:n // 2]] == \
+        [m.fingerprint() for m in dec.pieces[n // 2:n]]
+
+
+def test_an_inverted_isomorphism_fails_the_final_check(monkeypatch):
+    M, _, _, _ = conjugate_repeat(symmetric(3), 3, 0)
+    first_invertible = D._first_invertible
+
+    def inverted(homs, p):
+        phi = first_invertible(homs, p)
+        return None if phi is None else D.mat_inv(phi, p)
+
+    monkeypatch.setattr(D, "_first_invertible", inverted)
+    with pytest.raises(TheoremViolationError):
+        decompose(M)
 
 
 def test_a_misplaced_component_index_fails_the_final_check(monkeypatch):

@@ -377,3 +377,16 @@ def test_fingerprint_tells_constructions_apart_by_their_generators():
     assert closure(gens[::-1], degree=3).fingerprint != key
     # the same generators fixing one more point
     assert closure(gens, degree=4).fingerprint != key
+
+
+def test_fingerprint_takes_two_bytes_a_point_above_degree_256():
+    gens = ["(0 1)", "(2 299)"]
+    key = closure(gens, degree=300).fingerprint
+    # 4 elements and 2 generators of 300 points, two bytes a point
+    assert len(key) == len(b"300|") + 6 * 300 * 2
+    assert closure(list(gens), degree=300).fingerprint == key
+    assert closure(["(0 1)", "(2 298)"], degree=300).fingerprint != key
+    assert closure(gens, degree=301).fingerprint != key
+    # up to degree 256 a point takes one byte
+    assert len(closure(["(0 255)"], degree=256).fingerprint) == \
+        len(b"256|") + 3 * 256

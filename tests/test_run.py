@@ -65,20 +65,32 @@ def test_one_run_computes_each_fingerprint_once(path, decompositions, vertices,
 # (End solves in decompose, largest module dim solved) in one mackey_odd_p
 # job (seed 0).  Solving End of the whole module before cutting it into its
 # support components made 20 solves, four of them on dims 40 to 60; solving
-# it on every component, repeats included, made 51
-MACKEY_WORK = (38, 24)
+# it on every component, repeats included, made 51, and on every component
+# with distinct actions, 38
+MACKEY_WORK = (28, 24)
+# Hom solves between a component and one split before it in the same
+# decompose call; each finds an isomorphism, which saves an End solve
+MACKEY_COMPARISONS = 10
 
 
 def test_mackey_job_solves_no_end_of_a_whole_mackey_side(monkeypatch):
-    solved = []
-    from_actions = D.hom_space_from_actions
+    solved, compared = [], []
+    from_actions, first_invertible = (D.hom_space_from_actions,
+                                      D._first_invertible)
 
     def counting(action_m, dim_m, action_n, dim_n, p):
         # decompose is its only caller in decompose.py, on the same actions
         solved.append(dim_m)
         return from_actions(action_m, dim_m, action_n, dim_n, p)
 
+    def recording(homs, p):
+        phi = first_invertible(homs, p)
+        if sys._getframe(1).f_code.co_name == "_carried_split":
+            compared.append(phi is not None)
+        return phi
+
     monkeypatch.setattr(D, "hom_space_from_actions", counting)
+    monkeypatch.setattr(D, "_first_invertible", recording)
     bench = ROOT / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     wl = importlib.import_module("workloads")
@@ -87,6 +99,7 @@ def test_mackey_job_solves_no_end_of_a_whole_mackey_side(monkeypatch):
     assert outcome.attempted > 0 and outcome.failed == 0, outcome.errors
     assert max(solved) < 40
     assert (len(solved), max(solved)) == MACKEY_WORK
+    assert compared == [True] * MACKEY_COMPARISONS
 
 
 def test_calls_without_a_run_share_nothing():
