@@ -11,6 +11,7 @@ only convention this package uses).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,12 +31,16 @@ from .groupoids import (
 
 @dataclass
 class PartialResult:
-    """The split (E/F/G) ≅ (E/F/H) ⊔ boundary, with all the attached maps.
+    """The split (E/F/G) ≅ (E/F/H) ⊔ boundary, with the maps attached to it.
 
-    embedding is the fully-faithful comparison (E/F/H) -> (E/F/G); h_part is
-    the union of components meeting its image; boundary the complement.
-    pr1/pr2_to_F are the restricted projections on the boundary and pr1_to_H
-    the tacit embedding boundary -> H through the first projection.
+    embedding is the fully-faithful comparison (E/F/H) -> (E/F/G).
+    h_objects lists the objects of (E/F/G) in components that meet its
+    image, and boundary_objects the rest, both ascending.  What is derived
+    from them is built when first read: the full subgroupoids h_part and
+    boundary with their inclusions, the restricted projections pr1 and
+    pr2_to_F on the boundary, the tacit embedding pr1_to_H : boundary -> H
+    through the first projection, and gamma, the tautological 2-cell on the
+    boundary.
     """
 
     i: GroupoidFunctor
@@ -44,28 +49,60 @@ class PartialResult:
     ambient: IsocommaResult
     inner: IsocommaResult
     embedding: GroupoidFunctor
-    h_part: FiniteGroupoid
-    h_part_inclusion: GroupoidFunctor
-    boundary: FiniteGroupoid
-    boundary_inclusion: GroupoidFunctor
-    pr1: GroupoidFunctor
-    pr2_to_F: GroupoidFunctor
-    pr1_to_H: GroupoidFunctor
-    gamma: TwoCell
+    h_objects: np.ndarray
+    boundary_objects: np.ndarray
+    name: str = "partial"
+
+    @cached_property
+    def h_part_inclusion(self) -> GroupoidFunctor:
+        return full_subgroupoid(self.ambient.groupoid, self.h_objects,
+                                name=self.name + ":h-part")[1]
+
+    @cached_property
+    def boundary_inclusion(self) -> GroupoidFunctor:
+        return full_subgroupoid(self.ambient.groupoid, self.boundary_objects,
+                                name=self.name + ":boundary")[1]
+
+    @property
+    def h_part(self) -> FiniteGroupoid:
+        return self.h_part_inclusion.domain
+
+    @property
+    def boundary(self) -> FiniteGroupoid:
+        return self.boundary_inclusion.domain
+
+    @cached_property
+    def pr1(self) -> GroupoidFunctor:
+        return compose_functors(self.ambient.pr1, self.boundary_inclusion)
+
+    @cached_property
+    def pr2_to_F(self) -> GroupoidFunctor:
+        return compose_functors(self.ambient.pr2, self.boundary_inclusion)
+
+    @cached_property
+    def pr1_to_H(self) -> GroupoidFunctor:
+        return compose_functors(self.iota_e, self.pr1)
+
+    @cached_property
+    def gamma(self) -> TwoCell:
+        return TwoCell(compose_functors(self.ambient.left, self.pr1),
+                       compose_functors(self.ambient.right, self.pr2_to_F),
+                       self.ambient.groupoid.g[self.boundary_objects],
+                       name="gamma|boundary", check=False)
 
     @property
     def boundary_components(self):
         return self.boundary.components
 
     def ambient_to_boundary_objects(self) -> np.ndarray:
-        out = np.full(self.ambient.groupoid.n_objects, -1, dtype=np.int64)
-        out[self.boundary_inclusion.obj_map] = np.arange(self.boundary.n_objects)
-        return out
+        """The boundary index of each ambient object, -1 outside (shared with
+        the boundary: read only)."""
+        return self.boundary.obj_sub
 
     def ambient_to_boundary_morphisms(self) -> np.ndarray:
-        out = np.full(self.ambient.groupoid.n_morphisms, -1, dtype=np.int64)
-        out[self.boundary_inclusion.mor_map] = np.arange(self.boundary.n_morphisms)
-        return out
+        """The boundary index of each ambient morphism, -1 outside (shared
+        with the boundary: read only)."""
+        return self.boundary.mor_sub
 
 
 def partial(i: GroupoidFunctor, iota_e: GroupoidFunctor,
@@ -93,21 +130,9 @@ def partial(i: GroupoidFunctor, iota_e: GroupoidFunctor,
 
     comp_of = ambient.groupoid.component_of()
     in_h = np.isin(comp_of, comp_of[obj_map])
-    h_part, h_incl = full_subgroupoid(ambient.groupoid, np.flatnonzero(in_h),
-                                      name=(name or "partial") + ":h-part")
-    bdry, b_incl = full_subgroupoid(ambient.groupoid, np.flatnonzero(~in_h),
-                                    name=(name or "partial") + ":boundary")
-
-    pr1 = compose_functors(ambient.pr1, b_incl)
-    pr2 = compose_functors(ambient.pr2, b_incl)
-    pr1_to_h = compose_functors(iota_e, pr1)
-    gamma = TwoCell(
-        compose_functors(compose_functors(i, iota_e), pr1),
-        compose_functors(compose_functors(i, iota_f), pr2),
-        ambient.gamma.components[b_incl.obj_map],
-        name="gamma|boundary", check=False)
     return PartialResult(i, iota_e, iota_f, ambient, inner, embedding,
-                         h_part, h_incl, bdry, b_incl, pr1, pr2, pr1_to_h, gamma)
+                         np.flatnonzero(in_h), np.flatnonzero(~in_h),
+                         name or "partial")
 
 
 def diagonal_functor(k: GroupoidFunctor, ell: GroupoidFunctor,
@@ -203,9 +228,7 @@ def tricky_factorization(i: GroupoidFunctor, j: GroupoidFunctor) -> TrickyFactor
     is asserted exhaustively; a failure would falsify the implementation.
     """
     H, G = i.domain, i.codomain
-    D = j.domain
     part_dd = partial(i, j, j, name="dd")
-    B = part_dd.boundary
     iota_b = part_dd.pr1_to_H  # B -> H via j ∘ pr1, the tacit convention
 
     part_hb = partial(i, identity_functor(H), iota_b, name="hb")
@@ -215,8 +238,8 @@ def tricky_factorization(i: GroupoidFunctor, j: GroupoidFunctor) -> TrickyFactor
     t_obj = part_hd.ambient_to_boundary_objects()
     t_mor = part_hd.ambient_to_boundary_morphisms()
 
-    comp_of = M.groupoid.component_of()
-    in_h = np.isin(comp_of, comp_of[part_hb.h_part_inclusion.obj_map])
+    in_h = np.zeros(M.groupoid.n_objects, dtype=bool)
+    in_h[part_hb.h_objects] = True
 
     # object (x, b, g) of M, with b = (xd, yd, a) in B: on the (H/B/H) side
     # the triple is pushed along a, elsewhere the first projection is applied
@@ -231,9 +254,11 @@ def tricky_factorization(i: GroupoidFunctor, j: GroupoidFunctor) -> TrickyFactor
             "factorization image left boundary(H,D)")
 
     o, h_m, bm = M.morphism_parts()
-    _, d1, d2 = dd_amb.morphism_parts(part_dd.boundary_inclusion.mor_map[bm])
+    d1, d2 = dd_amb.morphism_parts(part_dd.boundary_inclusion.mor_map[bm])[1:]
+    d = np.where(in_h[o], d2, d1)
+    del d1, d2
     w_src = part_hd.boundary_inclusion.obj_map[obj_map[o]]
-    mor_map = t_mor[W.morphism_index(w_src, h_m, np.where(in_h[o], d2, d1))]
+    mor_map = t_mor[W.morphism_index(w_src, h_m, d)]
     assert (mor_map >= 0).all()
     Tgpd = part_hd.boundary
     u = GroupoidFunctor(M.groupoid, Tgpd, obj_map, mor_map, name="u")

@@ -46,10 +46,18 @@ from .modules import (
     regular_module,
     trivial_module,
 )
-from .permgroups import PermGroup, coerce_perm, cycle_string, subgroup
+from .permgroups import PermGroup, coerce_perm, cycle_string, is_integer, subgroup
 
 COMMANDS = ("isocomma", "partial", "families", "decompose", "vertex",
             "correspond", "verify")
+
+
+def _config_int(value, what: str) -> int:
+    """A config number, which must be a JSON integer: ``int()`` would
+    truncate 2.9 to 2, read true as 1 and parse "3"."""
+    if not is_integer(value):
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 @dataclass
@@ -80,12 +88,12 @@ class Config:
             raise InputError("malformed config: options is not a JSON object")
         try:
             cfg = cls(
-                p=int(doc["p"]),
-                degree=int(doc["degree"]),
+                p=_config_int(doc["p"], "p"),
+                degree=_config_int(doc["degree"], "degree"),
                 generators_G=list(doc["generators_G"]),
                 generators_H=list(doc["generators_H"]),
                 generators_D=list(doc["generators_D"]),
-                seed=int(opts.get("seed", 0)),
+                seed=_config_int(opts.get("seed", 0), "seed"),
                 format=str(opts.get("format", "json")),
                 out=opts.get("out"),
             )

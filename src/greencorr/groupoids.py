@@ -16,6 +16,15 @@ with a few hundred thousand morphisms workable.  Hom-sets, connected
 components, functors and the exhaustive axiom checks are array operations on
 these maps.
 
+An isocomma keeps 16 bytes per morphism: four int32 arrays (source, target
+and the factor pair (a, b)), built by int32 index gathers.  It finds the
+object (x, y, g) by two more gathers, pair_start[x * nB + y] + hom_rank[g],
+with no key search.  What is derived is built when first read: the
+isocomma's tautological 2-cell, a full subgroupoid's map mor_sub back from
+its parent, and every groupoid's out-lists, hom-set order, hom ranks and
+components.  A connected component is found from the least target of each
+out-list, with no sort of the hom-sets.
+
 Objects are never sorted: each construction lists them in a fixed order
 built from the orders of its inputs, so every derived construction is
 deterministic.
@@ -39,12 +48,13 @@ _CHUNK = 1 << 14
 
 
 def _spans(counts) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, offset) arrays listing offset in range(counts[k]) for each k,
-    in order."""
-    counts = np.asarray(counts, dtype=np.int64)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    starts = np.cumsum(counts) - counts
-    return owner, np.arange(len(owner)) - starts[owner]
+    """(owner, offset) int32 arrays listing offset in range(counts[k]) for
+    each k, in order."""
+    counts = np.asarray(counts, dtype=np.int32)
+    owner = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    offset = np.arange(len(owner), dtype=np.int32)
+    offset -= (np.cumsum(counts, dtype=np.int32) - counts)[owner]
+    return owner, offset
 
 
 def _chunked_spans(counts):
@@ -139,17 +149,17 @@ class FiniteGroupoid:
 
     @cached_property
     def _out_sorted(self) -> np.ndarray:
-        return np.argsort(self.msrc, kind="stable")
+        return np.argsort(self.msrc, kind="stable").astype(np.int32)
 
     @cached_property
     def _out_start(self) -> np.ndarray:
-        return np.concatenate([[0], np.cumsum(self._out_deg)])
+        return np.concatenate([[0], np.cumsum(self._out_deg)]).astype(np.int32)
 
     @cached_property
     def out_pos(self) -> np.ndarray:
         """Position of each morphism within the out-list of its source."""
         order = self._out_sorted
-        pos = np.empty(self.n_morphisms, dtype=np.int64)
+        pos = np.empty(self.n_morphisms, dtype=np.int32)
         pos[order] = np.arange(self.n_morphisms) - self._out_start[self.msrc[order]]
         return pos
 
@@ -174,15 +184,32 @@ class FiniteGroupoid:
         return self._hom_sorted[1][lo:hi].tolist()
 
     @cached_property
+    def hom_rank(self) -> np.ndarray:
+        """Position of each morphism in the index-ordered list of its hom-set."""
+        keys, order = self._hom_sorted
+        rank = np.empty(self.n_morphisms, dtype=np.int32)
+        rank[order] = np.arange(self.n_morphisms) - np.searchsorted(keys, keys)
+        return rank
+
+    @cached_property
+    def _base(self) -> np.ndarray:
+        """The least object of each object's component.
+
+        In a groupoid hom(x, y) is nonempty exactly when x and y share a
+        component, so this is the least target of a morphism out of x.  It
+        reads the axioms that ``validate`` checks.
+        """
+        return np.minimum.reduceat(self.mtgt[self._out_sorted], self._out_start[:-1])
+
+    @cached_property
     def components(self) -> list["Component"]:
         return connected_components(self)
 
     def component_of(self) -> np.ndarray:
         """Array mapping each object to its component index."""
-        comp = np.full(self.n_objects, -1, dtype=np.int32)
-        for k, c in enumerate(self.components):
-            comp[c.objects] = k
-        return comp
+        index = np.full(self.n_objects, -1, dtype=np.int32)
+        index[[c.base for c in self.components]] = np.arange(len(self.components))
+        return index[self._base]
 
     # exhaustive axioms -------------------------------------------------------
 
@@ -253,21 +280,21 @@ class Component:
 def connected_components(G: FiniteGroupoid) -> list[Component]:
     """Partition by reachability; in a groupoid this is iso-class closure.
 
-    In a groupoid hom(x, y) is nonempty exactly when x and y share a
-    component, so the least target of a morphism out of x is the least
-    object of x's component, its base: the first key of x's run in the
-    sorted hom keys.  This reads the axioms that ``validate`` checks.
+    Objects are grouped by their base, the least object of their component
+    (``_base``), and components come in the order of their bases.  The
+    loops of a base are the morphisms out of it with target the base, in
+    index order.
     """
-    n = G.n_objects
-    keys, loops = G._hom_sorted
-    start = np.arange(n, dtype=np.int64) * n
-    label = keys[np.searchsorted(keys, start)] - start
-    order = np.argsort(label, kind="stable")
-    bases, starts = np.unique(label[order], return_index=True)
-    first, last = G._hom_bounds(bases, bases)
-    return [Component(objs.tolist(), int(base), loops[s:t].tolist())
-            for objs, base, s, t in zip(np.split(order, starts[1:]), bases,
-                                        first, last)]
+    if not G.n_objects:
+        return []
+    base, out, start = G._base, G._out_sorted, G._out_start
+    order = np.argsort(base, kind="stable")
+    comps = []
+    for objs in np.split(order, np.flatnonzero(np.diff(base[order])) + 1):
+        b = int(objs[0])
+        seg = out[start[b]:start[b + 1]]
+        comps.append(Component(objs.tolist(), b, seg[G.mtgt[seg] == b].tolist()))
+    return comps
 
 
 def element_order_in_table(table: np.ndarray, i: int, identity: int) -> int:
@@ -389,9 +416,10 @@ class GroupoidFunctor:
     @cached_property
     def faithful(self) -> bool:
         """Injectivity of the morphism map on every hom-set."""
-        keys, order = self.domain._hom_sorted
-        images = keys * self.codomain.n_morphisms + self.mor_map[order]
-        return len(_distinct(images)) == self.domain.n_morphisms
+        dom = self.domain
+        hom_key = dom.msrc.astype(np.int64) * dom.n_objects + dom.mtgt
+        images = hom_key * self.codomain.n_morphisms + self.mor_map
+        return len(_distinct(images)) == dom.n_morphisms
 
     def _check_endpoints(self) -> None:
         dom, cod = self.domain, self.codomain
@@ -545,22 +573,27 @@ def coproduct(G1: FiniteGroupoid, G2: FiniteGroupoid,
 class _FullSubgroupoid(FiniteGroupoid):
     """The full subgroupoid of A on the objects obj_of (ascending).
 
-    mor_of lists its morphisms in A's numbering, and mor_sub maps A's
-    morphisms back (-1 outside).
+    mor_of lists its morphisms in A's numbering (ascending).  obj_sub and
+    mor_sub map A's objects and morphisms back, -1 outside; mor_sub is built
+    when first read.  All three are int32.
     """
 
     def __init__(self, A: FiniteGroupoid, obj_of: np.ndarray, name: str):
-        obj_sub = np.full(A.n_objects, -1, dtype=np.int64)
-        obj_sub[obj_of] = np.arange(len(obj_of))
-        self.mor_of = np.flatnonzero((obj_sub[A.msrc] >= 0) & (obj_sub[A.mtgt] >= 0))
-        self.mor_sub = np.full(A.n_morphisms, -1, dtype=np.int64)
-        self.mor_sub[self.mor_of] = np.arange(len(self.mor_of))
-        ident = self.mor_sub[A.ident[obj_of]]
-        assert (ident >= 0).all()
+        self.obj_sub = np.full(A.n_objects, -1, dtype=np.int32)
+        self.obj_sub[obj_of] = np.arange(len(obj_of))
+        inside = (self.obj_sub[A.msrc] >= 0) & (self.obj_sub[A.mtgt] >= 0)
+        self.mor_of = np.arange(A.n_morphisms, dtype=np.int32)[inside]
         super().__init__([A.objects[i] for i in obj_of.tolist()],
-                         obj_sub[A.msrc[self.mor_of]], obj_sub[A.mtgt[self.mor_of]],
-                         ident, name)
+                         self.obj_sub[A.msrc[self.mor_of]],
+                         self.obj_sub[A.mtgt[self.mor_of]],
+                         np.searchsorted(self.mor_of, A.ident[obj_of]), name)
         self._parent = A
+
+    @cached_property
+    def mor_sub(self) -> np.ndarray:
+        sub = np.full(self._parent.n_morphisms, -1, dtype=np.int32)
+        sub[self.mor_of] = np.arange(len(self.mor_of))
+        return sub
 
     def _compose(self, g, f):
         return self.mor_sub[self._parent._compose(self.mor_of[g], self.mor_of[f])]
@@ -580,50 +613,64 @@ def full_subgroupoid(A: FiniteGroupoid, object_idxs,
 
 class _IsocommaGroupoid(FiniteGroupoid):
     """The isocomma (i/u): objects are the triples (x, y, g : i(x) -> u(y)),
-    numbered in the order of their keys (x, y, g).  The morphisms out of
-    object o are the pairs (a, b) in out(x) × out(y), numbered a-major from
-    offsets[o]; a pair composes by its two factors."""
+    numbered in the order of (x, y) and then of g in index order, so that
+    (x, y, g) has index pair_start[x * nB + y] + C.hom_rank[g].  The
+    morphisms out of object o are the pairs (a, b) in out(x) × out(y),
+    numbered a-major from offsets[o]; a pair composes by its two factors."""
 
     def __init__(self, i: GroupoidFunctor, u: GroupoidFunctor, name: str):
         A, B, C = i.domain, u.domain, i.codomain
-        self.A, self.B = A, B
-        self._radix = (B.n_objects, C.n_morphisms)
+        self.A, self.B, self.C = A, B, C
+        self._legs = (i.obj_map, u.obj_map)
         # objects: C.hom lists each hom(i(x), u(y)) in index order
-        pair_x, pair_y = np.divmod(np.arange(A.n_objects * B.n_objects), B.n_objects)
+        pairs = np.arange(A.n_objects * B.n_objects, dtype=np.int32)
+        pair_x, pair_y = np.divmod(pairs, B.n_objects)
         lo, hi = C._hom_bounds(i.obj_map[pair_x], u.obj_map[pair_y])
-        k, r = _spans(hi - lo)
+        count = hi - lo
+        self.pair_start = (np.cumsum(count) - count).astype(np.int32)
+        k, r = _spans(count)
         self.x, self.y = pair_x[k], pair_y[k]
-        self.g = C._hom_sorted[1][lo[k] + r]
-        self._keys = self._key(self.x, self.y, self.g)
+        self.g = C._hom_sorted[1][lo[k] + r].astype(np.int32)
         # morphisms: (a, b) out of (x, y, g) lands on (x', y', u(b) g i(a)^-1)
-        self.deg_b = B._out_deg[self.y]
+        self.deg_b = B._out_deg[self.y].astype(np.int32)
         block = A._out_deg[self.x] * self.deg_b
-        self.offsets = np.cumsum(block) - block
+        self.offsets = (np.cumsum(block) - block).astype(np.int32)
         o, r = _spans(block)
-        deg_b = self.deg_b[o]
-        self.m_a = A._out_sorted[A._out_start[self.x[o]] + r // deg_b].astype(np.int32)
-        self.m_b = B._out_sorted[B._out_start[self.y[o]] + r % deg_b].astype(np.int32)
+        q, r = np.divmod(r, self.deg_b[o])
+        self.m_a = A._out_sorted[A._out_start[self.x[o]] + q]
+        self.m_b = B._out_sorted[B._out_start[self.y[o]] + r]
+        del q, r
         g_tgt = C._compose(C._compose(u.mor_map[self.m_b], self.g[o]),
                            C.inv[i.mor_map[self.m_a]])
-        mtgt = self.object_index(A.mtgt[self.m_a], B.mtgt[self.m_b], g_tgt)
+        # g_tgt lies in hom(i(x'), u(y')) since i and u are functors
+        mtgt = self._index(A.mtgt[self.m_a], B.mtgt[self.m_b], g_tgt)
+        del g_tgt
         ident = self.morphism_index(np.arange(len(self.x)), A.ident[self.x],
                                     B.ident[self.y])
         super().__init__(zip(self.x.tolist(), self.y.tolist(), self.g.tolist()),
                          o, mtgt, ident, name)
 
-    def _key(self, x, y, g) -> np.ndarray:
-        nb, nc = self._radix
-        return (np.asarray(x, dtype=np.int64) * nb + y) * nc + g
-
     def object_index(self, x, y, g) -> np.ndarray:
-        pos, absent = _locate(self._keys, self._key(x, y, g))
-        if absent.any():
+        i_obj, u_obj = self._legs
+        C = self.C
+        x, y, g = np.asarray(x), np.asarray(y), np.asarray(g)
+        try:  # an index past the end raises; one below 0 sets the sign of x | y | g
+            found = (((x | y | g) >= 0) & (C.msrc[g] == i_obj[x])
+                     & (C.mtgt[g] == u_obj[y])).all()
+        except IndexError:
+            found = False
+        if not found:
             raise KeyError("no such isocomma object")
-        return pos
+        return self._index(x, y, g)
+
+    def _index(self, x, y, g) -> np.ndarray:
+        return self.pair_start[x * self.B.n_objects + y] + self.C.hom_rank[g]
 
     def morphism_index(self, o, a, b) -> np.ndarray:
-        return (self.offsets[o] + self.A.out_pos[a] * self.deg_b[o]
-                + self.B.out_pos[b])
+        index = self.A.out_pos[a] * self.deg_b[o]
+        index += self.offsets[o]
+        index += self.B.out_pos[b]
+        return index
 
     def _compose(self, g, f):
         return self.morphism_index(self.msrc[f],
@@ -637,7 +684,8 @@ class _IsocommaGroupoid(FiniteGroupoid):
 
 @dataclass
 class IsocommaResult:
-    """The isocomma groupoid of a cospan with projections and canonical 2-cell.
+    """The isocomma groupoid of a cospan with its projections; the canonical
+    2-cell gamma is built when first read.
 
     object_labels[k] is the triple (x, y, g) of indices: x an object of the
     left leg's domain, y of the right leg's domain, g a morphism of the shared
@@ -648,10 +696,15 @@ class IsocommaResult:
     groupoid: _IsocommaGroupoid
     pr1: GroupoidFunctor
     pr2: GroupoidFunctor
-    gamma: TwoCell
     object_labels: list[tuple[int, int, int]]
     left: GroupoidFunctor
     right: GroupoidFunctor
+
+    @cached_property
+    def gamma(self) -> TwoCell:
+        return TwoCell(compose_functors(self.left, self.pr1),
+                       compose_functors(self.right, self.pr2),
+                       self.groupoid.g, name="gamma", check=False)
 
     def object_index(self, x, y, g):
         """Index of the object (x, y, g); KeyError when there is none."""
@@ -676,8 +729,8 @@ def isocomma(i: GroupoidFunctor, u: GroupoidFunctor, name: str = "") -> Isocomma
     """The groupoid of triples (x, y, g : i(x) -> u(y)) over a cospan.
 
     Morphisms (x,y,g) -> (x',y',g') are pairs (a: x->x', b: y->y') with
-    g'∘i(a) = u(b)∘g; both projections and the tautological 2-cell come back
-    with the groupoid.
+    g'∘i(a) = u(b)∘g; both projections come back with the groupoid, and the
+    tautological 2-cell when it is read.
     """
     if i.codomain is not u.codomain:
         raise InputError("isocomma requires a shared codomain")
@@ -685,9 +738,7 @@ def isocomma(i: GroupoidFunctor, u: GroupoidFunctor, name: str = "") -> Isocomma
     P = _IsocommaGroupoid(i, u, name or f"({A.name}/{B.name}/{C.name})")
     pr1 = GroupoidFunctor(P, A, P.x, P.m_a, name="pr1")
     pr2 = GroupoidFunctor(P, B, P.y, P.m_b, name="pr2")
-    gamma = TwoCell(compose_functors(i, pr1), compose_functors(u, pr2),
-                    P.g, name="gamma", check=False)
-    return IsocommaResult(P, pr1, pr2, gamma, P.objects, i, u)
+    return IsocommaResult(P, pr1, pr2, P.objects, i, u)
 
 
 def cotuple_functors(inj1: GroupoidFunctor, inj2: GroupoidFunctor,
@@ -870,7 +921,8 @@ class _TableGroupoid(FiniteGroupoid):
         self._inverse_map = np.asarray(inverse, dtype=np.int64)
 
     def _compose(self, g, f):
-        pos, absent = _locate(self._keys, g * self.n_morphisms + f)
+        key = np.asarray(g, dtype=np.int64) * self.n_morphisms + f
+        pos, absent = _locate(self._keys, key)
         if absent.any():
             k = int(np.flatnonzero(absent)[0])
             raise InputError(f"composition table missing pair ({g[k]}, {f[k]})")

@@ -79,17 +79,25 @@ def cycle_string(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; False for a bool, a float or a
+    string, which ``int()`` would truncate or parse."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def coerce_perm(value, degree: int) -> Perm:
-    """Accept a permutation as an image list/tuple or as a cycle string."""
+    """Accept a permutation as a list/tuple of integer images or as a cycle
+    string."""
     if isinstance(value, str):
         return parse_cycles(value, degree)
     try:
-        p = tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        p = None
-    if p is None or len(p) != degree or sorted(p) != list(range(degree)):
+        images = list(value)
+    except TypeError:
+        images = None
+    if (images is None or not all(is_integer(v) for v in images)
+            or sorted(images) != list(range(degree))):
         raise InputError(f"not a permutation of 0..{degree - 1}: {value!r}")
-    return p
+    return tuple(int(v) for v in images)
 
 
 class PermGroup:
@@ -400,23 +408,18 @@ def double_cosets(
     """
     _check_ambient(G, H, K)
     h = np.array(H.element_indices)
-    k = list(K.element_indices)
-    assigned = np.zeros(G.order, dtype=bool)
+    # the least element of each xK, then of each HgK = the union of the hgK
+    least = G.mult[:, list(K.element_indices)].min(1)[G.mult[h]].min(0)
+    reps = np.flatnonzero(least == np.arange(G.order))
+    sizes = np.bincount(least, minlength=G.order)[reps]
+    assert sizes.sum() == G.order
     out: list[tuple[int, SubgroupEmbedding]] = []
-    total = 0
-    for g in range(G.order):
-        if assigned[g]:
-            continue
-        # HgK as the products h g k
-        assigned[G.mult[G.mult[h, g][:, None], k]] = True
-        size = int(np.count_nonzero(assigned)) - total
+    for g, size in zip(reps.tolist(), sizes.tolist()):
         # x in H with g^-1 x g in K, i.e. H ∩ gKg^-1
         inter = h[K.mask[G.conj[G.inv[g], h]]]
         emb = SubgroupEmbedding(G, tuple(inter.tolist()), f"H^g-cap-K@{g}")
         assert size == H.order * K.order // emb.order
-        total += size
         out.append((g, emb))
-    assert total == G.order
     return out
 
 

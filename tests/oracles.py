@@ -785,6 +785,58 @@ def brute_isocomma(i, u):
     return P, parts, obj_index
 
 
+def key_object_index(iso, x, y, g):
+    """Index of the isocomma object (x, y, g) by a binary search of its key
+    (x * nB + y) * nC + g among the keys of all objects, which ascend in
+    object order; KeyError when there is none."""
+    P = iso.groupoid
+    nb, nc = iso.right.domain.n_objects, iso.left.codomain.n_morphisms
+    keys = (P.x.astype(np.int64) * nb + P.y) * nc + P.g
+    assert (np.diff(keys) > 0).all()
+    key = (np.asarray(x, dtype=np.int64) * nb + y) * nc + g
+    pos = np.searchsorted(keys, key)
+    if not len(keys) or (keys[np.minimum(pos, len(keys) - 1)] != key).any():
+        raise KeyError("no such isocomma object")
+    return pos
+
+
+def _raises_key_error(f, *args):
+    try:
+        f(*args)
+    except KeyError:
+        return True
+    return False
+
+
+def assert_object_index_agrees(iso, scalars=64):
+    """iso.object_index agrees with key_object_index on every triple
+    (x, y, g) of the legs' objects and a morphism of their codomain: on the
+    triples that are objects, as one shuffled array and for up to
+    ``scalars`` of them one at a time, and elsewhere by a KeyError from both,
+    for single triples and for an array holding one of them."""
+    A, B, C = iso.left.domain, iso.right.domain, iso.left.codomain
+    x, y, g = (t.ravel() for t in np.meshgrid(
+        np.arange(A.n_objects), np.arange(B.n_objects),
+        np.arange(C.n_morphisms), indexing="ij"))
+    inside = ((C.msrc[g] == iso.left.obj_map[x])
+              & (C.mtgt[g] == iso.right.obj_map[y]))
+    assert np.count_nonzero(inside) == iso.groupoid.n_objects
+    objs = np.random.default_rng(0).permutation(np.flatnonzero(inside))
+    got = iso.object_index(x[objs], y[objs], g[objs])
+    assert got.tolist() == key_object_index(iso, x[objs], y[objs], g[objs]).tolist()
+    for k in objs[:scalars].tolist():
+        assert iso.object_index(int(x[k]), int(y[k]), int(g[k])) == \
+            key_object_index(iso, int(x[k]), int(y[k]), int(g[k]))
+    outside = np.flatnonzero(~inside)
+    for k in outside[:scalars].tolist():
+        assert _raises_key_error(iso.object_index, int(x[k]), int(y[k]), int(g[k]))
+        assert _raises_key_error(key_object_index, iso, int(x[k]), int(y[k]),
+                                 int(g[k]))
+    if len(outside):
+        mixed = np.append(objs[:3], outside[0])
+        assert _raises_key_error(iso.object_index, x[mixed], y[mixed], g[mixed])
+
+
 def brute_partial(i, iota_e, iota_f):
     """The boundary of (E/F/G) relative to (E/F/H) from the brute isocommas:
     (boundary, its objects in the ambient, its morphisms in the ambient)."""

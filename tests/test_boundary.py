@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from greencorr import boundary as boundary_module
 from greencorr.boundary import (
     diagonal_functor,
     geography_check,
@@ -21,7 +24,12 @@ from greencorr.groupoids import (
 )
 from greencorr.permgroups import all_subgroups, whole_group, x_y_u_families
 
-from oracles import ORACLE_PAIRS, assert_same_groupoid, brute_partial
+from oracles import (
+    ORACLE_PAIRS,
+    assert_object_index_agrees,
+    assert_same_groupoid,
+    brute_partial,
+)
 
 
 def chain_functors(G, H, D):
@@ -293,3 +301,88 @@ def test_target_scale_s5():
     res2 = partial(i, idh, idh)
     assert len(res2.boundary_components) == len(fam.u_pairs)
     assert sorted(c.aut_order for c in res2.boundary_components) == [6]
+
+
+def chain_partials(i, j):
+    """The four splits that the boundary operations make on a chain: over
+    D/D, H/D and H/H, and over H/B with B = boundary(D, D) embedded into H
+    by its first projection (the one with multi-object legs)."""
+    idh = identity_functor(i.domain)
+    dd = partial(i, j, j)
+    return [dd, partial(i, idh, j), partial(i, idh, idh),
+            partial(i, idh, dd.pr1_to_H)]
+
+
+@pytest.mark.parametrize("name", sorted(scenario_chains()))
+def test_object_index_matches_key_search_on_partial_isocommas(name):
+    Ggpd, Hgpd, Dgpd, i, j = chain_functors(*scenario_chains()[name])
+    for res in chain_partials(i, j):
+        assert_object_index_agrees(res.inner)
+        assert_object_index_agrees(res.ambient)
+
+
+LAZY = ("h_part", "h_part_inclusion", "boundary", "boundary_inclusion",
+        "pr1", "pr2_to_F", "pr1_to_H", "gamma")
+
+
+def test_partial_builds_derived_structures_when_read(monkeypatch):
+    built = []
+    full, compose = (boundary_module.full_subgroupoid,
+                     boundary_module.compose_functors)
+    monkeypatch.setattr(boundary_module, "full_subgroupoid",
+                        lambda *a, **k: built.append("sub") or full(*a, **k))
+    monkeypatch.setattr(boundary_module, "compose_functors",
+                        lambda g, f: built.append(f.domain) or compose(g, f))
+    G, H, D = chain_s4_d8_c4()
+    Ggpd, Hgpd, Dgpd, i, j = chain_functors(G, H, D)
+    res = partial(i, j, j)
+    # only the two legs i ∘ iota_E and i ∘ iota_F of (E/F/G)
+    assert built == [Dgpd, Dgpd]
+    assert "gamma" not in vars(res.ambient) and "gamma" not in vars(res.inner)
+    in_h = np.zeros(res.ambient.groupoid.n_objects, dtype=bool)
+    in_h[res.h_objects] = True
+    assert (~in_h).nonzero()[0].tolist() == res.boundary_objects.tolist()
+
+    # what they build when read equals the brute split
+    bdry, objs, mors = brute_partial(i, j, j)
+    for attr in LAZY:
+        getattr(res, attr)
+    assert built.count("sub") == 2
+    assert res.boundary_inclusion.obj_map.tolist() == objs
+    assert res.boundary_inclusion.mor_map.tolist() == mors
+    assert_same_groupoid(res.boundary, bdry)
+    assert res.h_part_inclusion.obj_map.tolist() == res.h_objects.tolist()
+    for F in (res.h_part_inclusion, res.boundary_inclusion, res.pr1,
+              res.pr2_to_F, res.pr1_to_H):
+        F.validate()
+    res.gamma.validate()
+    amb = res.ambient.groupoid
+    assert res.gamma.components.tolist() == amb.g[objs].tolist()
+    assert res.pr1_to_H.mor_map.tolist() == j.mor_map[amb.m_a[mors]].tolist()
+    assert res.ambient_to_boundary_objects()[objs].tolist() == list(range(len(objs)))
+    assert res.ambient_to_boundary_morphisms()[mors].tolist() == list(range(len(mors)))
+    assert built.count("sub") == 2
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of one call fn(*args), in bytes above what was
+    allocated when it started."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_tricky_factorization_memory_guard():
+    # (H/B/G) on s4_d8_c4 has 49,152 morphisms; building it and the
+    # factorization by int32 gathers peaks near 2.3 MiB, against 7.0 MiB
+    # when every isocomma was searched by int64 keys and split eagerly
+    Ggpd, Hgpd, Dgpd, i, j = chain_functors(*chain_s4_d8_c4())
+    assert traced_peak(tricky_factorization, i, j) <= 4 << 20

@@ -324,6 +324,14 @@ MALFORMED_CONFIGS = {
     "cycle_letters": dict(S3_CONFIG, generators_H=["(a b)"]),
     "negative_degree": dict(S3_CONFIG, degree=-1, generators_G=[],
                             generators_H=[], generators_D=[]),
+    # numbers must be JSON integers: int() would read these as p = 2, p = 1,
+    # p = 3, degree 3, seed 1 and the images (1, 0, 2)
+    "p_float": dict(S3_CONFIG, p=2.9),
+    "p_true": dict(S3_CONFIG, p=True),
+    "p_string": dict(S3_CONFIG, p="3"),
+    "degree_float": dict(S3_CONFIG, degree=3.5),
+    "seed_float": dict(S3_CONFIG, options={"seed": 1.5}),
+    "generator_float_image": dict(S3_CONFIG, generators_G=[[1.5, 0, 2], "(0 1 2)"]),
 }
 
 

@@ -12,6 +12,7 @@ from greencorr.groupoids import (
     TwoCell,
     _distinct,
     compose_functors,
+    connected_components,
     coproduct,
     full_subgroupoid,
     group_groupoid,
@@ -31,6 +32,8 @@ from greencorr.permgroups import all_subgroups, double_cosets, subgroup, trivial
 
 from oracles import (
     ORACLE_PAIRS,
+    BruteGroupoid,
+    assert_object_index_agrees,
     assert_same_groupoid,
     brute_isocomma,
     brute_isocomma_components,
@@ -474,3 +477,107 @@ def test_distinct_matches_numpy_unique(a):
     got, want = _distinct(a), np.unique(a)
     assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
+
+
+def test_object_index_matches_key_search_on_bridge_pairs():
+    # the gather pair_start[x * nB + y] + C.hom_rank[g] against the binary
+    # search of the object keys, on every subgroup pair of the bridge groups
+    for name, (G, subs) in BRIDGE.items():
+        Ggpd = group_groupoid(G, name)
+        inclusions = [subgroup_inclusion(S, Ggpd) for S in subs]
+        for iH in inclusions:
+            for iK in inclusions:
+                assert_object_index_agrees(isocomma(iH, iK), scalars=4)
+
+
+def test_object_index_raises_outside_hom():
+    # over G ⊔ G, hom(i(0), u(y)) is G's first copy for y = 0 and empty for
+    # y = 1: every g of the second copy, and every g at y = 1, is outside
+    G, C2, Ggpd, i = s3_c2_setup()
+    GG, inj1, _ = coproduct(Ggpd, Ggpd)
+    iso = isocomma(compose_functors(inj1, i), identity_functor(GG))
+    assert iso.groupoid.n_objects == G.order
+    assert_object_index_agrees(iso)
+    n = G.order
+    for g in range(n, 2 * n):
+        with pytest.raises(KeyError):
+            iso.object_index(0, 0, g)
+    for g in range(2 * n):
+        with pytest.raises(KeyError):
+            iso.object_index(0, 1, g)
+    with pytest.raises(KeyError):
+        iso.object_index(np.zeros(2, dtype=int), [0, 0], [0, n])
+    # indices out of range, which numpy would wrap or refuse
+    for x, y, g in ((0, 0, -1), (0, -1, 0), (-1, 0, 0), (1, 0, 0), (0, 2, 0),
+                    (0, 0, 2 * n)):
+        with pytest.raises(KeyError):
+            iso.object_index(x, y, g)
+
+
+def test_isocomma_gamma_is_built_when_read():
+    G, C2, Ggpd, i = s3_c2_setup()
+    iso = isocomma(i, i)
+    assert "gamma" not in vars(iso)
+    gamma = iso.gamma
+    assert iso.gamma is gamma
+    gamma.validate()
+    assert (gamma.components == iso.groupoid.g).all()
+    assert gamma.source_functor.mor_map.tolist() == \
+        i.mor_map[iso.pr1.mor_map].tolist()
+
+
+def brute_components(G):
+    return BruteGroupoid(list(G.objects), G.msrc.tolist(), G.mtgt.tolist(),
+                         G.ident.tolist(), None, None).components()
+
+
+def test_connected_components_empty_groupoid():
+    empty = groupoid_from_json({"objects": [], "morphisms": [], "identity": [],
+                                "inverse": [], "composition": []})
+    assert empty.components == [] == brute_components(empty)
+    assert empty.component_of().tolist() == []
+    G, C2, Ggpd, i = s3_c2_setup()
+    S, incl = full_subgroupoid(Ggpd, [])
+    assert S.n_morphisms == 0 and S.components == []
+
+
+def relabeled_json(doc, rng):
+    """doc with its objects and morphisms renumbered at random, so that the
+    morphism sources are no longer sorted."""
+    n_obj, n_mor = len(doc["objects"]), len(doc["morphisms"])
+    q, m = rng.permutation(n_obj), rng.permutation(n_mor)
+    objects = [None] * n_obj
+    for o, lab in enumerate(doc["objects"]):
+        objects[q[o]] = lab
+    morphisms = [None] * n_mor
+    inverse = [0] * n_mor
+    for r in doc["morphisms"]:
+        k = int(m[r["id"]])
+        morphisms[k] = {"id": k, "src": int(q[r["src"]]), "tgt": int(q[r["tgt"]])}
+        inverse[k] = int(m[doc["inverse"][r["id"]]])
+    return {
+        "objects": objects,
+        "morphisms": morphisms,
+        "identity": [int(m[doc["identity"][o]]) for o in np.argsort(q)],
+        "inverse": inverse,
+        "composition": [[int(m[a]) for a in t] for t in doc["composition"]],
+    }
+
+
+def test_connected_components_of_relabeled_json_groupoid():
+    # least target per out-list, on a groupoid whose sources are unsorted
+    G = symmetric(3)
+    Ggpd = group_groupoid(G, "S3")
+    rng = np.random.default_rng(5)
+    i = subgroup_inclusion(subgroup(G, ["(0 1)"]), Ggpd)
+    for gens in (["(0 1)"], ["(0 1 2)"], []):
+        iC = subgroup_inclusion(subgroup(G, gens), Ggpd)
+        doc = groupoid_to_json(isocomma(iC, i).groupoid)
+        back = groupoid_from_json(relabeled_json(doc, rng))
+        back.validate()
+        assert (np.diff(back.msrc) < 0).any()
+        comps = [(c.objects, c.base, c.loops) for c in connected_components(back)]
+        assert comps == brute_components(back)
+        comp_of = back.component_of()
+        for k, (objs, _, _) in enumerate(comps):
+            assert (comp_of[objs] == k).all()

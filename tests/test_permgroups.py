@@ -57,6 +57,10 @@ def test_parse_cycles_roundtrip():
         parse_cycles("(0 5)", 3)
     with pytest.raises(InputError):
         coerce_perm([0, 0, 1], 3)
+    # images must be integers: int() would read these as (1, 0, 2)
+    for images in ([1.5, 0, 2], [True, 0, 2], ["1", 0, 2]):
+        with pytest.raises(InputError):
+            coerce_perm(images, 3)
 
 
 def test_closure_trivial_and_s3():
@@ -130,6 +134,23 @@ def test_double_cosets_match_bruteforce():
     assert len(ours) == len(brute)
     assert sorted(len(orb) for _, orb in brute) == sorted(
         H.order * K.order // S.order for _, S in ours)
+
+
+def test_double_cosets_match_bruteforce_on_bridge_pairs():
+    # every subgroup pair of the bridge groups: the same representatives in
+    # the same order, and each intersection H ∩ gKg^-1 of the size the
+    # class gives
+    for G, subs in BRIDGE.values():
+        elems = [[G.elements[i] for i in S.element_indices] for S in subs]
+        for H, he in zip(subs, elems):
+            for K, ke in zip(subs, elems):
+                brute = brute_double_cosets(G.elements, he, ke)
+                ours = double_cosets(G, H, K)
+                assert [G.elements[g] for g, _ in ours] == [g for g, _ in brute]
+                for (g, S), (_, orbit) in zip(ours, brute):
+                    assert all(H.mask[x] and K.mask[G.conj[G.inv[g], x]]
+                               for x in S.element_indices)
+                    assert len(orbit) * S.order == H.order * K.order
 
 
 def test_double_cosets_whole_group():
