@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .boundary import geography_check, tricky_factorization
-from .decompose import Run, decompose, vertex, _iso_indec
+from .decompose import Run, decompose, source, vertex, _iso_indec
 from .errors import InputError, TheoremViolationError, UndecidedError
 from .green import (
     SCHEMA_VERSION,
@@ -46,18 +46,10 @@ from .modules import (
     regular_module,
     trivial_module,
 )
-from .permgroups import PermGroup, coerce_perm, cycle_string, is_integer, subgroup
+from .permgroups import PermGroup, coerce_perm, cycle_string, json_integer, subgroup
 
 COMMANDS = ("isocomma", "partial", "families", "decompose", "vertex",
             "correspond", "verify")
-
-
-def _config_int(value, what: str) -> int:
-    """A config number, which must be a JSON integer: ``int()`` would
-    truncate 2.9 to 2, read true as 1 and parse "3"."""
-    if not is_integer(value):
-        raise InputError(f"{what} must be an integer, not {value!r}")
-    return value
 
 
 @dataclass
@@ -88,12 +80,12 @@ class Config:
             raise InputError("malformed config: options is not a JSON object")
         try:
             cfg = cls(
-                p=_config_int(doc["p"], "p"),
-                degree=_config_int(doc["degree"], "degree"),
+                p=json_integer(doc["p"], "p"),
+                degree=json_integer(doc["degree"], "degree"),
                 generators_G=list(doc["generators_G"]),
                 generators_H=list(doc["generators_H"]),
                 generators_D=list(doc["generators_D"]),
-                seed=_config_int(opts.get("seed", 0), "seed"),
+                seed=json_integer(opts.get("seed", 0), "seed"),
                 format=str(opts.get("format", "json")),
                 out=opts.get("out"),
             )
@@ -129,7 +121,7 @@ def _module_for(cfg: Config, sc: Scenario, which: str, group: str) -> FpModule:
         raise InputError(f"module argument {which!r} is neither a builtin nor a file")
     try:
         mod = module_from_json(json.loads(path.read_text()))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"cannot read module {which}: {exc}")
     if mod.p != cfg.p:
         raise InputError(f"module file is over GF({mod.p}), "
@@ -247,18 +239,18 @@ def run_decompose(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
 
 def run_vertex(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
     M = _module_for(cfg, sc, module, group)
-    res = vertex(M, Run())
+    run = Run()
+    v = vertex(M, run)
     return {
         "command": "vertex",
         "module": module,
         "group": group,
         "dim": M.dim,
-        "vertex_order": res.vertex.order,
+        "vertex_order": v.order,
         "vertex_generators": [
-            cycle_string(res.vertex.ambient.elements[x])
-            for x in res.vertex.generator_indices
+            cycle_string(v.ambient.elements[x]) for x in v.generator_indices
         ],
-        "source_dim": res.source.dim,
+        "source_dim": source(M, run).dim,
     }
 
 

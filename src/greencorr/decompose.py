@@ -35,10 +35,13 @@ No step is random and no step enumerates units, so a decomposition does not
 depend on any seed, and a wrong certificate is never returned.  The radical
 of a local End(M) is kept with its certificate: it decides direct summands
 and isomorphisms of indecomposables exactly, and Higman's criterion decides
-relative projectivity.  Isomorphism classes are found first fit.  Every
-isomorphism test first compares the dimension, the trace of each generator
-action and the rank of each (action - I), all invariant under conjugation,
-and tells a pair that differs apart without a Hom solve.
+relative projectivity.  A vertex comes from Higman's criterion alone, by
+descent from a Sylow p-subgroup; ``source`` reads a source off the summands
+of Res_Q M by Green's theorem, with no induced module.  Isomorphism classes
+are found first fit.  Every isomorphism test first compares the dimension,
+the trace of each generator action and the rank of each (action - I), all
+invariant under conjugation, and tells a pair that differs apart without a
+Hom solve.
 
 A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
 End analyses with their End bases, and vertices, by module fingerprint;
@@ -64,7 +67,6 @@ from .modules import (
     FpModule,
     hom_space,
     hom_space_from_actions,
-    induce,
     restrict,
     same_context,
 )
@@ -501,7 +503,7 @@ class Run:
     def __init__(self) -> None:
         self.decompositions: dict[bytes, Decomposition] = {}
         self.ends: dict[bytes, _LeafInfo] = {}
-        self.vertices: dict[bytes, VertexResult] = {}
+        self.vertices: dict[bytes, SubgroupEmbedding] = {}
         self.projective: dict[tuple[bytes, tuple[int, ...]], bool] = {}
         self.p_subgroups: dict[tuple[bytes, tuple[int, ...]],
                                list[SubgroupEmbedding]] = {}
@@ -820,15 +822,9 @@ def _p_subgroup_classes(G: PermGroup, P: SubgroupEmbedding,
     return hit
 
 
-@dataclass
-class VertexResult:
-    vertex: SubgroupEmbedding       # canonical conjugacy-class representative
-    source: FpModule
-    checked: list[tuple[int, bool]]  # (subgroup order, relatively projective)
-
-
-def vertex(M: FpModule, run: Run | None = None) -> VertexResult:
-    """A minimal subgroup D with M relatively D-projective, plus a source.
+def vertex(M: FpModule, run: Run | None = None) -> SubgroupEmbedding:
+    """A minimal subgroup D with M relatively D-projective, as the canonical
+    representative of its conjugacy class.
 
     Starts at a Sylow p-subgroup (every module is projective relative to it
     in this cohomological setting) and descends through subgroups up to
@@ -841,40 +837,36 @@ def vertex(M: FpModule, run: Run | None = None) -> VertexResult:
     if hit is not None:
         return hit
     G = M.group
-    p = M.p
     if M.dim == 0 or not end_info(M, run).local:
         raise InputError("vertex is defined for certified indecomposables")
-    S = sylow(G, p)
-    if not is_relatively_projective(M, S, run):
+    smaller = sylow(G, M.p)
+    if not is_relatively_projective(M, smaller, run):
         raise TheoremViolationError("module not projective relative to Sylow")
-    checked = [(S.order, True)]
-    current = S
-    while True:
-        descended = False
-        for R in _p_subgroup_classes(G, current, run):
-            if R.order >= current.order:
-                continue
-            ok = is_relatively_projective(M, R, run)
-            checked.append((R.order, ok))
-            if ok:
-                current = R
-                descended = True
-                break
-        if not descended:
-            break
-    canon = SubgroupEmbedding(G, current.canonical_class_key, tag="vertex")
-    # a source: an indecomposable summand s of Res_D M with M <= Ind_D s
-    source = None
-    if current.order == G.order:
-        source = M
-    else:
-        dec = decompose(restrict(M, current), run)
-        for s_mod, _ in dec.summands:
-            ind = induce(s_mod, current)
-            if is_direct_summand(M, ind, run):
-                source = s_mod
-                break
-    if source is None:
-        raise TheoremViolationError("no summand of the restriction induces M back")
-    result = run.vertices[cache_key] = VertexResult(canon, source, checked)
-    return result
+    while smaller is not None:
+        current = smaller
+        smaller = next((R for R in _p_subgroup_classes(G, current, run)
+                        if R.order < current.order
+                        and is_relatively_projective(M, R, run)), None)
+    canon = run.vertices[cache_key] = SubgroupEmbedding(
+        G, current.canonical_class_key, tag="vertex")
+    return canon
+
+
+def source(M: FpModule, run: Run | None = None) -> FpModule:
+    """A source of the indecomposable M: the first summand s of Res_Q M,
+    Q = vertex(M), whose own vertex is Q.
+
+    These s are exactly the summands with M | Ind_Q s (J. A. Green, Math.
+    Z. 70, 1959), so no induced kG-module is needed.  M is projective
+    relative to the vertex of such an s, a subgroup of Q, which is therefore
+    Q; and by Mackey the summands of vertex Q of Res_Q M | Res_Q Ind_Q s, s a
+    source, are the g s for g in N_G(Q), with Ind_Q (g s) = Ind_Q s.
+    """
+    run = run or Run()
+    Q = vertex(M, run)
+    if Q.order == M.group.order:
+        return M
+    for s, _ in decompose(restrict(M, Q), run).summands:
+        if vertex(s, run).order == Q.order:
+            return s
+    raise TheoremViolationError("no summand of the restriction has vertex Q")

@@ -161,9 +161,8 @@ def is_x_object(M: FpModule, family: list[SubgroupEmbedding],
         return False
     if M.dim == 0:
         return True
-    v = vertex(M, run).vertex
-    G = M.group
-    return any(is_subconjugate(G, v, X) for X in family)
+    v = vertex(M, run)
+    return any(is_subconjugate(M.group, v, X) for X in family)
 
 
 # ---------------------------------------------------------------------------
@@ -254,30 +253,29 @@ def correspondent_up(n: FpModule, sc: Scenario,
                      run: Run | None = None) -> FpModule:
     """The X-free part of Ind_H^G n, which the Green correspondence promises
     is a single indecomposable with multiplicity one."""
-    run = run or Run()
-    _require_eligible(n, sc, "H", run)
-    dec = decompose(induce(n, sc.H), run)
-    fam = sc.x_in_g()
-    survivors = [(mod, mult) for mod, mult in dec.summands
-                 if not is_x_object(mod, fam, run)]
-    if len(survivors) != 1 or survivors[0][1] != 1:
-        raise TheoremViolationError(
-            f"induction of {n.name} has {survivors} surviving classes")
-    return survivors[0][0]
+    return _correspondent(n, sc, "H", run or Run())
 
 
 def correspondent_down(m: FpModule, sc: Scenario,
                        run: Run | None = None) -> FpModule:
     """The Y-free part of Res_H^G m."""
-    run = run or Run()
-    _require_eligible(m, sc, "G", run)
-    dec = decompose(restrict(m, sc.H), run)
-    fam = sc.y_in_h()
-    survivors = [(mod, mult) for mod, mult in dec.summands
-                 if not is_x_object(mod, fam, run)]
+    return _correspondent(m, sc, "G", run or Run())
+
+
+def _correspondent(mod: FpModule, sc: Scenario, side: str,
+                   run: Run) -> FpModule:
+    """The one class of Ind_H^G mod (side H) or Res_H mod (side G) outside
+    the X_G-objects (Y_H-objects), which must have multiplicity one."""
+    _require_eligible(mod, sc, side, run)
+    if side == "H":
+        other, fam, what = induce(mod, sc.H), sc.x_in_g(), "induction"
+    else:
+        other, fam, what = restrict(mod, sc.H), sc.y_in_h(), "restriction"
+    survivors = [(s, mult) for s, mult in decompose(other, run).summands
+                 if not is_x_object(s, fam, run)]
     if len(survivors) != 1 or survivors[0][1] != 1:
         raise TheoremViolationError(
-            f"restriction of {m.name} has {survivors} surviving classes")
+            f"{what} of {mod.name} has {survivors} surviving classes")
     return survivors[0][0]
 
 
@@ -346,7 +344,7 @@ class GreenReport:
 def _vertex_class_in_g(sc: Scenario, mod: FpModule, side: str,
                        run: Run) -> tuple[tuple[int, ...], int]:
     """Vertex of a module on either side, as a canonical G-conjugacy key."""
-    v = vertex(mod, run).vertex
+    v = vertex(mod, run)
     if side == "H":
         amb = SubgroupEmbedding(
             sc.G, tuple(sc.H.to_ambient[x] for x in v.element_indices), "v")

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import InputError, TheoremViolationError
 from .linalg import SpanBuilder, as_fp, mat_inv, mat_mul
-from .permgroups import PermGroup, SubgroupEmbedding, coset_lookup
+from .permgroups import PermGroup, SubgroupEmbedding, coset_lookup, json_integer
 
 
 class FpModule:
@@ -508,16 +508,26 @@ def module_to_json(M: FpModule) -> dict:
 
 
 def module_from_json(doc: dict, group: PermGroup | None = None) -> FpModule:
-    p = int(doc["p"])
+    """The module that ``module_to_json`` wrote; InputError unless every
+    number is a JSON integer and the matrices are a representation."""
+    p = json_integer(doc["p"], "p")
     if group is None:
         ref = doc["group_ref"]
-        group = PermGroup(int(ref["degree"]),
+        group = PermGroup(json_integer(ref["degree"], "degree"),
                           [tuple(g) for g in ref["generators"]])
-    d = int(doc["dim"])
+    d = json_integer(doc["dim"], "dim")
     mats = []
     for i in range(len(group.generators)):
         flat = doc["action"][str(i)]
         if len(flat) != d * d:
             raise InputError("action entry count does not match dim^2")
-        mats.append(np.array(flat, dtype=np.int64).reshape(d, d) % p)
-    return FpModule(group, p, mats, name="loaded")
+        entries = [json_integer(v, f"an entry of action {i}") for v in flat]
+        mats.append(np.array(entries, dtype=np.int64).reshape(d, d) % p)
+    M = FpModule(group, p, mats, name="loaded")
+    # element_action follows the spanning tree, so rho(h) rho(g) = rho(hg)
+    # for every element h and generator g checks the group's relations
+    acts = np.stack([M.element_action(h) for h in range(group.order)])
+    for pos, g in enumerate(group.gen_indices):
+        if ((acts @ M.action[pos]) % p != acts[group.mult[:, g]]).any():
+            raise InputError("the action matrices break the group's relations")
+    return M

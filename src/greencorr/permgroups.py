@@ -85,6 +85,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def json_integer(value, what: str) -> int:
+    """``value`` if it passes ``is_integer``, else InputError naming it."""
+    if not is_integer(value):
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def coerce_perm(value, degree: int) -> Perm:
     """Accept a permutation as a list/tuple of integer images or as a cycle
     string."""

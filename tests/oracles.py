@@ -598,6 +598,20 @@ def is_x_object_summand_check(M, family):
                for rep, _ in merged)
 
 
+def source_by_induction(M, run):
+    """The former source search of decompose.vertex: the first summand s of
+    Res_Q M, Q = vertex(M), with M a direct summand of Ind_Q s, decided by a
+    Hom solve against the induced kG-module."""
+    from greencorr.decompose import decompose, is_direct_summand, vertex
+    from greencorr.modules import induce, restrict
+
+    Q = vertex(M, run)
+    if Q.order == M.group.order:
+        return M
+    return next(s for s, _ in decompose(restrict(M, Q), run).summands
+                if is_direct_summand(M, induce(s, Q), run))
+
+
 def module_catalog_all_inductions(sc, side, run):
     """The former catalog loop of green.module_catalog: it induces every
     member of the kD family, projective or not, and keeps the first of each

@@ -253,20 +253,38 @@ def _write_bad_module(tmp_path, kind):
     else:
         if kind == "no_group_ref":
             del doc["group_ref"]
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(dict(doc, **BAD_MODULE_FIELDS.get(kind, {}))))
     return path
 
 
+# numbers must be JSON integers: int() would read p = 2.9 as 2, dim 1.0 as 1
+# and degree 3.0 as 3, and the 1.7 in the last entry of the last action as 1;
+# an entry past int64 overflows numpy; the two actions of the last file do
+# not satisfy the relations of S3, since (0 1 2) has order 3 and
+# [[1, 1], [0, 1]] order 2
+BAD_MODULE_FIELDS = {
+    "p_float": {"p": 2.9},
+    "dim_float": {"dim": 1.0},
+    "degree_float": {"group_ref": {"degree": 3.0,
+                                   "generators": [[1, 0, 2], [1, 2, 0]]}},
+    "entry_float": {"action": {"0": [1], "1": [1.7]}},
+    "entry_past_int64": {"action": {"0": [1], "1": [2 ** 64 + 1]}},
+    "not_a_representation": {"dim": 2, "action": {"0": [1, 1, 0, 1],
+                                                  "1": [1, 1, 0, 1]}},
+}
+
+
 @pytest.mark.parametrize("kind", ["malformed_json", "no_group_ref",
-                                  "directory", "wrong_p"])
+                                  "directory", "wrong_p", *BAD_MODULE_FIELDS])
 def test_bad_module_file_exits_2(kind, s3_config, tmp_path, capsys):
     path = _write_bad_module(tmp_path, kind)
-    code = run(["decompose", "--scenario", s3_config,
-                "--module", str(path), "--group", "G"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
-    assert captured.out == ""
+    for command in ("decompose", "vertex"):
+        code = run([command, "--scenario", s3_config,
+                    "--module", str(path), "--group", "G"])
+        assert code == 2, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
 
 def test_verify_with_too_large_p_exits_2(tmp_path, capsys):

@@ -1,7 +1,11 @@
 """Dual-route checks: every optimized computation against a naive route."""
 
-import numpy as np
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from greencorr import cli
 from greencorr.catalog import (
     alternating,
     bridge_groups,
@@ -17,16 +21,20 @@ from greencorr.decompose import (
     _support_components,
     decompose,
     relative_trace_image,
+    source,
+    vertex,
 )
 from greencorr.green import (
     Scenario,
     factoring_subspace,
     is_x_object,
+    module_catalog,
     quotient_hom_dim,
 )
 from greencorr.groupoids import group_groupoid, isocomma, subgroup_inclusion
 from greencorr.linalg import rref
 from greencorr.modules import (
+    FpModule,
     counit_ind_res,
     direct_sum,
     hom_space,
@@ -49,7 +57,10 @@ from oracles import (
     kron_hom_basis,
     literal_trace_image,
     rref_mod,
+    source_by_induction,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_hom_space_vs_kron_on_structured_modules():
@@ -208,6 +219,43 @@ def test_x_object_routes_agree_on_s4_scenario():
             assert via_vertex == via_summand, mod.name
             seen += 1
     assert seen >= 3
+
+
+@pytest.mark.parametrize("name", ["s3_c2_c2", "degenerate_s3", "s4_d8_c4",
+                                  "s4_d8_d8", "a5_a4_v4"])
+def test_source_routes_agree_on_every_catalog_module(name):
+    # Green's theorem (the first summand of Res_Q M of vertex Q) vs the first
+    # summand s of Res_Q M with M | Ind_Q s, on both sides of the config
+    sc = cli.Config.from_file(str(ROOT / "configs" / f"{name}.json")).scenario()
+    run, oracle_run = Run(), Run()
+    mods = [mod for side in ("H", "G")
+            for mod, _, _ in module_catalog(sc, side, run)]
+    assert mods
+    for mod in mods:
+        assert source(mod, run).fingerprint() == \
+            source_by_induction(mod, oracle_run).fingerprint(), mod.name
+
+
+def test_source_passes_over_a_summand_of_smaller_vertex():
+    # Res_Q M of an 18-dim summand M of Ind_V4^A5 W, W the 5-dim kV4-module
+    # with top 3 and socle 2, is kV4 + a conjugate of W: the first summand,
+    # kV4, has vertex 1 and is no source, so both routes must skip it
+    G = alternating(5)
+    V4 = subgroup(G, ["(0 1)(2 3)", "(0 2)(1 3)"])
+    X, Y = np.zeros((2, 5, 5), dtype=np.int64)
+    X[[3, 4], [0, 1]] = 1   # u1 -> v1, u2 -> v2
+    Y[[3, 4], [1, 2]] = 1   # u2 -> v1, u3 -> v2
+    eye = np.eye(5, dtype=np.int64)
+    W = FpModule(V4.group, 2, [eye + X, eye + Y])
+    run = Run()
+    M = next(m for m, _ in decompose(induce(W, V4), run).summands
+             if m.dim == 18)
+    Q = vertex(M, run)
+    first = decompose(restrict(M, Q), run).summands[0][0]
+    assert Q.order == 4 and vertex(first, run).order == 1
+    s = source(M, run)
+    assert s.dim == 5
+    assert s.fingerprint() == source_by_induction(M, Run()).fingerprint()
 
 
 def test_decompose_extreme_seeds_agree():

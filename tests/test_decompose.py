@@ -19,6 +19,7 @@ from greencorr.decompose import (
     multiset_of_classes,
     relative_trace_image,
     same_multiset,
+    source,
     vertex,
 )
 from greencorr.errors import InputError, TheoremViolationError, UndecidedError
@@ -273,20 +274,18 @@ def test_vertex_projective_is_trivial():
     kG = regular_module(G, 2)
     dec = decompose(kG)
     simple2 = next(mod for mod, mult in dec.summands if mult == 2)
-    res = vertex(simple2)
-    assert res.vertex.order == 1
-    assert res.source.dim == 1
+    assert vertex(simple2).order == 1
+    assert source(simple2).dim == 1
 
 
 def test_vertex_trivial_module_is_sylow():
     for p in (2, 3):
         G = symmetric(3)
         k = trivial_module(G, p)
-        res = vertex(k)
-        S = sylow(G, p)
-        assert res.vertex.order == S.order
-        assert is_isomorphic(res.source, trivial_module(res.vertex.group, p)) or \
-            res.source.dim >= 1
+        v = vertex(k)
+        assert v.order == sylow(G, p).order
+        # Res_Q k is the trivial kQ-module, so it is the source
+        assert is_isomorphic(source(k), trivial_module(v.group, p))
 
 
 def test_vertex_conjugation_invariance():
@@ -307,8 +306,8 @@ def test_vertex_conjugation_invariance():
     v1 = vertex(target)
     v2 = vertex(conj)
     amb2 = SubgroupEmbedding(
-        G, tuple(W.to_ambient[x] for x in v2.vertex.element_indices))
-    assert v1.vertex.canonical_class_key == amb2.canonical_class_key
+        G, tuple(W.to_ambient[x] for x in v2.element_indices))
+    assert v1.canonical_class_key == amb2.canonical_class_key
 
 
 def test_vertex_requires_indecomposable():
@@ -399,10 +398,10 @@ def test_vertex_conjugation_invariance_nontrivial():
     conj, target = conjugate_module(k, S3, g)
     v2 = vertex(conj)
     amb1 = SubgroupEmbedding(
-        G, tuple(S3.to_ambient[x] for x in v1.vertex.element_indices))
+        G, tuple(S3.to_ambient[x] for x in v1.element_indices))
     amb2 = SubgroupEmbedding(
-        G, tuple(target.to_ambient[x] for x in v2.vertex.element_indices))
-    assert v1.vertex.order == 2 and v2.vertex.order == 2
+        G, tuple(target.to_ambient[x] for x in v2.element_indices))
+    assert v1.order == 2 and v2.order == 2
     assert amb1.canonical_class_key == amb2.canonical_class_key
 
 

@@ -32,9 +32,10 @@ def scenario(path: str):
 # (config, decompositions computed, vertices computed) in one verify.  The
 # process-global caches that Run replaced counted 14 and 34 decompositions:
 # module_catalog no longer decomposes Ind_D s for a projective kD-module s
+# (12 and 33), and vertex no longer decomposes Res_Q M to find a source
 VERIFY_WORK = [
-    ("perfbench/configs/d8_v4_c2.json", 12, 7),
-    ("configs/s4_d8_d8.json", 33, 21),
+    ("perfbench/configs/d8_v4_c2.json", 7, 7),
+    ("configs/s4_d8_d8.json", 19, 21),
 ]
 
 

@@ -163,11 +163,13 @@ def test_guard_allows_constants_and_function_locals():
         "def f():\n    memo = {}\n    return memo\n") == []
 
 
-# Runs every command on two configs and prints the modules it imported after
-# the snapshot.  argv: output directory, then "mutant" to put np.unique back
-# in place of groupoids._distinct.  The snapshot follows one build_parser():
-# argparse translates its messages through gettext, which imports locale when
-# the first parser is built, in every argparse program.
+# Runs every command on two configs, and vertex on a module file (the 2-dim
+# simple kS3-module at p = 2, whose load checks the group relations), and
+# prints the modules it imported after the snapshot.  argv: output
+# directory, then "mutant" to put np.unique back in place of
+# groupoids._distinct.  The snapshot follows one build_parser(): argparse
+# translates its messages through gettext, which imports locale when the
+# first parser is built, in every argparse program.
 RUN_PATH_SCRIPT = """
 import contextlib, io, json, sys
 import numpy
@@ -175,17 +177,27 @@ from greencorr import cli, groupoids
 out, mode = sys.argv[1:]
 if mode == "mutant":
     groupoids._distinct = numpy.unique
+module = f"{out}/s3_simple.json"
+with open(module, "w") as f:
+    json.dump({"p": 2, "dim": 2,
+               "group_ref": {"degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]},
+               "action": {"0": [0, 1, 1, 0], "1": [0, 1, 1, 1]}}, f)
 cli.build_parser()
 before = set(sys.modules)
-codes = []
+argvs = []
 for config in ("configs/s3_c2_c2.json", "configs/s4_d8_c4.json"):
     for command in ("verify", "isocomma", "partial", "decompose", "vertex",
                     "correspond", "families"):
-        argv = [command, "--scenario", config, "--out", f"{out}/{len(codes)}"]
+        argv = [command, "--scenario", config]
         if command == "vertex":
             argv += ["--module", "trivial"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes.append(cli.run(argv))
+        argvs.append(argv)
+argvs.append(["vertex", "--scenario", "configs/s3_c2_c2.json",
+              "--module", module])
+codes = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.run(argv + ["--out", f"{out}/{len(codes)}"]))
 print(json.dumps({"codes": codes,
                   "added": sorted(set(sys.modules) - before)}))
 """
@@ -203,11 +215,11 @@ def modules_added_by_commands(out: Path, mode: str) -> dict:
 
 def test_commands_import_nothing_after_the_cli(tmp_path):
     result = modules_added_by_commands(tmp_path, "as-is")
-    assert result["codes"] == [0] * 14
+    assert result["codes"] == [0] * 15
     assert result["added"] == []
 
 
 def test_run_path_guard_catches_a_plain_unique(tmp_path):
     result = modules_added_by_commands(tmp_path, "mutant")
-    assert result["codes"] == [0] * 14
+    assert result["codes"] == [0] * 15
     assert "numpy.ma" in result["added"]
