@@ -34,22 +34,23 @@ formula that are isomorphic are split once.
 No step is random and no step enumerates units, so a decomposition does not
 depend on any seed, and a wrong certificate is never returned.  The radical
 of a local End(M) is kept with its certificate: it decides direct summands
-and isomorphisms of indecomposables exactly, and Higman's criterion decides
-relative projectivity.  A vertex comes from Higman's criterion alone, by
-descent from a Sylow p-subgroup; ``source`` reads a source off the summands
-of Res_Q M by Green's theorem, with no induced module.  Isomorphism classes
-are found first fit.  Every isomorphism test first compares the dimension,
-the trace of each generator action and the rank of each (action - I), all
-invariant under conjugation, and tells a pair that differs apart without a
-Hom solve.
+and isomorphisms of indecomposables exactly.  Relative projectivity is
+settled by Green's vertex theory where it can be, by the p-part of
+|G:X| dividing dim M and by subconjugacy to a known vertex, and otherwise by
+Higman's criterion.  A vertex comes from Higman's criterion, tested at a
+Sylow p-subgroup, then at the trivial subgroup, then by descent; ``source``
+reads a source off the summands of Res_Q M by Green's theorem, with no
+induced module.  Isomorphism classes are found first fit.  Every isomorphism
+test first compares the dimension, the trace of each generator action and
+the rank of each (action - I), all invariant under conjugation, and tells a
+pair that differs apart without a Hom solve.
 
 A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
 End analyses with their End bases, and vertices, by module fingerprint;
 Higman verdicts, by module fingerprint and subgroup; and the p-subgroup
-classes that a vertex descent walks, by group and subgroup.  Higman's test
-with the trivial subgroup, read through that table, is how
-``green.module_catalog`` finds the projective kD-modules whose inductions it
-skips.  A public function called without one makes a fresh ``Run`` for that
+classes that a vertex descent walks, by group and subgroup.  Relative
+projectivity to the trivial subgroup is how ``green.module_catalog`` finds
+the projective kD-modules whose inductions it skips.  A public function called without one makes a fresh ``Run`` for that
 call only, so nothing is kept between calls that do not share one.
 """
 
@@ -73,9 +74,12 @@ from .modules import (
 from .permgroups import (
     PermGroup,
     SubgroupEmbedding,
+    is_subconjugate,
     left_coset_representatives,
+    p_part,
     p_subgroups_up_to_conjugacy,
     sylow,
+    trivial_subgroup,
 )
 
 
@@ -788,22 +792,34 @@ def relative_trace_image(M: FpModule, N: FpModule, emb: SubgroupEmbedding,
 
 def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding,
                              run: Run | None = None) -> bool:
-    """Whether M is relatively D-projective (a D-object, a retract of
-    Ind_D Res_D M).
+    """Whether M is relatively X-projective, X = ``emb`` (a retract of
+    Ind_X Res_X M; with X = D, M is a D-object).
 
-    Decided by Higman's criterion: M is relatively D-projective iff id_M lies
-    in the image of the relative trace Tr_D^G on End_kD(Res_D M)
-    (D. G. Higman, Duke Math. J. 21, 1954).  The End basis is the one
-    ``run`` keeps, and the verdict is memoized in ``run`` by the module's
-    fingerprint and the subgroup.
+    Green's vertex theory settles most tests without a trace (J. A. Green,
+    Math. Z. 70, 1959).  Each indecomposable summand of a relatively
+    X-projective M has a vertex Q <=_G X, and |G:Q|_p divides its dimension,
+    so when |G:X|_p does not divide dim M the answer is no.  An
+    indecomposable M with vertex Q is relatively X-projective iff Q <=_G X,
+    so once ``run`` holds M's vertex, subconjugacy decides.  Otherwise
+    Higman's criterion decides: M is relatively X-projective iff id_M lies in
+    the image of the relative trace Tr_X^G on End_kX(Res_X M) (D. G. Higman,
+    Duke Math. J. 21, 1954).  The End basis is the one ``run`` keeps, and
+    the trace's verdict is memoized in ``run`` by the module's fingerprint
+    and the subgroup.
     """
     G = M.group
     if not G.same_group(emb.ambient):
         raise InputError("subgroup is not inside the module's group")
     if emb.order == G.order or M.dim == 0:
         return True
+    if M.dim % p_part(G.order // emb.order, M.p):
+        return False
     run = run or Run()
-    key = (M.fingerprint(), emb.element_indices)
+    fingerprint = M.fingerprint()
+    Q = run.vertices.get(fingerprint)
+    if Q is not None:
+        return is_subconjugate(G, Q, emb)
+    key = (fingerprint, emb.element_indices)
     hit = run.projective.get(key)
     if hit is None:
         R, piv = relative_trace_image(M, M, emb, end_basis(M, run))
@@ -823,13 +839,17 @@ def _p_subgroup_classes(G: PermGroup, P: SubgroupEmbedding,
 
 
 def vertex(M: FpModule, run: Run | None = None) -> SubgroupEmbedding:
-    """A minimal subgroup D with M relatively D-projective, as the canonical
+    """A minimal subgroup Q with M relatively Q-projective, as the canonical
     representative of its conjugacy class.
 
     Starts at a Sylow p-subgroup (every module is projective relative to it
-    in this cohomological setting) and descends through subgroups up to
-    conjugacy.  M must be certified indecomposable.  Memoized in ``run`` by
-    module fingerprint.
+    in this cohomological setting), then tests the trivial subgroup, and
+    otherwise descends through subgroups up to conjugacy.  Every catalog
+    holds the summands of kG, which are projective: by Green's theorem
+    (Math. Z. 70, 1959) |G:Q|_p divides dim M, so only a module of dimension
+    divisible by |G|_p needs the trivial test, and that one trace solves no
+    Hom over a subgroup; a hit ends the descent.  M must be certified
+    indecomposable.  Memoized in ``run`` by module fingerprint.
     """
     run = run or Run()
     cache_key = M.fingerprint()
@@ -842,6 +862,9 @@ def vertex(M: FpModule, run: Run | None = None) -> SubgroupEmbedding:
     smaller = sylow(G, M.p)
     if not is_relatively_projective(M, smaller, run):
         raise TheoremViolationError("module not projective relative to Sylow")
+    current = trivial_subgroup(G)
+    if is_relatively_projective(M, current, run):
+        smaller = None
     while smaller is not None:
         current = smaller
         smaller = next((R for R in _p_subgroup_classes(G, current, run)

@@ -205,6 +205,10 @@ def module_catalog(sc: Scenario, side: str,
     test with the trivial subgroup) is projective, so each of its summands is
     a summand of the regular module, whose classes come first: it is not
     induced, and the classes and their order are the same.
+
+    The X-object test finds each module's vertex Q before the D-object test,
+    which Green's vertex theorem then settles without a trace: an
+    indecomposable is relatively D-projective iff Q <=_G D.
     """
     if side == "H":
         amb_group = sc.H.group
@@ -230,8 +234,8 @@ def module_catalog(sc: Scenario, side: str,
     for mod in _dedup_classes(candidates, run):
         if not end_info(mod, run).local:
             continue
-        d_obj = is_relatively_projective(mod, d_emb, run)
         x_obj = is_x_object(mod, fam, run)
+        d_obj = is_relatively_projective(mod, d_emb, run)
         out.append((mod, d_obj, x_obj))
     out.sort(key=lambda t: t[0].dim)
     return out
@@ -454,6 +458,10 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     ff_rows = []
     ff_ok = True
     induced = [induce(n, sc.H) for n in elig_h]
+    # correspondent_up decomposes each Ind n below; doing it first keeps the
+    # End basis of an indecomposable Ind n in the run for the quotient hom
+    for mod in induced:
+        decompose(mod, run)
     for i1, n1 in enumerate(elig_h):
         for i2, n2 in enumerate(elig_h):
             dim_h = quotient_hom_dim(n1, n2, fam_h, run)

@@ -18,7 +18,13 @@ import numpy as np
 from . import linalg
 from .errors import InputError, TheoremViolationError
 from .linalg import SpanBuilder, as_fp, mat_inv, mat_mul
-from .permgroups import PermGroup, SubgroupEmbedding, coset_lookup, json_integer
+from .permgroups import (
+    PermGroup,
+    SubgroupEmbedding,
+    coset_lookup,
+    json_integer,
+    require_prime,
+)
 
 
 class FpModule:
@@ -509,8 +515,10 @@ def module_to_json(M: FpModule) -> dict:
 
 def module_from_json(doc: dict, group: PermGroup | None = None) -> FpModule:
     """The module that ``module_to_json`` wrote; InputError unless every
-    number is a JSON integer and the matrices are a representation."""
+    number is a JSON integer, p is prime and the matrices are a
+    representation."""
     p = json_integer(doc["p"], "p")
+    require_prime(p)
     if group is None:
         ref = doc["group_ref"]
         group = PermGroup(json_integer(ref["degree"], "degree"),

@@ -581,6 +581,18 @@ def summand_route_relatively_projective(M, emb):
     return True
 
 
+def relatively_projective_by_trace(M, emb):
+    """The former route of decompose.is_relatively_projective: Higman's
+    criterion alone, whether id_M lies in the image of Tr_X^G on
+    End_kX(Res_X M), with no shortcut from dimensions, vertices or a Run."""
+    from greencorr.decompose import relative_trace_image
+    from greencorr.linalg import in_row_space
+    from greencorr.modules import hom_space
+
+    R, piv = relative_trace_image(M, M, emb, hom_space(M, M))
+    return in_row_space(np.eye(M.dim, dtype=np.int64).ravel(), R, piv, M.p)
+
+
 def is_x_object_summand_check(M, family):
     """The reference for green.is_x_object: the indecomposable M is an
     X-object iff it is a retract of some Ind_X Res_X M, X in the family,

@@ -159,23 +159,31 @@ def test_byte_identical_reports(s3_config, tmp_path):
     assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
     assert (out1 / "verify_ff_table.tsv").read_bytes() == \
         (out2 / "verify_ff_table.tsv").read_bytes()
-    # the shipped configs keep their recorded reports
+    # the shipped configs keep their recorded reports: the md5s of
+    # verify.json and of verify_ff_table.tsv
     root = Path(__file__).resolve().parent.parent / "configs"
     recorded = {
-        "s3_c2_c2": "82ebd42615a704e801d402f5f0e223d7",
-        "degenerate_s3": "ae9a062ab5f7b1d46aaf7a5cc6017997",
-        "s4_d8_c4": "60117dcd2de2eb1bb9ed65084ca1baef",
-        "s4_d8_d8": "d51671e6b9edbcb116d96f2155172a33",
-        "a5_a4_v4": "d3a5d757b8336a3ad0ccb2523798a905",
+        "s3_c2_c2": ("82ebd42615a704e801d402f5f0e223d7",
+                     "b9fb5ba84ae296cd04237a6c7a34ede2"),
+        "degenerate_s3": ("ae9a062ab5f7b1d46aaf7a5cc6017997",
+                          "ae33d8e73f94f3af10e22ac940cca4fa"),
+        "s4_d8_c4": ("60117dcd2de2eb1bb9ed65084ca1baef",
+                     "cbb2948d856def03c0cb52a28f19cdc4"),
+        "s4_d8_d8": ("d51671e6b9edbcb116d96f2155172a33",
+                     "1a0a403aa9385d56830990732d7727b0"),
+        "a5_a4_v4": ("d3a5d757b8336a3ad0ccb2523798a905",
+                     "47622fd1c0b159495790cf3ecf029d8a"),
         # the stretch chain S5 >= S4 >= D8 at p = 2
-        "s5_s4_d8": "5cc1271ffa6f93019cb89bcc0f82194c",
+        "s5_s4_d8": ("5cc1271ffa6f93019cb89bcc0f82194c",
+                     "b7b03c16885fecf58d46905750364890"),
     }
-    for name, md5 in recorded.items():
+    for name, md5s in recorded.items():
         out = tmp_path / name
         assert run(["verify", "--scenario", str(root / f"{name}.json"),
                     "--seed", "0", "--out", str(out)]) == 0
-        assert hashlib.md5((out / "verify.json").read_bytes()).hexdigest() \
-            == md5, name
+        assert tuple(hashlib.md5((out / f).read_bytes()).hexdigest()
+                     for f in ("verify.json", "verify_ff_table.tsv")) \
+            == md5s, name
 
 
 GROUPOID_REPORTS = {
@@ -257,12 +265,17 @@ def _write_bad_module(tmp_path, kind):
     return path
 
 
+# p must be prime: p = 0 divided by zero in numpy before the error line, and
+# p = 1 and p = -3 failed later under another name
+NON_PRIME_P = {"p_zero": 0, "p_one": 1, "p_negative": -3, "p_composite": 4}
+
 # numbers must be JSON integers: int() would read p = 2.9 as 2, dim 1.0 as 1
 # and degree 3.0 as 3, and the 1.7 in the last entry of the last action as 1;
 # an entry past int64 overflows numpy; the two actions of the last file do
 # not satisfy the relations of S3, since (0 1 2) has order 3 and
 # [[1, 1], [0, 1]] order 2
 BAD_MODULE_FIELDS = {
+    **{kind: {"p": p} for kind, p in NON_PRIME_P.items()},
     "p_float": {"p": 2.9},
     "dim_float": {"dim": 1.0},
     "degree_float": {"group_ref": {"degree": 3.0,
@@ -285,6 +298,8 @@ def test_bad_module_file_exits_2(kind, s3_config, tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+        if kind in NON_PRIME_P:
+            assert f"{NON_PRIME_P[kind]} is not prime" in captured.err
 
 
 def test_verify_with_too_large_p_exits_2(tmp_path, capsys):

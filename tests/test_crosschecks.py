@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greencorr import cli
 from greencorr.catalog import (
@@ -20,6 +22,7 @@ from greencorr.decompose import (
     _iso_indec,
     _support_components,
     decompose,
+    is_relatively_projective,
     relative_trace_image,
     source,
     vertex,
@@ -27,6 +30,7 @@ from greencorr.decompose import (
 from greencorr.green import (
     Scenario,
     factoring_subspace,
+    generating_family_over_D,
     is_x_object,
     module_catalog,
     quotient_hom_dim,
@@ -47,7 +51,10 @@ from greencorr.modules import (
 )
 from greencorr.permgroups import (
     all_subgroups,
+    p_part,
+    p_subgroups_up_to_conjugacy,
     subgroup,
+    sylow,
     trivial_subgroup,
     whole_group,
 )
@@ -56,6 +63,7 @@ from oracles import (
     is_x_object_summand_check,
     kron_hom_basis,
     literal_trace_image,
+    relatively_projective_by_trace,
     rref_mod,
     source_by_induction,
 )
@@ -234,6 +242,53 @@ def test_source_routes_agree_on_every_catalog_module(name):
     for mod in mods:
         assert source(mod, run).fingerprint() == \
             source_by_induction(mod, oracle_run).fingerprint(), mod.name
+
+
+@pytest.mark.parametrize("name", ["s3_c2_c2", "degenerate_s3", "s4_d8_c4",
+                                  "s4_d8_d8", "a5_a4_v4"])
+def test_relative_projectivity_agrees_with_the_trace(name):
+    # Green's shortcuts (the p-part of |G:X| dividing dim M, subconjugacy to
+    # a known vertex) vs Higman's trace alone, for every p-subgroup class X
+    # of a Sylow subgroup: on the catalog modules of both sides, with a fresh
+    # Run and with one that holds their vertices, and on the decomposable
+    # kG and Ind_D s, s in the kD catalog
+    sc = cli.Config.from_file(str(ROOT / "configs" / f"{name}.json")).scenario()
+    run = Run()
+    family = generating_family_over_D(sc, run)
+    decided = {"dimension": 0, "vertex": 0}
+    for side, K, d_emb in (("H", sc.H.group, sc.d_in_h), ("G", sc.G, sc.D)):
+        mods = [mod for mod, _, _ in module_catalog(sc, side, run)]
+        for mod in mods:
+            vertex(mod, run)
+        induced = [regular_module(K, sc.p)] + [induce(s, d_emb) for s in family]
+        for X in p_subgroups_up_to_conjugacy(K, sylow(K, sc.p)):
+            index_p = p_part(K.order // X.order, sc.p)
+            for M in mods + induced:
+                expected = relatively_projective_by_trace(M, X)
+                assert is_relatively_projective(M, X, Run()) == expected
+                known = M.fingerprint() in run.vertices
+                if known:
+                    assert is_relatively_projective(M, X, run) == expected, \
+                        (side, M.name)
+                if M.dim % index_p:
+                    decided["dimension"] += 1
+                elif X.order < K.order and known:
+                    decided["vertex"] += 1
+    assert decided["dimension"] and decided["vertex"]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(bridge_groups())), st.sampled_from([2, 3, 5]),
+       st.integers(0, 2 ** 32 - 1))
+def test_a_dimension_prime_to_the_index_is_never_relatively_projective(
+        name, p, seed):
+    # Green: each summand of a relatively X-projective M has a vertex
+    # Q <=_G X, and |G:Q|_p, a multiple of |G:X|_p, divides its dimension
+    G = bridge_groups()[name]
+    M = random_module(G, p, 8, np.random.default_rng(seed))
+    for X in all_subgroups(G):
+        if M.dim % p_part(G.order // X.order, p):
+            assert not relatively_projective_by_trace(M, X), (name, p, X)
 
 
 def test_source_passes_over_a_summand_of_smaller_vertex():

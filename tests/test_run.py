@@ -37,6 +37,15 @@ VERIFY_WORK = [
     ("perfbench/configs/d8_v4_c2.json", 7, 7),
     ("configs/s4_d8_d8.json", 19, 21),
 ]
+# (config, Higman traces that is_relatively_projective computes) in one
+# verify.  Higman's criterion alone took 30, 104 and 63: Green's vertex theory
+# now settles a test without a trace when |G:X|_p does not divide dim M or
+# the module's vertex is known, and vertex tests the trivial subgroup first
+HIGMAN_TRACES = [
+    ("perfbench/configs/d8_v4_c2.json", 8),
+    ("configs/s4_d8_d8.json", 49),
+    ("configs/a5_a4_v4.json", 33),
+]
 
 
 @pytest.mark.parametrize("path, decompositions, vertices", VERIFY_WORK)
@@ -207,9 +216,10 @@ def test_run_tables_match_fresh_computations(path):
         assert all((a == b).all() for a, b in zip(ends, fresh))
 
 
-@pytest.mark.parametrize("path", ["perfbench/configs/d8_v4_c2.json",
-                                  "configs/s4_d8_d8.json"])
-def test_one_verify_solves_each_end_and_higman_test_once(path, monkeypatch):
+@pytest.mark.parametrize("path, traces", HIGMAN_TRACES,
+                         ids=[path for path, _ in HIGMAN_TRACES])
+def test_one_verify_solves_each_end_and_higman_test_once(path, traces,
+                                                         monkeypatch):
     # End solves: the solve of each support component in decompose and every
     # hom_space(M, M) of one module object, by fingerprint; Higman tests: the trace images
     # of End that is_relatively_projective computes, by module and subgroup
@@ -240,10 +250,19 @@ def test_one_verify_solves_each_end_and_higman_test_once(path, monkeypatch):
     monkeypatch.setattr(D, "hom_space_from_actions", counting_from_actions)
     monkeypatch.setattr(D, "relative_trace_image", counting_trace)
     run = Run()
-    assert GREEN.verify_scenario(scenario(path), run).all_pass
+    sc = scenario(path)
+    assert GREEN.verify_scenario(sc, run).all_pass
     # the Run keeps End bases of certified indecomposables only; the End of
     # a decomposable induced module is solved by decompose and again by the
     # quotient hom of the fully-faithful table
     leaves = {key for key, info in run.ends.items() if info.local}
     assert higman and max(higman.values()) == 1
+    assert sum(higman.values()) == traces
+    # no shortcut skips the Sylow guard of vertex where the Sylow subgroup
+    # is proper (on a5_a4_v4, for every module on both sides)
+    guarded = [(key, P.element_indices) for key, Q in run.vertices.items()
+               for P in [sylow(Q.ambient, sc.p)] if P.order < Q.ambient.order]
+    assert all(test in higman for test in guarded)
+    if "a5_a4_v4" in path:
+        assert len(guarded) == len(run.vertices) > 0
     assert {key: n for key, n in ends.items() if key in leaves and n > 1} == {}
