@@ -28,15 +28,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .boundary import geography_check, tricky_factorization
-from .decompose import Run, decompose, source, vertex, _iso_indec
+from .decompose import Run, decompose, source, vertex
 from .errors import InputError, TheoremViolationError, UndecidedError
 from .green import (
     SCHEMA_VERSION,
     Scenario,
     chain_boundary,
-    correspondent_down,
-    correspondent_up,
-    eligible_modules,
+    correspondence,
+    named_catalog,
     verify_scenario,
 )
 from .groupoids import compose_functors, identity_functor, isocomma
@@ -59,7 +58,6 @@ class Config:
     generators_G: list
     generators_H: list
     generators_D: list
-    seed: int = 0
     format: str = "json"
     out: str | None = None
 
@@ -79,13 +77,14 @@ class Config:
         if not isinstance(opts, dict):
             raise InputError("malformed config: options is not a JSON object")
         try:
+            # the seed is validated and ignored: every step is deterministic
+            json_integer(opts.get("seed", 0), "seed")
             cfg = cls(
                 p=json_integer(doc["p"], "p"),
                 degree=json_integer(doc["degree"], "degree"),
                 generators_G=list(doc["generators_G"]),
                 generators_H=list(doc["generators_H"]),
                 generators_D=list(doc["generators_D"]),
-                seed=json_integer(opts.get("seed", 0), "seed"),
                 format=str(opts.get("format", "json")),
                 out=opts.get("out"),
             )
@@ -256,17 +255,11 @@ def run_vertex(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
 
 def run_correspond(cfg: Config, sc: Scenario) -> dict:
     run = Run()
-    elig = eligible_modules(sc, "H", run)
-    pairs = []
-    for idx, n in enumerate(elig):
-        m = correspondent_up(n, sc, run)
-        back = correspondent_down(m, sc, run)
-        pairs.append({
-            "n": f"H:d{n.dim}#{idx}",
-            "dim_n": n.dim,
-            "dim_m": m.dim,
-            "round_trip": _iso_indec(n, back, run),
-        })
+    pairs = [
+        {"n": name, "dim_n": n.dim, "dim_m": m.dim, "round_trip": round_trip}
+        for name, n, m, round_trip
+        in correspondence(sc, named_catalog(sc, "H", run), run)
+    ]
     return {"command": "correspond", "pairs": pairs}
 
 
@@ -364,8 +357,6 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         cfg = Config.from_file(args.scenario)
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.format is not None:
             cfg.format = args.format
         if args.out is not None:

@@ -50,8 +50,9 @@ End analyses with their End bases, and vertices, by module fingerprint;
 Higman verdicts, by module fingerprint and subgroup; and the p-subgroup
 classes that a vertex descent walks, by group and subgroup.  Relative
 projectivity to the trivial subgroup is how ``green.module_catalog`` finds
-the projective kD-modules whose inductions it skips.  A public function called without one makes a fresh ``Run`` for that
-call only, so nothing is kept between calls that do not share one.
+the projective kD-modules whose inductions it skips.  A public function
+called without a ``Run`` makes a fresh one for that call only, so nothing is
+kept between calls that do not share one.
 """
 
 from __future__ import annotations
@@ -535,9 +536,9 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     it certifies the component cut and both reuses too.  Pieces that differ
     in a conjugation invariant are told apart without a Hom solve
     (``_iso_indec``), and a carried piece has its source's actions, so a
-    class that its source represents takes it by fingerprint.  The result is memoized in ``run`` by
-    the module's exact fingerprint, and each summand's End analysis, with
-    its End basis, is kept for ``end_info``.
+    class that its source represents takes it by fingerprint.  The result is
+    memoized in ``run`` by the module's exact fingerprint, and each summand's
+    End analysis, with its End basis, is kept for ``end_info``.
     """
     run = run or Run()
     cache_key = M.fingerprint()

@@ -13,6 +13,7 @@ induction/restriction adjunction.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -105,6 +106,16 @@ class Scenario:
     def y_in_h(self) -> list[SubgroupEmbedding]:
         return self._y_in_h
 
+    def side(self, side: str) -> tuple[PermGroup, SubgroupEmbedding,
+                                       list[SubgroupEmbedding]]:
+        """The group of side "H" or "G", D inside it and the X family
+        inside it."""
+        if side == "H":
+            return self.H.group, self.d_in_h, self.x_in_h()
+        if side == "G":
+            return self.G, self.D, self.x_in_g()
+        raise InputError("side must be 'H' or 'G'")
+
     def _family_in_h(self, members: list[SubgroupEmbedding]) -> list[SubgroupEmbedding]:
         inside = [
             SubgroupEmbedding(
@@ -177,14 +188,15 @@ def _dedup_classes(mods: list[FpModule], run: Run) -> list[FpModule]:
 def generating_family_over_D(sc: Scenario,
                              run: Run | None = None) -> list[FpModule]:
     """Indecomposable kD-modules seeding the eligible sets: summands of the
-    trivial and regular modules and of k[D/E] over subgroup classes E <= D.
+    trivial module and of k[D/E] over the subgroup classes E < D, the first
+    of which, E = 1, gives the regular module.
 
     kD can have infinitely many indecomposables, so this finite catalog is the
     documented approximation of "all" of them.
     """
     Dgrp = sc.D.group
     mods: list[FpModule] = []
-    sources = [trivial_module(Dgrp, sc.p), regular_module(Dgrp, sc.p)]
+    sources = [trivial_module(Dgrp, sc.p)]
     for E in class_representatives(all_subgroups(Dgrp)):
         if E.order < Dgrp.order:
             sources.append(induce(trivial_module(E.group, sc.p), E))
@@ -210,16 +222,7 @@ def module_catalog(sc: Scenario, side: str,
     which Green's vertex theorem then settles without a trace: an
     indecomposable is relatively D-projective iff Q <=_G D.
     """
-    if side == "H":
-        amb_group = sc.H.group
-        d_emb = sc.d_in_h
-        fam = sc.x_in_h()
-    elif side == "G":
-        amb_group = sc.G
-        d_emb = sc.D
-        fam = sc.x_in_g()
-    else:
-        raise InputError("side must be 'H' or 'G'")
+    amb_group, d_emb, fam = sc.side(side)
     run = run or Run()
     candidates: list[FpModule] = [trivial_module(amb_group, sc.p)]
     for mod, _ in decompose(regular_module(amb_group, sc.p), run).summands:
@@ -241,11 +244,28 @@ def module_catalog(sc: Scenario, side: str,
     return out
 
 
+def named_catalog(sc: Scenario, side: str, run: Run | None = None
+                  ) -> list[tuple[str, FpModule, bool, bool]]:
+    """``module_catalog`` rows as (name, module, is_D_object, is_X_object),
+    named ``<side>:d<dim>#<k>`` with k the catalog position, the name that
+    the verify and correspond reports share."""
+    return [(f"{side}:d{mod.dim}#{k}", mod, d_obj, x_obj)
+            for k, (mod, d_obj, x_obj)
+            in enumerate(module_catalog(sc, side, run))]
+
+
+def eligible(rows: list[tuple[str, FpModule, bool, bool]]
+             ) -> list[tuple[str, FpModule]]:
+    """(name, module) of the named catalog rows that are D-objects and not
+    X-objects."""
+    return [(name, mod) for name, mod, d_obj, x_obj in rows
+            if d_obj and not x_obj]
+
+
 def eligible_modules(sc: Scenario, side: str,
                      run: Run | None = None) -> list[FpModule]:
     """Certified-indecomposable D-objects that are not X-objects, over H or G."""
-    return [mod for mod, d_obj, x_obj in module_catalog(sc, side, run)
-            if d_obj and not x_obj]
+    return [mod for _, mod in eligible(named_catalog(sc, side, run))]
 
 
 # ---------------------------------------------------------------------------
@@ -257,43 +277,46 @@ def correspondent_up(n: FpModule, sc: Scenario,
                      run: Run | None = None) -> FpModule:
     """The X-free part of Ind_H^G n, which the Green correspondence promises
     is a single indecomposable with multiplicity one."""
-    return _correspondent(n, sc, "H", run or Run())
+    return _correspondent(n, sc, "H", induce, sc.x_in_g(), run or Run())
 
 
 def correspondent_down(m: FpModule, sc: Scenario,
                        run: Run | None = None) -> FpModule:
     """The Y-free part of Res_H^G m."""
-    return _correspondent(m, sc, "G", run or Run())
+    return _correspondent(m, sc, "G", restrict, sc.y_in_h(), run or Run())
 
 
 def _correspondent(mod: FpModule, sc: Scenario, side: str,
-                   run: Run) -> FpModule:
-    """The one class of Ind_H^G mod (side H) or Res_H mod (side G) outside
-    the X_G-objects (Y_H-objects), which must have multiplicity one."""
-    _require_eligible(mod, sc, side, run)
-    if side == "H":
-        other, fam, what = induce(mod, sc.H), sc.x_in_g(), "induction"
-    else:
-        other, fam, what = restrict(mod, sc.H), sc.y_in_h(), "restriction"
-    survivors = [(s, mult) for s, mult in decompose(other, run).summands
-                 if not is_x_object(s, fam, run)]
-    if len(survivors) != 1 or survivors[0][1] != 1:
-        raise TheoremViolationError(
-            f"{what} of {mod.name} has {survivors} surviving classes")
-    return survivors[0][0]
-
-
-def _require_eligible(mod: FpModule, sc: Scenario, side: str, run: Run) -> None:
+                   move: Callable[[FpModule, SubgroupEmbedding], FpModule],
+                   family: list[SubgroupEmbedding], run: Run) -> FpModule:
+    """The one class of move(mod, H), Ind_H^G mod or Res_H mod, outside the
+    family-objects, which must have multiplicity one.  mod must be an
+    eligible module of its side."""
+    _, d_emb, fam = sc.side(side)
     if mod.dim == 0 or not end_info(mod, run).local:
         raise InputError("correspondent requires a certified indecomposable")
-    if side == "H":
-        d_emb, fam = sc.d_in_h, sc.x_in_h()
-    else:
-        d_emb, fam = sc.D, sc.x_in_g()
     if not is_relatively_projective(mod, d_emb, run):
         raise InputError("correspondent requires a D-object")
     if is_x_object(mod, fam, run):
         raise InputError("correspondent requires a module outside the X-objects")
+    survivors = [(s, mult)
+                 for s, mult in decompose(move(mod, sc.H), run).summands
+                 if not is_x_object(s, family, run)]
+    if len(survivors) != 1 or survivors[0][1] != 1:
+        raise TheoremViolationError(
+            f"{move.__name__}({mod.name}) has {survivors} surviving classes")
+    return survivors[0][0]
+
+
+def correspondence(sc: Scenario,
+                   catalog_h: list[tuple[str, FpModule, bool, bool]],
+                   run: Run) -> Iterator[tuple[str, FpModule, FpModule, bool]]:
+    """The Green correspondence on the eligible rows of the named H catalog:
+    yields (name, n, m, round_trip) with m = correspondent_up(n) and
+    round_trip whether correspondent_down(m) is isomorphic to n."""
+    for name, n in eligible(catalog_h):
+        m = correspondent_up(n, sc, run)
+        yield name, n, m, _iso_indec(n, correspondent_down(m, sc, run), run)
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +368,15 @@ class GreenReport:
         }
 
 
-def _vertex_class_in_g(sc: Scenario, mod: FpModule, side: str,
+def _vertex_class_in_g(sc: Scenario, mod: FpModule,
                        run: Run) -> tuple[tuple[int, ...], int]:
-    """Vertex of a module on either side, as a canonical G-conjugacy key."""
+    """Vertex of a module over H or G, as a canonical G-conjugacy key: the
+    groups of the chain permute the same points, so its elements are
+    elements of G."""
     v = vertex(mod, run)
-    if side == "H":
-        amb = SubgroupEmbedding(
-            sc.G, tuple(sc.H.to_ambient[x] for x in v.element_indices), "v")
-    else:
-        amb = v
-    return amb.canonical_class_key, v.order
-
-
-def _entry_vertex(sc: Scenario, mod: FpModule, side: str,
-                  d_key: tuple[int, ...], run: Run) -> tuple[int, bool]:
-    key, order = _vertex_class_in_g(sc, mod, side, run)
-    return order, key == d_key
+    in_g = SubgroupEmbedding(sc.G, tuple(sc.G.index[v.ambient.elements[x]]
+                                         for x in v.element_indices), "v")
+    return in_g.canonical_class_key, v.order
 
 
 @dataclass
@@ -440,14 +456,8 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     the scenario's finite eligible test set, with one ``run`` memoizing
     decompositions, End analyses and vertices across all of them."""
     run = run or Run()
-    cat_h = module_catalog(sc, "H", run)
-    cat_g = module_catalog(sc, "G", run)
-    elig_h = [mod for mod, d_obj, x_obj in cat_h if d_obj and not x_obj]
-    elig_g = [mod for mod, d_obj, x_obj in cat_g if d_obj and not x_obj]
-    names_h = [f"H:d{mod.dim}#{k}" for k, (mod, d_obj, x_obj) in enumerate(cat_h)
-               if d_obj and not x_obj]
-    names_g = [f"G:d{mod.dim}#{k}" for k, (mod, d_obj, x_obj) in enumerate(cat_g)
-               if d_obj and not x_obj]
+    cat_h, cat_g = (named_catalog(sc, side, run) for side in ("H", "G"))
+    elig_h, elig_g = eligible(cat_h), eligible(cat_g)
     fam_g = sc.x_in_g()
     fam_h = sc.x_in_h()
     d_key = sc.D.canonical_class_key
@@ -457,79 +467,67 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     # (a) fully-faithfulness: quotient hom dims match under induction
     ff_rows = []
     ff_ok = True
-    induced = [induce(n, sc.H) for n in elig_h]
+    induced = [induce(n, sc.H) for _, n in elig_h]
     # correspondent_up decomposes each Ind n below; doing it first keeps the
     # End basis of an indecomposable Ind n in the run for the quotient hom
     for mod in induced:
         decompose(mod, run)
-    for i1, n1 in enumerate(elig_h):
-        for i2, n2 in enumerate(elig_h):
+    for (name1, n1), ind1 in zip(elig_h, induced):
+        for (name2, n2), ind2 in zip(elig_h, induced):
             dim_h = quotient_hom_dim(n1, n2, fam_h, run)
-            dim_g = quotient_hom_dim(induced[i1], induced[i2], fam_g, run)
+            dim_g = quotient_hom_dim(ind1, ind2, fam_g, run)
             equal = dim_h == dim_g
             ff_ok = ff_ok and equal
             ff_rows.append({
-                "n1": names_h[i1], "n2": names_h[i2],
+                "n1": name1, "n2": name2,
                 "qdim_H": dim_h, "qdim_G": dim_g, "equal": equal,
             })
     verdicts["fully_faithful"] = ff_ok
 
-    # (b) bijection with round trips and explicit retract witnesses
+    # (b) bijection with round trips and explicit retract witnesses, and
+    # (c) vertex preservation, per pair.  The eligible G classes are pairwise
+    # non-isomorphic, so each m matches at most one, and the correspondence
+    # is onto iff every one is matched
     pairs = []
-    bij_ok = True
-    up_images: list[FpModule] = []
-    for i1, n in enumerate(elig_h):
-        m = correspondent_up(n, sc, run)
-        back = correspondent_down(m, sc, run)
-        round_trip = _iso_indec(n, back, run)
-        m_le_ind = is_direct_summand(m, induce(n, sc.H), run)
+    bij_ok = vertex_ok = vertex_d_ok = True
+    matched = set()
+    for (name, n, m, round_trip), ind in zip(correspondence(sc, cat_h, run),
+                                             induced):
+        m_le_ind = is_direct_summand(m, ind, run)
         n_le_res = is_direct_summand(n, restrict(m, sc.H), run)
-        bij_ok = bij_ok and round_trip and m_le_ind and n_le_res
-        up_images.append(m)
-        match_g = next((names_g[j] for j, mg in enumerate(elig_g)
-                        if _iso_indec(mg, m, run)), None)
-        bij_ok = bij_ok and match_g is not None
-        pairs.append({
-            "n": names_h[i1], "m": match_g or f"G:d{m.dim}?",
-            "dim_n": n.dim, "dim_m": m.dim,
-            "round_trip": round_trip,
-            "m_retract_of_ind": m_le_ind,
-            "n_retract_of_res": n_le_res,
-        })
-    # surjectivity up to retracts: every eligible m over G is hit
-    for j, m in enumerate(elig_g):
-        hit = any(_iso_indec(mu, m, run) for mu in up_images)
-        if not hit:
-            bij_ok = False
-    verdicts["bijection_round_trip"] = bij_ok
-
-    # (c) vertex preservation per pair
-    vertex_ok = True
-    vertex_d_ok = True
-    for i1, (n, m) in enumerate(zip(elig_h, up_images)):
-        key_n, ord_n = _vertex_class_in_g(sc, n, "H", run)
-        key_m, ord_m = _vertex_class_in_g(sc, m, "G", run)
+        match = next((j for j, (_, mg) in enumerate(elig_g)
+                      if _iso_indec(mg, m, run)), None)
+        bij_ok = (bij_ok and round_trip and m_le_ind and n_le_res
+                  and match is not None)
+        matched.add(match)
+        key_n, ord_n = _vertex_class_in_g(sc, n, run)
+        key_m, _ = _vertex_class_in_g(sc, m, run)
         same = key_n == key_m
         vertex_ok = vertex_ok and same
         n_is_d = key_n == d_key
         m_is_d = key_m == d_key
         if sc.normalizer_condition and (n_is_d or m_is_d):
             vertex_d_ok = vertex_d_ok and n_is_d and m_is_d
-        pairs[i1]["vertex_order"] = ord_n
-        pairs[i1]["vertex_preserved"] = same
-    entries_h = [
-        ModuleEntry(f"H:d{mod.dim}#{k}", mod.dim,
-                    *_entry_vertex(sc, mod, "H", d_key, run), x_obj)
-        for k, (mod, d_obj, x_obj) in enumerate(cat_h) if d_obj
-    ]
-    entries_g = [
-        ModuleEntry(f"G:d{mod.dim}#{k}", mod.dim,
-                    *_entry_vertex(sc, mod, "G", d_key, run), x_obj)
-        for k, (mod, d_obj, x_obj) in enumerate(cat_g) if d_obj
-    ]
+        pairs.append({
+            "n": name,
+            "m": f"G:d{m.dim}?" if match is None else elig_g[match][0],
+            "dim_n": n.dim, "dim_m": m.dim,
+            "round_trip": round_trip,
+            "m_retract_of_ind": m_le_ind,
+            "n_retract_of_res": n_le_res,
+            "vertex_order": ord_n,
+            "vertex_preserved": same,
+        })
+    verdicts["bijection_round_trip"] = (
+        bij_ok and matched.issuperset(range(len(elig_g))))
     verdicts["vertex_preservation"] = vertex_ok
     if sc.normalizer_condition:
         verdicts["vertex_D_restriction"] = vertex_d_ok
+    entries_h, entries_g = (
+        [ModuleEntry(name, mod.dim, order, key == d_key, x_obj)
+         for name, mod, d_obj, x_obj in cat if d_obj
+         for key, order in [_vertex_class_in_g(sc, mod, run)]]
+        for cat in (cat_h, cat_g))
 
     # (e) groupoid-level cross-checks
     verdicts["boundary_families_match"] = boundary_families_match(sc)
@@ -539,7 +537,7 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     # every End basis element
     verdicts["factoring_is_ideal"] = all(
         _factoring_is_ideal(M, fam, run)
-        for mods, fam in ((elig_h, fam_h), (elig_g, fam_g)) for M in mods)
+        for mods, fam in ((elig_h, fam_h), (elig_g, fam_g)) for _, M in mods)
 
     family_orders = {
         "X": [S.order for S in sc.families.x_classes],

@@ -624,6 +624,24 @@ def source_by_induction(M, run):
                 if is_direct_summand(M, induce(s, Q), run))
 
 
+def generating_family_with_regular(sc, run):
+    """The former source list of green.generating_family_over_D: the
+    trivial and the regular kD-module, then k[D/E] for each proper subgroup
+    class E, decomposed, with the first of each class kept."""
+    from greencorr.decompose import decompose
+    from greencorr.green import _dedup_classes
+    from greencorr.modules import induce, regular_module, trivial_module
+    from greencorr.permgroups import all_subgroups, class_representatives
+
+    Dgrp = sc.D.group
+    sources = [trivial_module(Dgrp, sc.p), regular_module(Dgrp, sc.p)]
+    sources += [induce(trivial_module(E.group, sc.p), E)
+                for E in class_representatives(all_subgroups(Dgrp))
+                if E.order < Dgrp.order]
+    return _dedup_classes([mod for src in sources
+                           for mod, _ in decompose(src, run).summands], run)
+
+
 def module_catalog_all_inductions(sc, side, run):
     """The former catalog loop of green.module_catalog: it induces every
     member of the kD family, projective or not, and keeps the first of each
@@ -634,8 +652,7 @@ def module_catalog_all_inductions(sc, side, run):
         _dedup_classes, generating_family_over_D, is_x_object)
     from greencorr.modules import induce, regular_module, trivial_module
 
-    X, d_emb, fam = ((sc.H.group, sc.d_in_h, sc.x_in_h()) if side == "H"
-                     else (sc.G, sc.D, sc.x_in_g()))
+    X, d_emb, fam = sc.side(side)
     candidates = [trivial_module(X, sc.p)]
     candidates += [mod for mod, _ in
                    decompose(regular_module(X, sc.p), run).summands]

@@ -7,6 +7,8 @@ import pytest
 from greencorr.cli import Config, run
 from greencorr.errors import InputError
 
+ROOT = Path(__file__).resolve().parent.parent
+
 S3_CONFIG = {
     "p": 2,
     "degree": 3,
@@ -151,18 +153,9 @@ def test_verify_degenerate_exit_zero(degenerate_config, capsys):
     assert doc["all_pass"] is True
 
 
-def test_byte_identical_reports(s3_config, tmp_path):
-    out1 = tmp_path / "r1"
-    out2 = tmp_path / "r2"
-    assert run(["verify", "--scenario", s3_config, "--out", str(out1)]) == 0
-    assert run(["verify", "--scenario", s3_config, "--out", str(out2)]) == 0
-    assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
-    assert (out1 / "verify_ff_table.tsv").read_bytes() == \
-        (out2 / "verify_ff_table.tsv").read_bytes()
-    # the shipped configs keep their recorded reports: the md5s of
-    # verify.json and of verify_ff_table.tsv
-    root = Path(__file__).resolve().parent.parent / "configs"
-    recorded = {
+# the shipped configs keep their recorded reports: the md5s of verify.json
+# and of verify_ff_table.tsv
+VERIFY_REPORTS = {
         "s3_c2_c2": ("82ebd42615a704e801d402f5f0e223d7",
                      "b9fb5ba84ae296cd04237a6c7a34ede2"),
         "degenerate_s3": ("ae9a062ab5f7b1d46aaf7a5cc6017997",
@@ -176,14 +169,56 @@ def test_byte_identical_reports(s3_config, tmp_path):
         # the stretch chain S5 >= S4 >= D8 at p = 2
         "s5_s4_d8": ("5cc1271ffa6f93019cb89bcc0f82194c",
                      "b7b03c16885fecf58d46905750364890"),
-    }
-    for name, md5s in recorded.items():
-        out = tmp_path / name
-        assert run(["verify", "--scenario", str(root / f"{name}.json"),
-                    "--seed", "0", "--out", str(out)]) == 0
-        assert tuple(hashlib.md5((out / f).read_bytes()).hexdigest()
-                     for f in ("verify.json", "verify_ff_table.tsv")) \
-            == md5s, name
+}
+
+
+def verify_md5s(config: Path, out: Path, *flags: str) -> tuple[str, str]:
+    assert run(["verify", "--scenario", str(config), *flags,
+                "--out", str(out)]) == 0
+    return tuple(hashlib.md5((out / f).read_bytes()).hexdigest()
+                 for f in ("verify.json", "verify_ff_table.tsv"))
+
+
+def test_byte_identical_reports(s3_config, tmp_path):
+    out1 = tmp_path / "r1"
+    out2 = tmp_path / "r2"
+    assert run(["verify", "--scenario", s3_config, "--out", str(out1)]) == 0
+    assert run(["verify", "--scenario", s3_config, "--out", str(out2)]) == 0
+    assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
+    assert (out1 / "verify_ff_table.tsv").read_bytes() == \
+        (out2 / "verify_ff_table.tsv").read_bytes()
+    for name, md5s in VERIFY_REPORTS.items():
+        assert verify_md5s(ROOT / "configs" / f"{name}.json", tmp_path / name,
+                           "--seed", "0") == md5s, name
+
+
+@pytest.mark.parametrize("name", ["s3_c2_c2", "s4_d8_c4"])
+def test_the_seed_changes_no_report(name, tmp_path):
+    # the seed is validated and ignored, from the flag and from the config
+    config = ROOT / "configs" / f"{name}.json"
+    assert verify_md5s(config, tmp_path / "flag", "--seed", "12345") == \
+        VERIFY_REPORTS[name]
+    doc = json.loads(config.read_text())
+    doc["options"] = dict(doc.get("options", {}), seed=7)
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(doc))
+    assert verify_md5s(seeded, tmp_path / "option") == VERIFY_REPORTS[name]
+
+
+@pytest.mark.parametrize("path", [
+    "configs/s3_c2_c2.json", "configs/degenerate_s3.json",
+    "configs/s4_d8_c4.json", "configs/s4_d8_d8.json", "configs/a5_a4_v4.json",
+    "perfbench/configs/d8_v4_c2.json"])
+def test_correspond_names_its_pairs_as_verify_does(path, tmp_path, capsys):
+    # both commands name an H-module by its catalog position, and agree on
+    # each pair's dimensions and round trip
+    assert run(["correspond", "--scenario", str(ROOT / path)]) == 0
+    pairs = json.loads(capsys.readouterr().out)["pairs"]
+    verify_md5s(ROOT / path, tmp_path)
+    verified = json.loads((tmp_path / "verify.json").read_text())
+    keys = ("n", "dim_n", "dim_m", "round_trip")
+    assert pairs == [{k: pair[k] for k in keys}
+                     for pair in verified["correspondence_pairs"]]
 
 
 GROUPOID_REPORTS = {

@@ -60,6 +60,7 @@ from greencorr.permgroups import (
 )
 
 from oracles import (
+    generating_family_with_regular,
     is_x_object_summand_check,
     kron_hom_basis,
     literal_trace_image,
@@ -227,6 +228,20 @@ def test_x_object_routes_agree_on_s4_scenario():
             assert via_vertex == via_summand, mod.name
             seen += 1
     assert seen >= 3
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(path.relative_to(ROOT)) for path in [
+        *(ROOT / "configs").glob("*.json"),
+        ROOT / "perfbench" / "configs" / "d8_v4_c2.json"]))
+def test_kd_family_needs_no_regular_source(path):
+    # k[D/1] is the regular kD-module: dropping kD from the sources changes
+    # no member of the family and no place in it
+    sc = cli.Config.from_file(str(ROOT / path)).scenario()
+    family = generating_family_over_D(sc, Run())
+    oracle = generating_family_with_regular(sc, Run())
+    assert [mod.fingerprint() for mod in family] == \
+        [mod.fingerprint() for mod in oracle]
 
 
 @pytest.mark.parametrize("name", ["s3_c2_c2", "degenerate_s3", "s4_d8_c4",

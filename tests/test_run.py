@@ -14,7 +14,8 @@ from greencorr import cli
 from greencorr.catalog import symmetric
 from greencorr.decompose import Run, decompose
 from greencorr.linalg import rref
-from greencorr.modules import FpModule, hom_space, regular_module
+from greencorr.modules import (
+    FpModule, hom_space, induce, regular_module, submodule_from_vectors)
 from greencorr.permgroups import (
     SubgroupEmbedding, p_subgroups_up_to_conjugacy, sylow)
 
@@ -169,6 +170,59 @@ def test_factoring_is_ideal_checks_nonzero_subspaces(monkeypatch):
     report = GREEN.verify_scenario(sc, Run())
     assert report.verdicts["factoring_is_ideal"] is True
     assert sizes and min(sizes) > 0
+
+
+def test_an_unmatched_g_class_fails_the_bijection(monkeypatch):
+    # on s4_d8_d8, flag one G-side X-object non-X: it becomes an eligible
+    # class that no correspondent_up reaches, so the map is not onto
+    original = GREEN.module_catalog
+
+    def flagging(sc, side, run=None):
+        rows = original(sc, side, run)
+        if side == "G":
+            k = next(k for k, (_, d_obj, x_obj) in enumerate(rows)
+                     if d_obj and x_obj)
+            rows[k] = (rows[k][0], True, False)
+        return rows
+
+    sc = scenario("configs/s4_d8_d8.json")
+    assert GREEN.verify_scenario(sc, Run()).verdicts["bijection_round_trip"]
+    monkeypatch.setattr(GREEN, "module_catalog", flagging)
+    report = GREEN.verify_scenario(sc, Run())
+    assert report.verdicts["bijection_round_trip"] is False
+    assert all(pair["m"].startswith("G:") and "?" not in pair["m"]
+               for pair in report.correspondence_pairs)
+
+
+def test_a_correspondent_outside_the_catalog_fails_the_bijection(monkeypatch):
+    # on s4_d8_c4 (D = C4, H = D8), send the first eligible H-module to the
+    # correspondent of Ind_D^H U, U the 3-dim uniserial kC4-module: by Green's
+    # indecomposability theorem an eligible H-module outside the catalog, so
+    # its correspondent has source U and is no eligible G class
+    sc = scenario("configs/s4_d8_c4.json")
+    kC4 = regular_module(sc.D.group, sc.p)
+    e = np.eye(kC4.dim, dtype=np.int64)
+    # (1 + x) kC4 is the radical of kC4 for x of order 4
+    U = next(U for x in e for U in [
+        submodule_from_vectors(kC4, [e[sc.D.group.identity] + x])]
+        if U.dim == 3)
+    stranger = induce(U, sc.d_in_h)
+    original = GREEN.correspondent_up
+    first = []
+
+    def swapping(n, scenario, run=None):
+        if not first:
+            first.append(n)
+        return original(stranger if n is first[0] else n, scenario, run)
+
+    monkeypatch.setattr(GREEN, "correspondent_up", swapping)
+    report = GREEN.verify_scenario(sc, Run())
+    pair = report.correspondence_pairs[0]
+    assert pair["m"] == f"G:d{pair['dim_m']}?"
+    assert pair["round_trip"] is False
+    assert report.verdicts["bijection_round_trip"] is False
+    assert all("?" not in other["m"]
+               for other in report.correspondence_pairs[1:])
 
 
 CONFIGS = ["configs/s3_c2_c2.json", "configs/degenerate_s3.json",
