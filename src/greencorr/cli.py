@@ -51,6 +51,15 @@ COMMANDS = ("isocomma", "partial", "families", "decompose", "vertex",
             "correspond", "verify")
 
 
+def _json_array(value, what: str) -> list:
+    """``value`` if it is a JSON array, else InputError naming it: list()
+    would read a string or an object as another list of generators."""
+    if not isinstance(value, list):
+        raise InputError(f"malformed config: {what} must be a JSON array, "
+                         f"not {value!r}")
+    return value
+
+
 @dataclass
 class Config:
     p: int
@@ -82,14 +91,17 @@ class Config:
             cfg = cls(
                 p=json_integer(doc["p"], "p"),
                 degree=json_integer(doc["degree"], "degree"),
-                generators_G=list(doc["generators_G"]),
-                generators_H=list(doc["generators_H"]),
-                generators_D=list(doc["generators_D"]),
+                generators_G=_json_array(doc["generators_G"], "generators_G"),
+                generators_H=_json_array(doc["generators_H"], "generators_H"),
+                generators_D=_json_array(doc["generators_D"], "generators_D"),
                 format=str(opts.get("format", "json")),
                 out=opts.get("out"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed config: {exc}")
+        if cfg.out is not None and not isinstance(cfg.out, str):
+            raise InputError(f"malformed config: out must be a string or "
+                             f"null, not {cfg.out!r}")
         if cfg.degree < 0:
             raise InputError(f"malformed config: degree {cfg.degree} < 0")
         if cfg.format not in ("json", "tsv"):
@@ -257,7 +269,7 @@ def run_correspond(cfg: Config, sc: Scenario) -> dict:
     run = Run()
     pairs = [
         {"n": name, "dim_n": n.dim, "dim_m": m.dim, "round_trip": round_trip}
-        for name, n, m, round_trip
+        for name, n, m, _, round_trip
         in correspondence(sc, named_catalog(sc, "H", run), run)
     ]
     return {"command": "correspond", "pairs": pairs}
@@ -385,7 +397,10 @@ def run(argv: list[str]) -> int:
             doc, ok = run_verify(cfg, sc)
         else:  # pragma: no cover
             raise InputError(f"unknown command {args.command}")
-        _emit(doc, cfg, cfg.out, args.command)
+        try:
+            _emit(doc, cfg, cfg.out, args.command)
+        except OSError as exc:
+            raise InputError(f"cannot write the reports: {exc}")
         return 0 if ok else 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

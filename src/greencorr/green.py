@@ -13,7 +13,7 @@ induction/restriction adjunction.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,6 +39,7 @@ from .modules import (
     FpModule,
     hom_space,
     induce,
+    permutation_module,
     regular_module,
     restrict,
     trivial_module,
@@ -197,9 +198,9 @@ def generating_family_over_D(sc: Scenario,
     Dgrp = sc.D.group
     mods: list[FpModule] = []
     sources = [trivial_module(Dgrp, sc.p)]
-    for E in class_representatives(all_subgroups(Dgrp)):
-        if E.order < Dgrp.order:
-            sources.append(induce(trivial_module(E.group, sc.p), E))
+    sources += [permutation_module(Dgrp, E, sc.p)
+                for E in class_representatives(all_subgroups(Dgrp))
+                if E.order < Dgrp.order]
     run = run or Run()
     for src in sources:
         for mod, _ in decompose(src, run).summands:
@@ -277,19 +278,20 @@ def correspondent_up(n: FpModule, sc: Scenario,
                      run: Run | None = None) -> FpModule:
     """The X-free part of Ind_H^G n, which the Green correspondence promises
     is a single indecomposable with multiplicity one."""
-    return _correspondent(n, sc, "H", induce, sc.x_in_g(), run or Run())
+    return _correspondent(n, sc, "H", induce(n, sc.H), sc.x_in_g(),
+                          run or Run())
 
 
 def correspondent_down(m: FpModule, sc: Scenario,
                        run: Run | None = None) -> FpModule:
     """The Y-free part of Res_H^G m."""
-    return _correspondent(m, sc, "G", restrict, sc.y_in_h(), run or Run())
+    return _correspondent(m, sc, "G", restrict(m, sc.H), sc.y_in_h(),
+                          run or Run())
 
 
-def _correspondent(mod: FpModule, sc: Scenario, side: str,
-                   move: Callable[[FpModule, SubgroupEmbedding], FpModule],
+def _correspondent(mod: FpModule, sc: Scenario, side: str, moved: FpModule,
                    family: list[SubgroupEmbedding], run: Run) -> FpModule:
-    """The one class of move(mod, H), Ind_H^G mod or Res_H mod, outside the
+    """The one class of moved, Ind_H^G mod or Res_H mod, outside the
     family-objects, which must have multiplicity one.  mod must be an
     eligible module of its side."""
     _, d_emb, fam = sc.side(side)
@@ -299,24 +301,27 @@ def _correspondent(mod: FpModule, sc: Scenario, side: str,
         raise InputError("correspondent requires a D-object")
     if is_x_object(mod, fam, run):
         raise InputError("correspondent requires a module outside the X-objects")
-    survivors = [(s, mult)
-                 for s, mult in decompose(move(mod, sc.H), run).summands
+    survivors = [(s, mult) for s, mult in decompose(moved, run).summands
                  if not is_x_object(s, family, run)]
     if len(survivors) != 1 or survivors[0][1] != 1:
         raise TheoremViolationError(
-            f"{move.__name__}({mod.name}) has {survivors} surviving classes")
+            f"{moved.name} has {survivors} surviving classes")
     return survivors[0][0]
 
 
 def correspondence(sc: Scenario,
                    catalog_h: list[tuple[str, FpModule, bool, bool]],
-                   run: Run) -> Iterator[tuple[str, FpModule, FpModule, bool]]:
+                   run: Run) -> Iterator[tuple[str, FpModule, FpModule,
+                                               FpModule, bool]]:
     """The Green correspondence on the eligible rows of the named H catalog:
-    yields (name, n, m, round_trip) with m = correspondent_up(n) and
-    round_trip whether correspondent_down(m) is isomorphic to n."""
+    yields (name, n, m, Res_H m, round_trip) with m = correspondent_up(n)
+    and round_trip whether correspondent_down(m), taken from that one
+    Res_H m, is isomorphic to n."""
     for name, n in eligible(catalog_h):
         m = correspondent_up(n, sc, run)
-        yield name, n, m, _iso_indec(n, correspondent_down(m, sc, run), run)
+        res_m = restrict(m, sc.H)
+        back = _correspondent(m, sc, "G", res_m, sc.y_in_h(), run)
+        yield name, n, m, res_m, _iso_indec(n, back, run)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +496,10 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     pairs = []
     bij_ok = vertex_ok = vertex_d_ok = True
     matched = set()
-    for (name, n, m, round_trip), ind in zip(correspondence(sc, cat_h, run),
-                                             induced):
+    for (name, n, m, res_m, round_trip), ind in zip(
+            correspondence(sc, cat_h, run), induced):
         m_le_ind = is_direct_summand(m, ind, run)
-        n_le_res = is_direct_summand(n, restrict(m, sc.H), run)
+        n_le_res = is_direct_summand(n, res_m, run)
         match = next((j for j, (_, mg) in enumerate(elig_g)
                       if _iso_indec(mg, m, run)), None)
         bij_ok = (bij_ok and round_trip and m_le_ind and n_le_res

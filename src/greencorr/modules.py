@@ -9,6 +9,11 @@ hom_space uses a spin/standard-basis method: a module is spun from a small
 set of seed vectors, images of the seeds are the unknowns, and the leftover
 Cayley edges contribute the linear constraints.  This keeps the system at
 (number of seeds) * dim(N) unknowns instead of dim(M) * dim(N).
+
+induce owns the coset-block basis of Ind_S^G M: one block of dim(M) indices
+per left coset of S, in the order of the least coset representatives, so
+block 0 is the identity coset.  The regular module kG and the permutation
+modules k[G/S] are the inductions of the trivial module k from 1 and from S.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .permgroups import (
     coset_lookup,
     json_integer,
     require_prime,
+    trivial_subgroup,
 )
 
 
@@ -121,28 +127,18 @@ def trivial_module(group: PermGroup, p: int) -> FpModule:
 
 
 def regular_module(group: PermGroup, p: int) -> FpModule:
-    """kG with the left multiplication action."""
-    n = group.order
-    mats = []
-    for g in group.gen_indices:
-        A = np.zeros((n, n), dtype=np.int64)
-        for h in range(n):
-            A[int(group.mult[g, h]), h] = 1
-        mats.append(A)
-    return FpModule(group, p, mats, name="kG", dim=n)
+    """kG = Ind_1^G k: the left multiplication action on the elements."""
+    one = trivial_subgroup(group)
+    kG = induce(trivial_module(one.group, p), one)
+    kG.name = "kG"
+    return kG
 
 
 def permutation_module(group: PermGroup, S: SubgroupEmbedding, p: int) -> FpModule:
-    """k[G/S] on the left cosets of S."""
-    reps, where = coset_lookup(group, S)
-    r = len(reps)
-    mats = []
-    for g in group.gen_indices:
-        A = np.zeros((r, r), dtype=np.int64)
-        for i, rep in enumerate(reps):
-            A[int(where[group.mult[g, rep]]), i] = 1
-        mats.append(A)
-    return FpModule(group, p, mats, name=f"k[G/{S.tag or 'S'}]", dim=r)
+    """k[G/S] = Ind_S^G k on the left cosets of S, with G = S.ambient."""
+    kGS = induce(trivial_module(S.group, p), S)
+    kGS.name = f"k[G/{S.tag or 'S'}]"
+    return kGS
 
 
 def direct_sum(M: FpModule, N: FpModule, name: str = "") -> FpModule:
@@ -382,41 +378,34 @@ def hom_dim(M: FpModule, N: FpModule) -> int:
 # ---------------------------------------------------------------------------
 
 
-class InducedModule(FpModule):
-    """Ind_S^G M as block permutation matrices over left coset representatives.
-
-    Basis ordering: coset block i spans indices [i*dim(M), (i+1)*dim(M)), with
-    representatives in the deterministic element order (block 0 is the
-    identity coset).
-    """
-
-    def __init__(self, M: FpModule, emb: SubgroupEmbedding, name: str = ""):
-        G = emb.ambient
-        if not M.group.same_group(emb.group):
-            raise InputError("module is not over the subgroup being induced from")
-        reps, where = coset_lookup(G, emb)
-        r = len(reps)
-        d = M.dim
-        mats = []
-        for a in G.gen_indices:
-            A = np.zeros((r * d, r * d), dtype=np.int64)
-            for ipos, rep in enumerate(reps):
-                t = int(G.mult[a, rep])
-                jpos = int(where[t])
-                s_amb = int(G.mult[G.inv[reps[jpos]], t])
-                s_sub = emb.from_ambient[s_amb]
-                if d:
-                    A[jpos * d:(jpos + 1) * d, ipos * d:(ipos + 1) * d] = \
-                        M.element_action(s_sub)
-            mats.append(A)
-        super().__init__(G, M.p, mats,
-                         name=name or f"Ind({M.name})", check=False, dim=r * d)
-        self.coset_reps = reps
-
-
 def induce(M: FpModule, emb: SubgroupEmbedding) -> FpModule:
-    """Ind_S^G M; dimension [G:S] * dim M."""
-    return InducedModule(M, emb)
+    """Ind_S^G M in the coset-block basis; dimension [G:S] * dim M.
+
+    Block i spans the indices [i*dim(M), (i+1)*dim(M)) of the i-th least
+    left coset representative rep_i.  A generator g carries block i to block
+    j, the coset of g rep_i, through the twist rep_j^-1 g rep_i of S: every
+    (generator, coset) pair is gathered at once, and element_action runs
+    only for the twists that occur.
+    """
+    G = emb.ambient
+    if not M.group.same_group(emb.group):
+        raise InputError("module is not over the subgroup being induced from")
+    reps, where = coset_lookup(G, emb)
+    reps = np.array(reps, dtype=np.intp)
+    r, d, k = len(reps), M.dim, len(G.gen_indices)
+    moved = G.mult[np.array(G.gen_indices, dtype=np.intp)[:, None], reps]
+    target = where[moved]
+    # to_ambient is increasing, so a twist's index in S is its rank among
+    # the sorted element indices
+    twist = np.searchsorted(emb.element_indices,
+                            G.mult[G.inv[reps[target]], moved])
+    blocks = np.zeros((emb.order, d, d), dtype=np.int64)
+    for s in set(twist.ravel().tolist()):
+        blocks[s] = M.element_action(s)
+    mats = np.zeros((k, r, d, r, d), dtype=np.int64)
+    mats[np.arange(k)[:, None], target, :, np.arange(r), :] = blocks[twist]
+    return FpModule(G, M.p, list(mats.reshape(k, r * d, r * d)),
+                    name=f"Ind({M.name})", check=False, dim=r * d)
 
 
 def restrict(M: FpModule, emb: SubgroupEmbedding, name: str = "") -> FpModule:
@@ -468,25 +457,17 @@ def unit_res_ind(N: FpModule, emb: SubgroupEmbedding) -> np.ndarray:
 
 
 def unit_ind_res_on_base(M: FpModule, emb: SubgroupEmbedding) -> np.ndarray:
-    """eta : M -> Res_S Ind_S M, inclusion at the identity coset block."""
-    G = emb.ambient
-    reps, _ = coset_lookup(G, emb)
-    r, d = len(reps), M.dim
-    out = np.zeros((r * d, d), dtype=np.int64)
-    pos = reps.index(G.identity)
-    out[pos * d:(pos + 1) * d, :] = np.eye(d, dtype=np.int64)
-    return out
+    """eta : M -> Res_S Ind_S M, inclusion at the identity coset block, which
+    is block 0: the identity is element 0, the least of its coset."""
+    d = M.dim
+    return np.eye(emb.ambient.order // emb.order * d, d, dtype=np.int64)
 
 
 def counit_res_ind_on_base(M: FpModule, emb: SubgroupEmbedding) -> np.ndarray:
-    """epsilon : Res_S Ind_S M -> M, projection onto the identity coset block."""
-    G = emb.ambient
-    reps, _ = coset_lookup(G, emb)
-    r, d = len(reps), M.dim
-    out = np.zeros((d, r * d), dtype=np.int64)
-    pos = reps.index(G.identity)
-    out[:, pos * d:(pos + 1) * d] = np.eye(d, dtype=np.int64)
-    return out
+    """epsilon : Res_S Ind_S M -> M, projection onto the identity coset
+    block, block 0."""
+    d = M.dim
+    return np.eye(d, emb.ambient.order // emb.order * d, dtype=np.int64)
 
 
 def cohomological_composite(N: FpModule, emb: SubgroupEmbedding) -> np.ndarray:

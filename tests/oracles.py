@@ -666,6 +666,68 @@ def module_catalog_all_inductions(sc, side, run):
     return sorted(out, key=lambda t: t[0].dim)
 
 
+def loop_regular_module(group, p):
+    """The former per-element build of modules.regular_module: kG with the
+    left multiplication action, one matrix entry at a time."""
+    from greencorr.modules import FpModule
+
+    n = group.order
+    mats = []
+    for g in group.gen_indices:
+        A = np.zeros((n, n), dtype=np.int64)
+        for h in range(n):
+            A[int(group.mult[g, h]), h] = 1
+        mats.append(A)
+    return FpModule(group, p, mats, name="kG", dim=n)
+
+
+def loop_permutation_module(group, S, p):
+    """The former per-coset build of modules.permutation_module: k[G/S] on
+    the left cosets of S."""
+    from greencorr.modules import FpModule
+    from greencorr.permgroups import coset_lookup
+
+    reps, where = coset_lookup(group, S)
+    r = len(reps)
+    mats = []
+    for g in group.gen_indices:
+        A = np.zeros((r, r), dtype=np.int64)
+        for i, rep in enumerate(reps):
+            A[int(where[group.mult[g, rep]]), i] = 1
+        mats.append(A)
+    return FpModule(group, p, mats, name=f"k[G/{S.tag or 'S'}]", dim=r)
+
+
+def loop_induce(M, emb):
+    """The former per-coset build of modules.induce: Ind_S^G M as block
+    permutation matrices, one (generator, coset) block at a time, with the
+    twist looked up through emb.from_ambient."""
+    from greencorr.errors import InputError
+    from greencorr.modules import FpModule
+    from greencorr.permgroups import coset_lookup
+
+    G = emb.ambient
+    if not M.group.same_group(emb.group):
+        raise InputError("module is not over the subgroup being induced from")
+    reps, where = coset_lookup(G, emb)
+    r = len(reps)
+    d = M.dim
+    mats = []
+    for a in G.gen_indices:
+        A = np.zeros((r * d, r * d), dtype=np.int64)
+        for ipos, rep in enumerate(reps):
+            t = int(G.mult[a, rep])
+            jpos = int(where[t])
+            s_amb = int(G.mult[G.inv[reps[jpos]], t])
+            s_sub = emb.from_ambient[s_amb]
+            if d:
+                A[jpos * d:(jpos + 1) * d, ipos * d:(ipos + 1) * d] = \
+                    M.element_action(s_sub)
+        mats.append(A)
+    return FpModule(G, M.p, mats, name=f"Ind({M.name})", check=False,
+                    dim=r * d)
+
+
 def literal_trace_image(M, N, emb):
     """Image of Tr_X^G : Hom_X(Res M, Res N) -> Hom_G(M, N) by the literal
     sum over all left cosets, as (reduced echelon rows, pivots) on flattened

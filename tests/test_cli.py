@@ -400,6 +400,15 @@ MALFORMED_CONFIGS = {
     "degree_float": dict(S3_CONFIG, degree=3.5),
     "seed_float": dict(S3_CONFIG, options={"seed": 1.5}),
     "generator_float_image": dict(S3_CONFIG, generators_G=[[1.5, 0, 2], "(0 1 2)"]),
+    # generator fields must be JSON arrays: list() would read "e" as the
+    # cycle string "e", "" as no generators and {"(0 1)": 1} as ["(0 1)"]
+    "generators_string": dict(S3_CONFIG, generators_D="e"),
+    "generators_empty_string": dict(S3_CONFIG, generators_D=""),
+    "generators_object": dict(S3_CONFIG, generators_D={"(0 1)": 1}),
+    # out must be a string or null, as --out would give it
+    "out_int": dict(S3_CONFIG, options={"out": 5}),
+    "out_true": dict(S3_CONFIG, options={"out": True}),
+    "out_object": dict(S3_CONFIG, options={"out": {"dir": "x"}}),
 }
 
 
@@ -413,6 +422,23 @@ def test_malformed_config_exits_2(kind, tmp_path, capsys):
     assert captured.err.startswith("error:")
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["options", "flag"])
+def test_unwritable_out_exits_2(kind, tmp_path, capsys):
+    # a report directory under a regular file cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps(dict(S3_CONFIG, options={"out": out})
+                               if kind == "options" else S3_CONFIG))
+    argv = ["verify", "--scenario", str(path)]
+    assert run(argv if kind == "options" else argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_verify_on_degree_above_255(tmp_path):

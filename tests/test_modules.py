@@ -1,11 +1,12 @@
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greencorr.catalog import alternating, cyclic, symmetric
+from greencorr.catalog import alternating, bridge_groups, cyclic, symmetric
 from greencorr.errors import InputError
 from greencorr.modules import (
     FpModule,
@@ -20,6 +21,7 @@ from greencorr.modules import (
     induce,
     module_from_json,
     module_to_json,
+    permutation_module,
     random_module,
     regular_module,
     restrict,
@@ -28,9 +30,17 @@ from greencorr.modules import (
     unit_ind_res_on_base,
     unit_res_ind,
 )
-from greencorr.permgroups import subgroup, trivial_subgroup, whole_group
+from greencorr.permgroups import (
+    PermGroup, all_subgroups, subgroup, trivial_subgroup, whole_group)
 
-from oracles import dense_hom_space, kron_hom_basis, mackey_job_modules
+from oracles import (
+    dense_hom_space,
+    kron_hom_basis,
+    loop_induce,
+    loop_permutation_module,
+    loop_regular_module,
+    mackey_job_modules,
+)
 
 
 def test_module_construction_and_cache():
@@ -108,15 +118,15 @@ def test_induce_from_whole_group_is_identity():
 
 
 def test_induce_regular_from_trivial():
-    # Ind_1^G k is the regular module, dimension |G|
+    # Ind_1^G k is the regular module, dimension |G|, with the same matrices
     G = symmetric(3)
     T = trivial_subgroup(G)
-    k = trivial_module(T.group, 2)
-    ind = induce(k, T)
-    assert ind.dim == 6
-    kG = regular_module(G, 2)
-    assert hom_dim(ind, kG) == 6
-    assert hom_dim(ind, ind) == 6
+    for p in (2, 3):
+        ind = induce(trivial_module(T.group, p), T)
+        assert ind.dim == 6
+        kG = regular_module(G, p)
+        assert all((a == b).all() for a, b in zip(ind.action, kG.action))
+        assert len(ind.action) == len(kG.action) == len(G.generators)
 
 
 def test_restrict_dimensions_and_identity():
@@ -174,11 +184,8 @@ def test_unit_counit_triangle_identities():
     # triangle: (eps_Ind) ∘ (Ind eta) = id on Ind M
     eta = unit_ind_res_on_base(M, C2)          # M -> Res Ind M
     eps = counit_ind_res(ind, C2)              # Ind Res Ind M -> Ind M
-    r = len(ind.coset_reps)
-    d = M.dim
-    ind_eta = np.zeros((r * r * d, r * d), dtype=np.int64)
-    for i in range(r):
-        ind_eta[i * r * d:(i + 1) * r * d, i * d:(i + 1) * d] = eta
+    r, d = ind.dim // M.dim, M.dim
+    ind_eta = np.kron(np.eye(r, dtype=np.int64), eta)  # Ind M -> Ind Res Ind M
     composite = (eps @ ind_eta) % p
     assert (composite == np.eye(r * d, dtype=np.int64)).all()
     # triangle: (Res eps') ∘ (eta' Res) = id on Res N, for the other adjunction
@@ -275,20 +282,66 @@ def test_adjunction_dims_across_catalog():
 
 
 def test_triangle_identities_across_catalog():
+    # on every subgroup pair S <= G of the bridge groups and on H <= G of
+    # every scenario chain: (eps_Ind) ∘ (Ind eta) = id on Ind M,
+    # (Res eps') ∘ (eta' Res) = id on Res N, and eps ∘ eta = [G:S] id on N
     from greencorr.catalog import scenario_chains
 
+    pairs = [(G, all_subgroups(G)) for G in bridge_groups().values()]
+    pairs += [(G, [H]) for G, H, _ in scenario_chains().values()]
     rng = np.random.default_rng(78)
-    for name, (G, H, D) in scenario_chains().items():
-        p = 2
-        M = random_module(H.group, p, 3, rng)
-        ind = induce(M, H)
-        eta = unit_ind_res_on_base(M, H)
-        eps = counit_ind_res(ind, H)
-        r, d = len(ind.coset_reps), M.dim
-        ind_eta = np.zeros((r * r * d, r * d), dtype=np.int64)
-        for i in range(r):
-            ind_eta[i * r * d:(i + 1) * r * d, i * d:(i + 1) * d] = eta
-        assert ((eps @ ind_eta) % p == np.eye(r * d, dtype=np.int64)).all(), name
+    for (G, subgroups), p in product(pairs, (2, 3, 5)):
+        N = random_module(G, p, 4, rng)
+        for S in subgroups:
+            r = G.order // S.order
+            M = random_module(S.group, p, 3, rng)
+            ind = induce(M, S)
+            assert ind.dim // M.dim == r
+            ind_eta = np.kron(np.eye(r, dtype=np.int64),
+                              unit_ind_res_on_base(M, S))
+            assert ((counit_ind_res(ind, S) @ ind_eta) % p
+                    == np.eye(ind.dim, dtype=np.int64)).all(), (S, p)
+            eps = counit_res_ind_on_base(restrict(N, S), S)
+            assert ((eps @ unit_res_ind(N, S)) % p
+                    == np.eye(N.dim, dtype=np.int64)).all(), (S, p)
+            assert (cohomological_composite(N, S)
+                    == r % p * np.eye(N.dim, dtype=np.int64)).all(), (S, p)
+
+
+def assert_bit_identical(A, B):
+    """Same group, p, dim, name and generator matrices, int64 included."""
+    assert A.group is B.group and A.p == B.p and A.dim == B.dim
+    assert A.name == B.name
+    assert len(A.action) == len(B.action)
+    for a, b in zip(A.action, B.action):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", sorted(bridge_groups()))
+def test_induce_gather_matches_the_coset_loops(name):
+    G = bridge_groups()[name]
+    rng = np.random.default_rng(79)
+    for p in (2, 3, 5):
+        assert_bit_identical(regular_module(G, p), loop_regular_module(G, p))
+        for S in all_subgroups(G):
+            M = random_module(S.group, p, 4, rng)
+            assert_bit_identical(induce(M, S), loop_induce(M, S))
+            assert_bit_identical(permutation_module(G, S, p),
+                                 loop_permutation_module(G, S, p))
+
+
+def test_induce_gather_on_degenerate_inputs():
+    # a generator-free group, and dimension 0 over a group with generators
+    G, E = symmetric(4), PermGroup(3, [])
+    for grp, S in ((E, whole_group(E)), (G, subgroup(G, ["(0 1)"]))):
+        for d in (0, 2):
+            M = FpModule(S.group, 3, [np.eye(d, dtype=np.int64)
+                                      for _ in S.group.generators], dim=d)
+            assert_bit_identical(induce(M, S), loop_induce(M, S))
+        assert_bit_identical(regular_module(grp, 3), loop_regular_module(grp, 3))
+        assert_bit_identical(permutation_module(grp, S, 3),
+                             loop_permutation_module(grp, S, 3))
 
 
 def test_element_action_cache_concurrent_fill():

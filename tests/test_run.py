@@ -73,6 +73,34 @@ def test_one_run_computes_each_fingerprint_once(path, decompositions, vertices,
     assert sum(computed["vertex"].values()) == vertices
 
 
+# (config, Res_H m built in one verify): one per correspondence pair.  The
+# down-correspondent and the retract test n | Res_H m each built their own,
+# 8, 6 and 2 in all
+RESTRICTIONS = [
+    ("configs/s4_d8_d8.json", 4),
+    ("configs/a5_a4_v4.json", 3),
+    ("perfbench/configs/d8_v4_c2.json", 1),
+]
+
+
+@pytest.mark.parametrize("path, pairs", RESTRICTIONS,
+                         ids=[path for path, _ in RESTRICTIONS])
+def test_one_verify_restricts_each_correspondent_once(path, pairs,
+                                                      monkeypatch):
+    restricted = []
+    original = GREEN.restrict
+
+    def counting(M, emb, name=""):
+        restricted.append(M.fingerprint())
+        return original(M, emb, name)
+
+    monkeypatch.setattr(GREEN, "restrict", counting)
+    report = GREEN.verify_scenario(scenario(path), Run())
+    assert report.all_pass
+    assert len(report.correspondence_pairs) == pairs
+    assert len(restricted) == len(set(restricted)) == pairs
+
+
 # (End solves in decompose, largest module dim solved) in one mackey_odd_p
 # job (seed 0).  Solving End of the whole module before cutting it into its
 # support components made 20 solves, four of them on dims 40 to 60; solving
