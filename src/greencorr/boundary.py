@@ -26,6 +26,7 @@ from .groupoids import (
     identity_functor,
     is_equivalence,
     isocomma,
+    isocomma_objects,
 )
 
 
@@ -33,25 +34,38 @@ from .groupoids import (
 class PartialResult:
     """The split (E/F/G) ≅ (E/F/H) ⊔ boundary, with the maps attached to it.
 
-    embedding is the fully-faithful comparison (E/F/H) -> (E/F/G).
-    h_objects lists the objects of (E/F/G) in components that meet its
-    image, and boundary_objects the rest, both ascending.  What is derived
-    from them is built when first read: the full subgroupoids h_part and
-    boundary with their inclusions, the restricted projections pr1 and
-    pr2_to_F on the boundary, the tacit embedding pr1_to_H : boundary -> H
-    through the first projection, and gamma, the tautological 2-cell on the
-    boundary.
+    h_objects lists the objects of (E/F/G) in components that meet the
+    image of (E/F/H), and boundary_objects the rest, both ascending.  What
+    is derived from them is built when first read: the inner isocomma
+    (E/F/H) and its fully-faithful comparison embedding into (E/F/G), the
+    full subgroupoids h_part and boundary with their inclusions, the
+    restricted projections pr1 and pr2_to_F on the boundary, the tacit
+    embedding pr1_to_H : boundary -> H through the first projection, and
+    gamma, the tautological 2-cell on the boundary.
     """
 
     i: GroupoidFunctor
     iota_e: GroupoidFunctor
     iota_f: GroupoidFunctor
     ambient: IsocommaResult
-    inner: IsocommaResult
-    embedding: GroupoidFunctor
     h_objects: np.ndarray
     boundary_objects: np.ndarray
     name: str = "partial"
+
+    @cached_property
+    def inner(self) -> IsocommaResult:
+        return isocomma(self.iota_e, self.iota_f)
+
+    @cached_property
+    def embedding(self) -> GroupoidFunctor:
+        """The comparison (E/F/H) -> (E/F/G): (x, y, h) |-> (x, y, i(h))."""
+        inner, ambient = self.inner, self.ambient
+        x, y, h = inner.object_parts()
+        obj_map = ambient.object_index(x, y, self.i.mor_map[h])
+        o, a, b = inner.morphism_parts()
+        return GroupoidFunctor(inner.groupoid, ambient.groupoid, obj_map,
+                               ambient.morphism_index(obj_map[o], a, b),
+                               name="(E/F/i)")
 
     @cached_property
     def h_part_inclusion(self) -> GroupoidFunctor:
@@ -117,20 +131,13 @@ def partial(i: GroupoidFunctor, iota_e: GroupoidFunctor,
     if iota_e.codomain is not i.domain or iota_f.codomain is not i.domain:
         raise InputError("E and F must embed into the domain of i")
 
-    inner = isocomma(iota_e, iota_f)
     ambient = isocomma(compose_functors(i, iota_e), compose_functors(i, iota_f))
-
-    # the comparison (E/F/H) -> (E/F/G): (x, y, h) |-> (x, y, i(h))
-    x, y, h = inner.object_parts()
-    obj_map = ambient.object_index(x, y, i.mor_map[h])
-    o, a, b = inner.morphism_parts()
-    mor_map = ambient.morphism_index(obj_map[o], a, b)
-    embedding = GroupoidFunctor(inner.groupoid, ambient.groupoid,
-                                obj_map, mor_map, name="(E/F/i)")
-
+    # the split needs only where the objects (x, y, h) of (E/F/H) land: on
+    # (x, y, i(h))
+    _, x, y, h = isocomma_objects(iota_e, iota_f)
     comp_of = ambient.groupoid.component_of()
-    in_h = np.isin(comp_of, comp_of[obj_map])
-    return PartialResult(i, iota_e, iota_f, ambient, inner, embedding,
+    in_h = np.isin(comp_of, comp_of[ambient.object_index(x, y, i.mor_map[h])])
+    return PartialResult(i, iota_e, iota_f, ambient,
                          np.flatnonzero(in_h), np.flatnonzero(~in_h),
                          name or "partial")
 

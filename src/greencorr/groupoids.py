@@ -19,11 +19,18 @@ these maps.
 An isocomma keeps 16 bytes per morphism: four int32 arrays (source, target
 and the factor pair (a, b)), built by int32 index gathers.  It finds the
 object (x, y, g) by two more gathers, pair_start[x * nB + y] + hom_rank[g],
-with no key search.  What is derived is built when first read: the
-isocomma's tautological 2-cell, a full subgroupoid's map mor_sub back from
-its parent, and every groupoid's out-lists, hom-set order, hom ranks and
-components.  A connected component is found from the least target of each
-out-list, with no sort of the hom-sets.
+with no key search.  When both legs start at one-object groupoids, as for
+two subgroups of a group, every array has a closed form: the objects are
+the one hom-set hom(i(0), u(0)), each has |A| |B| morphisms, a, b and the
+source are divisions of one range, and the target of (a, b) out of g is
+hom_rank[u(b) g i(a)^-1].  Legs with several objects enumerate the hom-sets
+and out-lists pair by pair.  Either way the morphisms out of each object
+form one block, so an isocomma's out-lists are known at construction.
+What is derived is built when first read: an isocomma's projections and
+tautological 2-cell, a full subgroupoid's map mor_sub back from its parent,
+the out-lists of every other construction, and every groupoid's hom-set
+order, hom ranks and components.  A connected component is found from the least
+target of each out-list, with no sort of the hom-sets.
 
 Objects are never sorted: each construction lists them in a fixed order
 built from the orders of its inputs, so every derived construction is
@@ -93,8 +100,8 @@ class FiniteGroupoid:
     objects: labels in canonical order; msrc, mtgt: the source and target
     object of each morphism; ident: the identity morphism of each object.
     Each construction is a subclass that supplies composition as the map
-    _compose(g, f) -> g∘f on int arrays of composable pairs, and inversion
-    as the array _inverse().
+    _compose(g, f) -> g∘f on int arrays of composable pairs, which may
+    broadcast against each other, and inversion as the array _inverse().
     """
 
     def __init__(self, objects, msrc, mtgt, ident, name="groupoid"):
@@ -206,10 +213,11 @@ class FiniteGroupoid:
         return connected_components(self)
 
     def component_of(self) -> np.ndarray:
-        """Array mapping each object to its component index."""
-        index = np.full(self.n_objects, -1, dtype=np.int32)
-        index[[c.base for c in self.components]] = np.arange(len(self.components))
-        return index[self._base]
+        """Array mapping each object to its component index.  Components are
+        numbered in the order of their bases, the objects that are their own
+        base."""
+        is_base = self._base == np.arange(self.n_objects)
+        return (np.cumsum(is_base, dtype=np.int32) - 1)[self._base]
 
     # exhaustive axioms -------------------------------------------------------
 
@@ -288,105 +296,15 @@ def connected_components(G: FiniteGroupoid) -> list[Component]:
     if not G.n_objects:
         return []
     base, out, start = G._base, G._out_sorted, G._out_start
-    order = np.argsort(base, kind="stable")
-    comps = []
-    for objs in np.split(order, np.flatnonzero(np.diff(base[order])) + 1):
-        b = int(objs[0])
+    objs = np.argsort(base, kind="stable").tolist()
+    bases = np.flatnonzero(base == np.arange(G.n_objects))
+    ends = np.cumsum(np.bincount(base)[bases]).tolist()
+    comps, lo = [], 0
+    for b, hi in zip(bases.tolist(), ends):
         seg = out[start[b]:start[b + 1]]
-        comps.append(Component(objs.tolist(), b, seg[G.mtgt[seg] == b].tolist()))
+        comps.append(Component(objs[lo:hi], b, seg[G.mtgt[seg] == b].tolist()))
+        lo = hi
     return comps
-
-
-def element_order_in_table(table: np.ndarray, i: int, identity: int) -> int:
-    k, x = 1, i
-    while x != identity:
-        x = int(table[x, i])
-        k += 1
-    return k
-
-
-def table_identity(table: np.ndarray) -> int:
-    n = table.shape[0]
-    for e in range(n):
-        if all(table[e, j] == j and table[j, e] == j for j in range(n)):
-            return e
-    raise InputError("multiplication table has no identity")
-
-
-def tables_isomorphic(t1: np.ndarray, t2: np.ndarray) -> bool:
-    """Group isomorphism of multiplication tables.
-
-    Invariant pre-filter (order, element-order histogram), then backtracking
-    over generator images.  Intended for orders <= 16.
-    """
-    n = t1.shape[0]
-    if t2.shape[0] != n:
-        return False
-    e1, e2 = table_identity(t1), table_identity(t2)
-    ords1 = [element_order_in_table(t1, i, e1) for i in range(n)]
-    ords2 = [element_order_in_table(t2, i, e2) for i in range(n)]
-    if sorted(ords1) != sorted(ords2):
-        return False
-
-    def close_partial(images: dict[int, int]) -> dict[int, int] | None:
-        # close a partial homomorphism under multiplication; None on conflict
-        images = dict(images)
-        changed = True
-        while changed:
-            changed = False
-            known = list(images.items())
-            for a, fa in known:
-                for b, fb in known:
-                    ab, fab = int(t1[a, b]), int(t2[fa, fb])
-                    if ab in images:
-                        if images[ab] != fab:
-                            return None
-                    else:
-                        images[ab] = fab
-                        changed = True
-        vals = list(images.values())
-        if len(set(vals)) != len(vals):
-            return None
-        return images
-
-    # greedy generating sequence for t1
-    gens: list[int] = []
-    span = {e1}
-    for i in range(n):
-        if i not in span:
-            gens.append(i)
-            span = _table_closure(t1, gens, e1)
-            if len(span) == n:
-                break
-
-    def extend(k: int, images: dict[int, int]) -> bool:
-        if k == len(gens):
-            return len(images) == n
-        g = gens[k]
-        for cand in range(n):
-            if ords2[cand] != ords1[g] or cand in images.values():
-                continue
-            nxt = close_partial({**images, g: cand})
-            if nxt is not None and extend(k + 1, nxt):
-                return True
-        return False
-
-    return extend(0, {e1: e2})
-
-
-def _table_closure(table: np.ndarray, gens: list[int], identity: int) -> set[int]:
-    seen = {identity, *gens}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in list(seen):
-                for c in (int(table[a, b]), int(table[b, a])):
-                    if c not in seen:
-                        seen.add(c)
-                        new.append(c)
-        frontier = new
-    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +466,7 @@ class _Coproduct(FiniteGroupoid):
     def _compose(self, g, f):
         G1, G2 = self._parts
         n1 = G1.n_morphisms
+        g, f = np.broadcast_arrays(g, f)
         first = f < n1
         out = np.empty(np.shape(f), dtype=np.int64)
         out[first] = G1._compose(g[first], f[first])
@@ -611,42 +530,78 @@ def full_subgroupoid(A: FiniteGroupoid, object_idxs,
     return S, incl
 
 
+def isocomma_objects(i: GroupoidFunctor, u: GroupoidFunctor):
+    """(pair_start, x, y, g) as int32 arrays: the index of the first object
+    over each pair (x, y), listed x-major, and the objects (x, y, g : i(x) ->
+    u(y)) of the isocomma (i/u) in its object order.  No morphism is
+    built."""
+    A, B, C = i.domain, u.domain, i.codomain
+    if A.n_objects == B.n_objects == 1:
+        lo, hi = C._hom_bounds(i.obj_map[0], u.obj_map[0])
+        g = C._hom_sorted[1][lo:hi].astype(np.int32)
+        return (np.zeros(1, dtype=np.int32), np.zeros(len(g), dtype=np.int32),
+                np.zeros(len(g), dtype=np.int32), g)
+    pairs = np.arange(A.n_objects * B.n_objects, dtype=np.int32)
+    pair_x, pair_y = np.divmod(pairs, B.n_objects)
+    # C.hom lists each hom(i(x), u(y)) in index order
+    lo, hi = C._hom_bounds(i.obj_map[pair_x], u.obj_map[pair_y])
+    count = hi - lo
+    k, r = _spans(count)
+    return ((np.cumsum(count) - count).astype(np.int32), pair_x[k], pair_y[k],
+            C._hom_sorted[1][lo[k] + r].astype(np.int32))
+
+
 class _IsocommaGroupoid(FiniteGroupoid):
     """The isocomma (i/u): objects are the triples (x, y, g : i(x) -> u(y)),
     numbered in the order of (x, y) and then of g in index order, so that
     (x, y, g) has index pair_start[x * nB + y] + C.hom_rank[g].  The
     morphisms out of object o are the pairs (a, b) in out(x) × out(y),
-    numbered a-major from offsets[o]; a pair composes by its two factors."""
+    numbered a-major from offsets[o], so each out-list is one block and is
+    known at construction; a pair composes by its two factors."""
 
     def __init__(self, i: GroupoidFunctor, u: GroupoidFunctor, name: str):
         A, B, C = i.domain, u.domain, i.codomain
         self.A, self.B, self.C = A, B, C
         self._legs = (i.obj_map, u.obj_map)
-        # objects: C.hom lists each hom(i(x), u(y)) in index order
-        pairs = np.arange(A.n_objects * B.n_objects, dtype=np.int32)
-        pair_x, pair_y = np.divmod(pairs, B.n_objects)
-        lo, hi = C._hom_bounds(i.obj_map[pair_x], u.obj_map[pair_y])
-        count = hi - lo
-        self.pair_start = (np.cumsum(count) - count).astype(np.int32)
-        k, r = _spans(count)
-        self.x, self.y = pair_x[k], pair_y[k]
-        self.g = C._hom_sorted[1][lo[k] + r].astype(np.int32)
+        self.pair_start, self.x, self.y, self.g = isocomma_objects(i, u)
+        n = len(self.g)
         # morphisms: (a, b) out of (x, y, g) lands on (x', y', u(b) g i(a)^-1)
-        self.deg_b = B._out_deg[self.y].astype(np.int32)
-        block = A._out_deg[self.x] * self.deg_b
-        self.offsets = (np.cumsum(block) - block).astype(np.int32)
-        o, r = _spans(block)
-        q, r = np.divmod(r, self.deg_b[o])
-        self.m_a = A._out_sorted[A._out_start[self.x[o]] + q]
-        self.m_b = B._out_sorted[B._out_start[self.y[o]] + r]
-        del q, r
-        g_tgt = C._compose(C._compose(u.mor_map[self.m_b], self.g[o]),
-                           C.inv[i.mor_map[self.m_a]])
-        # g_tgt lies in hom(i(x'), u(y')) since i and u are functors
-        mtgt = self._index(A.mtgt[self.m_a], B.mtgt[self.m_b], g_tgt)
-        del g_tgt
-        ident = self.morphism_index(np.arange(len(self.x)), A.ident[self.x],
-                                    B.ident[self.y])
+        if A.n_objects == B.n_objects == 1:
+            # closed form: out(0) is every morphism in index order, so each
+            # object has the same block of |A| |B| pairs, and every target
+            # lies in the one hom-set hom(i(0), u(0)), whose pair starts at 0
+            n_a, n_b = A.n_morphisms, B.n_morphisms
+            block = np.full(n, n_a * n_b)
+            self.deg_b = np.full(n, n_b, dtype=np.int32)
+            self._out_start = np.arange(n + 1, dtype=np.int32) * (n_a * n_b)
+            self.offsets = self._out_start[:-1]
+            o, r = np.divmod(np.arange(n * n_a * n_b, dtype=np.int32), n_a * n_b)
+            self.m_a, self.m_b = np.divmod(r, n_b)
+            del r
+            ub_g = C._compose(u.mor_map[None, :], self.g[:, None])
+            ia_inv = C.inv[i.mor_map]
+            mtgt = C.hom_rank[C._compose(ub_g[:, None, :],
+                                         ia_inv[None, :, None])].reshape(-1)
+            ident = self.offsets + (A.ident[0] * n_b + B.ident[0])
+        else:
+            self.deg_b = B._out_deg[self.y].astype(np.int32)
+            block = A._out_deg[self.x] * self.deg_b
+            self._out_start = np.concatenate(([0], np.cumsum(block))).astype(np.int32)
+            self.offsets = self._out_start[:-1]
+            o, r = _spans(block)
+            q, r = np.divmod(r, self.deg_b[o])
+            self.m_a = A._out_sorted[A._out_start[self.x[o]] + q]
+            self.m_b = B._out_sorted[B._out_start[self.y[o]] + r]
+            del q, r
+            g_tgt = C._compose(C._compose(u.mor_map[self.m_b], self.g[o]),
+                               C.inv[i.mor_map[self.m_a]])
+            # g_tgt lies in hom(i(x'), u(y')) since i and u are functors
+            mtgt = self._index(A.mtgt[self.m_a], B.mtgt[self.m_b], g_tgt)
+            del g_tgt
+            ident = self.morphism_index(np.arange(n), A.ident[self.x],
+                                        B.ident[self.y])
+        self._out_deg = block
+        self._out_sorted = np.arange(len(o), dtype=np.int32)
         super().__init__(zip(self.x.tolist(), self.y.tolist(), self.g.tolist()),
                          o, mtgt, ident, name)
 
@@ -684,8 +639,8 @@ class _IsocommaGroupoid(FiniteGroupoid):
 
 @dataclass
 class IsocommaResult:
-    """The isocomma groupoid of a cospan with its projections; the canonical
-    2-cell gamma is built when first read.
+    """The isocomma groupoid of a cospan; its projections pr1, pr2 and the
+    canonical 2-cell gamma are built when first read.
 
     object_labels[k] is the triple (x, y, g) of indices: x an object of the
     left leg's domain, y of the right leg's domain, g a morphism of the shared
@@ -694,11 +649,19 @@ class IsocommaResult:
     """
 
     groupoid: _IsocommaGroupoid
-    pr1: GroupoidFunctor
-    pr2: GroupoidFunctor
     object_labels: list[tuple[int, int, int]]
     left: GroupoidFunctor
     right: GroupoidFunctor
+
+    @cached_property
+    def pr1(self) -> GroupoidFunctor:
+        P = self.groupoid
+        return GroupoidFunctor(P, self.left.domain, P.x, P.m_a, name="pr1")
+
+    @cached_property
+    def pr2(self) -> GroupoidFunctor:
+        P = self.groupoid
+        return GroupoidFunctor(P, self.right.domain, P.y, P.m_b, name="pr2")
 
     @cached_property
     def gamma(self) -> TwoCell:
@@ -729,16 +692,14 @@ def isocomma(i: GroupoidFunctor, u: GroupoidFunctor, name: str = "") -> Isocomma
     """The groupoid of triples (x, y, g : i(x) -> u(y)) over a cospan.
 
     Morphisms (x,y,g) -> (x',y',g') are pairs (a: x->x', b: y->y') with
-    g'∘i(a) = u(b)∘g; both projections come back with the groupoid, and the
-    tautological 2-cell when it is read.
+    g'∘i(a) = u(b)∘g; the two projections and the tautological 2-cell are
+    built when they are read.
     """
     if i.codomain is not u.codomain:
         raise InputError("isocomma requires a shared codomain")
     A, B, C = i.domain, u.domain, i.codomain
     P = _IsocommaGroupoid(i, u, name or f"({A.name}/{B.name}/{C.name})")
-    pr1 = GroupoidFunctor(P, A, P.x, P.m_a, name="pr1")
-    pr2 = GroupoidFunctor(P, B, P.y, P.m_b, name="pr2")
-    return IsocommaResult(P, pr1, pr2, P.objects, i, u)
+    return IsocommaResult(P, P.objects, i, u)
 
 
 def cotuple_functors(inj1: GroupoidFunctor, inj2: GroupoidFunctor,
@@ -925,7 +886,8 @@ class _TableGroupoid(FiniteGroupoid):
         pos, absent = _locate(self._keys, key)
         if absent.any():
             k = int(np.flatnonzero(absent)[0])
-            raise InputError(f"composition table missing pair ({g[k]}, {f[k]})")
+            g, f = (np.broadcast_to(a, absent.shape).flat[k] for a in (g, f))
+            raise InputError(f"composition table missing pair ({g}, {f})")
         return self._values[pos]
 
     def _inverse(self):

@@ -420,11 +420,11 @@ def double_cosets(
     reps = np.flatnonzero(least == np.arange(G.order))
     sizes = np.bincount(least, minlength=G.order)[reps]
     assert sizes.sum() == G.order
+    # row r: the x in H with g^-1 x g in K, i.e. H ∩ gKg^-1 for g = reps[r]
+    inside = K.mask[G.conj[G.inv[reps][:, None], h]]
     out: list[tuple[int, SubgroupEmbedding]] = []
-    for g, size in zip(reps.tolist(), sizes.tolist()):
-        # x in H with g^-1 x g in K, i.e. H ∩ gKg^-1
-        inter = h[K.mask[G.conj[G.inv[g], h]]]
-        emb = SubgroupEmbedding(G, tuple(inter.tolist()), f"H^g-cap-K@{g}")
+    for g, size, row in zip(reps.tolist(), sizes.tolist(), inside):
+        emb = SubgroupEmbedding(G, tuple(h[row].tolist()), f"H^g-cap-K@{g}")
         assert size == H.order * K.order // emb.order
         out.append((g, emb))
     return out

@@ -229,19 +229,14 @@ def mackey_job_modules(seed):
     (Res_H Ind_H^G M, [the double-coset inductions], recorded class rows)
     per pool module M of ``perfbench/workloads.mackey_setup(seed)``."""
     import importlib
-    import sys
     from pathlib import Path
 
     import pytest
 
     from greencorr.permgroups import double_cosets
 
+    wl = _bench_workloads()
     bench = Path(__file__).resolve().parents[1] / "perfbench"
-    sys.path.insert(0, str(bench))
-    try:
-        wl = importlib.import_module("workloads")
-    finally:
-        sys.path.remove(str(bench))
     ref = wl.load_reference(bench / "reference", "mackey_odd_p")
     recorded = {c["name"]: c["modules"] for c in ref["mackey"]["chains"]}
     out = []
@@ -759,6 +754,103 @@ def literal_trace_image(M, N, emb):
 
 
 # ---------------------------------------------------------------------------
+# group multiplication tables
+# ---------------------------------------------------------------------------
+
+
+def element_order_in_table(table: np.ndarray, i: int, identity: int) -> int:
+    k, x = 1, i
+    while x != identity:
+        x = int(table[x, i])
+        k += 1
+    return k
+
+
+def table_identity(table: np.ndarray) -> int:
+    n = table.shape[0]
+    for e in range(n):
+        if all(table[e, j] == j and table[j, e] == j for j in range(n)):
+            return e
+    raise ValueError("multiplication table has no identity")
+
+
+def tables_isomorphic(t1: np.ndarray, t2: np.ndarray) -> bool:
+    """Group isomorphism of multiplication tables.
+
+    Invariant pre-filter (order, element-order histogram), then backtracking
+    over generator images.  Intended for orders <= 16.
+    """
+    n = t1.shape[0]
+    if t2.shape[0] != n:
+        return False
+    e1, e2 = table_identity(t1), table_identity(t2)
+    ords1 = [element_order_in_table(t1, i, e1) for i in range(n)]
+    ords2 = [element_order_in_table(t2, i, e2) for i in range(n)]
+    if sorted(ords1) != sorted(ords2):
+        return False
+
+    def close_partial(images: dict[int, int]) -> dict[int, int] | None:
+        # close a partial homomorphism under multiplication; None on conflict
+        images = dict(images)
+        changed = True
+        while changed:
+            changed = False
+            known = list(images.items())
+            for a, fa in known:
+                for b, fb in known:
+                    ab, fab = int(t1[a, b]), int(t2[fa, fb])
+                    if ab in images:
+                        if images[ab] != fab:
+                            return None
+                    else:
+                        images[ab] = fab
+                        changed = True
+        vals = list(images.values())
+        if len(set(vals)) != len(vals):
+            return None
+        return images
+
+    # greedy generating sequence for t1
+    gens: list[int] = []
+    span = {e1}
+    for i in range(n):
+        if i not in span:
+            gens.append(i)
+            span = _table_closure(t1, gens, e1)
+            if len(span) == n:
+                break
+
+    def extend(k: int, images: dict[int, int]) -> bool:
+        if k == len(gens):
+            return len(images) == n
+        g = gens[k]
+        for cand in range(n):
+            if ords2[cand] != ords1[g] or cand in images.values():
+                continue
+            nxt = close_partial({**images, g: cand})
+            if nxt is not None and extend(k + 1, nxt):
+                return True
+        return False
+
+    return extend(0, {e1: e2})
+
+
+def _table_closure(table: np.ndarray, gens: list[int], identity: int) -> set[int]:
+    seen = {identity, *gens}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(seen):
+                for c in (int(table[a, b]), int(table[b, a])):
+                    if c not in seen:
+                        seen.add(c)
+                        new.append(c)
+        frontier = new
+    return seen
+
+
+# ---------------------------------------------------------------------------
 # groupoids, one morphism at a time
 # ---------------------------------------------------------------------------
 
@@ -888,6 +980,107 @@ def brute_isocomma(i, u):
     ident = [index(o, A.ident[x], B.ident[y]) for o, (x, y, _) in enumerate(labels)]
     P = BruteGroupoid(labels, [o for o, _, _ in parts], mtgt, ident, compose, inverse)
     return P, parts, obj_index
+
+
+class SpanIsocomma:
+    """The isocomma (i/u) as the general construction builds it for legs of
+    any number of objects: the hom-set spans of every pair (x, y) list the
+    objects, and the out-lists of x and y the morphisms.  Only its arrays
+    are kept; ``groupoid`` is a plain FiniteGroupoid on them, whose
+    out-lists, hom ranks and components come from the sorting code of the
+    base class."""
+
+    def __init__(self, i, u):
+        from greencorr.groupoids import FiniteGroupoid, _spans
+
+        A, B, C = i.domain, u.domain, i.codomain
+        self.A, self.B = A, B
+        pairs = np.arange(A.n_objects * B.n_objects, dtype=np.int32)
+        pair_x, pair_y = np.divmod(pairs, B.n_objects)
+        lo, hi = C._hom_bounds(i.obj_map[pair_x], u.obj_map[pair_y])
+        count = hi - lo
+        self.pair_start = (np.cumsum(count) - count).astype(np.int32)
+        k, r = _spans(count)
+        self.x, self.y = pair_x[k], pair_y[k]
+        self.g = C._hom_sorted[1][lo[k] + r].astype(np.int32)
+        self.deg_b = B._out_deg[self.y].astype(np.int32)
+        block = A._out_deg[self.x] * self.deg_b
+        self.offsets = (np.cumsum(block) - block).astype(np.int32)
+        o, r = _spans(block)
+        q, r = np.divmod(r, self.deg_b[o])
+        self.m_a = A._out_sorted[A._out_start[self.x[o]] + q]
+        self.m_b = B._out_sorted[B._out_start[self.y[o]] + r]
+        g_tgt = C._compose(C._compose(u.mor_map[self.m_b], self.g[o]),
+                           C.inv[i.mor_map[self.m_a]])
+        mtgt = (self.pair_start[A.mtgt[self.m_a] * B.n_objects + B.mtgt[self.m_b]]
+                + C.hom_rank[g_tgt])
+        ident = self.morphism_index(np.arange(len(self.x)), A.ident[self.x],
+                                    B.ident[self.y])
+        self.groupoid = FiniteGroupoid(
+            zip(self.x.tolist(), self.y.tolist(), self.g.tolist()), o, mtgt, ident)
+
+    def morphism_index(self, o, a, b):
+        index = self.A.out_pos[a] * self.deg_b[o]
+        index += self.offsets[o]
+        index += self.B.out_pos[b]
+        return index
+
+
+def _same_array(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype, (what, got.dtype, want.dtype)
+    assert np.array_equal(got, want), what
+
+
+def assert_matches_span_construction(iso):
+    """Every array of the library isocomma iso is bit-identical, dtype
+    included, to the general construction of the same cospan: objects,
+    morphisms, out-lists, hom ranks, components, the index lookups and the
+    two projections."""
+    ref = SpanIsocomma(iso.left, iso.right)
+    P, R = iso.groupoid, ref.groupoid
+    for attr in ("x", "y", "g", "pair_start", "m_a", "m_b", "offsets", "deg_b"):
+        _same_array(getattr(P, attr), getattr(ref, attr), attr)
+    for attr in ("msrc", "mtgt", "ident", "_out_deg", "_out_sorted",
+                 "_out_start", "out_pos", "hom_rank"):
+        _same_array(getattr(P, attr), getattr(R, attr), attr)
+    assert P.objects == R.objects
+    assert [(c.objects, c.base, c.loops) for c in P.components] == \
+        [(c.objects, c.base, c.loops) for c in R.components]
+    n = R.n_objects
+    want = np.full(n, -1, dtype=np.int32)
+    want[[c.base for c in R.components]] = np.arange(len(R.components))
+    _same_array(P.component_of(), want[R._base], "component_of")
+    _same_array(iso.object_index(ref.x, ref.y, ref.g),
+                np.arange(n, dtype=np.int32), "object_index")
+    _same_array(iso.morphism_index(R.msrc, ref.m_a, ref.m_b),
+                np.arange(R.n_morphisms, dtype=np.int32), "morphism_index")
+    for F, leg, obj, mor in ((iso.pr1, iso.left, ref.x, ref.m_a),
+                             (iso.pr2, iso.right, ref.y, ref.m_b)):
+        assert F.domain is P and F.codomain is leg.domain
+        _same_array(F.obj_map, obj, "projection objects")
+        _same_array(F.mor_map, mor, "projection morphisms")
+
+
+def sweep_bridge_groups(seed):
+    """{name: (G, all subgroups of G)}: the bridge groups of one
+    groupoid_sweep benchmark job, with their points relabeled by
+    ``perfbench/workloads.groupoid_setup(seed)``."""
+    return _bench_workloads().groupoid_setup(seed, None)["bridge"]
+
+
+def _bench_workloads():
+    """The module ``perfbench/workloads.py``."""
+    import importlib
+    import sys
+    from pathlib import Path
+
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(bench))
 
 
 def key_object_index(iso, x, y, g):

@@ -40,6 +40,7 @@ from greencorr.groupoids import (
 )
 from greencorr.boundary import geography_check, partial, tricky_factorization
 from greencorr.modules import (
+    _default_pool,
     cohomological_composite,
     conjugate_module,
     induce,
@@ -184,7 +185,8 @@ def mackey_corpus():
     for key, (G, H) in chains.items():
         for p in (2, 3):
             rng = np.random.default_rng(1000 + G.order + p)
-            mods = [random_module(H.group, p, 8, rng)
+            pool = _default_pool(H.group, p)
+            mods = [random_module(H.group, p, 8, rng, pool)
                     for _ in range(MACKEY_CORPUS_SIZE)]
             corpus[(G.order, H.order, p)] = (G, H, mods)
     return corpus
@@ -235,7 +237,8 @@ def test_criterion_6_cohomological_identity():
             index = amb.order // emb.order
             for p in (2, 3):
                 mods = [trivial_module(amb, p)]
-                mods += [random_module(amb, p, 6, rng) for _ in range(9)]
+                pool = _default_pool(amb, p)
+                mods += [random_module(amb, p, 6, rng, pool) for _ in range(9)]
                 if amb.same_group(A5):
                     mods += [permutation_module(amb, subgroup(amb, gens), p)
                              for gens in A5_SMALL_QUOTIENTS]

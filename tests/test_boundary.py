@@ -26,9 +26,12 @@ from greencorr.permgroups import all_subgroups, whole_group, x_y_u_families
 
 from oracles import (
     ORACLE_PAIRS,
+    SpanIsocomma,
+    assert_matches_span_construction,
     assert_object_index_agrees,
     assert_same_groupoid,
     brute_partial,
+    key_object_index,
 )
 
 
@@ -321,6 +324,31 @@ def test_object_index_matches_key_search_on_partial_isocommas(name):
         assert_object_index_agrees(res.ambient)
 
 
+@pytest.mark.parametrize("name", sorted(scenario_chains()))
+def test_partial_builds_inner_and_embedding_when_read(name):
+    # the split comes from where the objects of (E/F/H) land; the inner
+    # isocomma and the comparison, read later, are the general construction's
+    Ggpd, Hgpd, Dgpd, i, j = chain_functors(*scenario_chains()[name])
+    for res in chain_partials(i, j):
+        assert "inner" not in vars(res) and "embedding" not in vars(res)
+        assert_matches_span_construction(res.ambient)
+        inner = SpanIsocomma(res.iota_e, res.iota_f)
+        ambient = SpanIsocomma(res.ambient.left, res.ambient.right)
+        obj_map = key_object_index(res.ambient, inner.x, inner.y,
+                                   i.mor_map[inner.g])
+        o = inner.groupoid.msrc
+        comp_of = res.ambient.groupoid.component_of()
+        in_h = np.isin(comp_of, comp_of[obj_map])
+        assert res.h_objects.tolist() == np.flatnonzero(in_h).tolist()
+        assert res.boundary_objects.tolist() == np.flatnonzero(~in_h).tolist()
+        assert_matches_span_construction(res.inner)
+        assert res.embedding.domain is res.inner.groupoid
+        assert res.embedding.codomain is res.ambient.groupoid
+        assert res.embedding.obj_map.tolist() == obj_map.tolist()
+        assert res.embedding.mor_map.tolist() == ambient.morphism_index(
+            obj_map[o], inner.m_a, inner.m_b).tolist()
+
+
 LAZY = ("h_part", "h_part_inclusion", "boundary", "boundary_inclusion",
         "pr1", "pr2_to_F", "pr1_to_H", "gamma")
 
@@ -336,8 +364,10 @@ def test_partial_builds_derived_structures_when_read(monkeypatch):
     G, H, D = chain_s4_d8_c4()
     Ggpd, Hgpd, Dgpd, i, j = chain_functors(G, H, D)
     res = partial(i, j, j)
-    # only the two legs i ∘ iota_E and i ∘ iota_F of (E/F/G)
+    # only the two legs i ∘ iota_E and i ∘ iota_F of (E/F/G), and neither
+    # the inner isocomma nor its comparison functor
     assert built == [Dgpd, Dgpd]
+    assert "inner" not in vars(res) and "embedding" not in vars(res)
     assert "gamma" not in vars(res.ambient) and "gamma" not in vars(res.inner)
     in_h = np.zeros(res.ambient.groupoid.n_objects, dtype=bool)
     in_h[res.h_objects] = True
@@ -382,7 +412,8 @@ def traced_peak(fn, *args) -> int:
 
 def test_tricky_factorization_memory_guard():
     # (H/B/G) on s4_d8_c4 has 49,152 morphisms; building it and the
-    # factorization by int32 gathers peaks near 2.3 MiB, against 7.0 MiB
-    # when every isocomma was searched by int64 keys and split eagerly
+    # factorization by int32 gathers, with no inner isocomma for the splits,
+    # peaks near 2.0 MiB, against 7.0 MiB when every isocomma was searched
+    # by int64 keys and split eagerly
     Ggpd, Hgpd, Dgpd, i, j = chain_functors(*chain_s4_d8_c4())
     assert traced_peak(tricky_factorization, i, j) <= 4 << 20

@@ -260,6 +260,37 @@ def test_byte_identical_groupoid_reports(name, capsys):
         assert hashlib.md5(out.encode()).hexdigest() == md5, (name, command)
 
 
+# S4 >= C4 >= <(0 2)(1 3)> at p = 2: every D-object of the catalog is an
+# X-object, so no H-module is eligible and the verify passes vacuously
+EMPTY_ELIGIBLE_CONFIG = {
+    "p": 2,
+    "degree": 4,
+    "generators_G": ["(0 1 2 3)", "(0 1)"],
+    "generators_H": ["(0 1 2 3)"],
+    "generators_D": ["(0 2)(1 3)"],
+    "options": {"seed": 0},
+}
+EMPTY_ELIGIBLE_MD5 = "25485c2f21d10b724e31e4b15fa4635c"  # verify.json
+EMPTY_ELIGIBLE_NOTE = ("note: no H-module of the catalog is eligible (a "
+                       "D-object and not an X-object), so verify checks no "
+                       "pair\n")
+
+
+def test_an_empty_eligible_set_is_said_on_stderr(s3_config, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(EMPTY_ELIGIBLE_CONFIG))
+    out = tmp_path / "empty"
+    assert run(["verify", "--scenario", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == EMPTY_ELIGIBLE_NOTE
+    report = (out / "verify.json").read_bytes()
+    assert hashlib.md5(report).hexdigest() == EMPTY_ELIGIBLE_MD5
+    doc = json.loads(report)
+    assert doc["all_pass"] and doc["correspondence_pairs"] == doc["ff_table"] == []
+    # a verify that checks pairs says nothing
+    assert run(["verify", "--scenario", s3_config, "--out", str(tmp_path / "s3")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_report_json_roundtrip(s3_config, tmp_path):
     out = tmp_path / "rt"
     run(["verify", "--scenario", s3_config, "--out", str(out)])

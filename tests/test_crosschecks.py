@@ -39,6 +39,7 @@ from greencorr.groupoids import group_groupoid, isocomma, subgroup_inclusion
 from greencorr.linalg import rref
 from greencorr.modules import (
     FpModule,
+    _default_pool,
     counit_ind_res,
     direct_sum,
     hom_space,
@@ -159,8 +160,9 @@ def test_factoring_subspace_matches_literal_trace_on_catalog_families():
             sc = Scenario.build(p, G, H, D)
             for K, family in ((G, sc.x_in_g()), (H.group, sc.x_in_h()),
                               (H.group, sc.y_in_h())):
-                M = random_module(K, p, 4, rng)
-                N = direct_sum(M, random_module(K, p, 3, rng))
+                pool = _default_pool(K, p)
+                M = random_module(K, p, 4, rng, pool)
+                N = direct_sum(M, random_module(K, p, 3, rng, pool))
                 R, piv = factoring_subspace(M, N, family, hom_space(M, N))
                 rows = [literal_trace_image(M, N, X)[0] for X in family]
                 R_lit, piv_lit = rref_mod(np.concatenate(rows), p)

@@ -27,6 +27,7 @@ from greencorr.green import verify_scenario
 from greencorr.linalg import in_row_space
 from greencorr.modules import (
     FpModule,
+    _default_pool,
     direct_sum,
     hom_space,
     hom_space_from_actions,
@@ -142,8 +143,9 @@ def test_decomposition_seed_determinism():
     rng = np.random.default_rng(11)
     G = alternating(4)
     for p in (2, 3):
+        pool = _default_pool(G, p)
         for _ in range(3):
-            M = random_module(G, p, 8, rng)
+            M = random_module(G, p, 8, rng, pool)
             decs = [decompose(M, Run()) for _ in range(5)]
             assert len({id(dec) for dec in decs}) == 5
             for other in decs[1:]:
@@ -156,8 +158,9 @@ def test_matches_oracle_on_random_modules():
     rng = np.random.default_rng(3)
     for p in (2, 3):
         for G in (symmetric(3), cyclic(4)):
+            pool = _default_pool(G, p)
             for _ in range(4):
-                M = random_module(G, p, 5, rng)
+                M = random_module(G, p, 5, rng, pool)
                 mine = decompose(M).dims_multiset()
                 try:
                     oracle = brute_decompose_dims(
@@ -207,8 +210,9 @@ def test_relative_projectivity_sylow():
     for p in (2, 3):
         G = symmetric(3)
         S = sylow(G, p)
+        pool = _default_pool(G, p)
         for _ in range(3):
-            M = random_module(G, p, 5, rng)
+            M = random_module(G, p, 5, rng, pool)
             assert is_relatively_projective(M, S)
 
 
@@ -230,8 +234,9 @@ def test_trace_route_matches_summand_route():
     C3 = subgroup(G, ["(0 1 2)"])
     T = trivial_subgroup(G)
     for p in (2, 3):
+        pool = _default_pool(G, p)
         for _ in range(4):
-            M = random_module(G, p, 6, rng)
+            M = random_module(G, p, 6, rng, pool)
             for emb in (V4, C3, T):
                 via_trace = is_relatively_projective(M, emb)
                 via_summand = summand_route_relatively_projective(M, emb)
@@ -244,8 +249,9 @@ def test_relative_trace_image_is_ideal_like():
     G = symmetric(3)
     C2 = subgroup(G, ["(0 1)"])
     p = 2
-    M = random_module(G, p, 5, rng)
-    N = random_module(G, p, 5, rng)
+    pool = _default_pool(G, p)
+    M = random_module(G, p, 5, rng, pool)
+    N = random_module(G, p, 5, rng, pool)
     R, piv = relative_trace_image(M, N, C2, hom_space(M, N))
     ends_m = hom_space(M, M)
     ends_n = hom_space(N, N)
@@ -364,8 +370,9 @@ def test_mackey_with_k_different_from_h():
     G, H, D = chain_s4_d8_c4()
     rng = np.random.default_rng(31)
     for p in (2, 3):
+        pool = _default_pool(H.group, p)
         for _ in range(3):
-            M = random_module(H.group, p, 5, rng)
+            M = random_module(H.group, p, 5, rng, pool)
             lhs = decompose(restrict(induce(M, H), D))
             parts = []
             for g, L in double_cosets(G, D, H):
@@ -474,12 +481,13 @@ def test_support_components_match_oracle_and_keep_the_decomposition(
     rng = np.random.default_rng(seed)
     # random_module spins one vector, so a part of dim >= 2 acts by no
     # scalar, and a dense change of basis can join every component
-    first = random_module(group, p, 8, rng)
+    pool = _default_pool(group, p)
+    first = random_module(group, p, 8, rng, pool)
     while first.dim < 3:
-        first = random_module(group, p, 8, rng)
+        first = random_module(group, p, 8, rng, pool)
     S = first
     for _ in range(parts - 1):
-        S = direct_sum(S, random_module(group, p, 8, rng))
+        S = direct_sum(S, random_module(group, p, 8, rng, pool))
     # a dense conjugate of the first part repeats its isomorphism class on
     # other actions, so its pieces may be carried over from the first's
     S = direct_sum(S, FpModule(group, p, dense_conjugate(first.action, p,
@@ -668,7 +676,8 @@ def check_screened_tally(group, p, seed):
     finds the classes of the unscreened first fit, with the same
     representatives."""
     rng = np.random.default_rng(seed)
-    mods = [random_module(group, p, 6, rng) for _ in range(3)]
+    pool = _default_pool(group, p)
+    mods = [random_module(group, p, 6, rng, pool) for _ in range(3)]
     total = direct_sum(mods[0], mods[1])
     mods += [total, FpModule(group, p, dense_conjugate(total.action, p, rng))]
     run = Run()

@@ -26,17 +26,19 @@ from greencorr.groupoids import (
     isocomma_square,
     paste_squares,
     subgroup_inclusion,
-    tables_isomorphic,
 )
 from greencorr.permgroups import all_subgroups, double_cosets, subgroup, trivial_subgroup
 
 from oracles import (
     ORACLE_PAIRS,
     BruteGroupoid,
+    assert_matches_span_construction,
     assert_object_index_agrees,
     assert_same_groupoid,
     brute_isocomma,
     brute_isocomma_components,
+    sweep_bridge_groups,
+    tables_isomorphic,
 )
 
 
@@ -297,6 +299,36 @@ def test_isocomma_matches_per_morphism_oracle(case):
         range(iso.groupoid.n_objects))
     assert iso.morphism_index(o, a, b).tolist() == list(
         range(iso.groupoid.n_morphisms))
+
+
+@settings(max_examples=2, deadline=None)
+@example(seed=0)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_closed_form_isocomma_matches_the_span_construction(seed):
+    # every subgroup pair of the bridge groups, with the points relabeled as
+    # the groupoid_sweep benchmark relabels them for this seed: the one-object
+    # closed form is bit-identical to the general construction
+    for name, (G, subs) in sweep_bridge_groups(seed).items():
+        Ggpd = group_groupoid(G, name)
+        inclusions = [subgroup_inclusion(S, Ggpd) for S in subs]
+        for iH in inclusions:
+            for iK in inclusions:
+                assert_matches_span_construction(isocomma(iH, iK))
+
+
+def test_closed_form_isocomma_over_other_codomains():
+    # one-object legs into a coproduct and into a groupoid loaded from JSON,
+    # whose compositions must broadcast as the group tables' do
+    G, C2, Ggpd, i = s3_c2_setup()
+    K = subgroup_inclusion(subgroup(G, ["(0 1 2)"], tag="C3"), Ggpd)
+    GG, inj1, inj2 = coproduct(Ggpd, Ggpd)
+    for u in (inj1, inj2):
+        iso = isocomma(compose_functors(inj1, i), compose_functors(u, K))
+        assert iso.groupoid.n_objects == (G.order if u is inj1 else 0)
+        assert_matches_span_construction(iso)
+    T = groupoid_from_json(groupoid_to_json(Ggpd))
+    legs = [GroupoidFunctor(F.domain, T, F.obj_map, F.mor_map) for F in (i, K)]
+    assert_matches_span_construction(isocomma(*legs))
 
 
 def test_pasting_property_lem_3_6():

@@ -10,6 +10,7 @@ from greencorr.catalog import alternating, bridge_groups, cyclic, symmetric
 from greencorr.errors import InputError
 from greencorr.modules import (
     FpModule,
+    _default_pool,
     cohomological_composite,
     conjugate_module,
     counit_ind_res,
@@ -86,10 +87,10 @@ def test_hom_matches_kron_oracle():
     rng = np.random.default_rng(1)
     for p in (2, 3):
         for G in (symmetric(3), cyclic(4), alternating(4)):
-            pool = [trivial_module(G, p), regular_module(G, p)]
+            pool = _default_pool(G, p)
             for _ in range(4):
-                M = random_module(G, p, 6, rng)
-                N = random_module(G, p, 6, rng)
+                M = random_module(G, p, 6, rng, pool)
+                N = random_module(G, p, 6, rng, pool)
                 ours = hom_space(M, N)
                 oracle = kron_hom_basis(M.action, N.action, p)
                 assert len(ours) == len(oracle), (p, M.dim, N.dim)
@@ -163,9 +164,10 @@ def test_adjunction_dim_identities():
     G = symmetric(3)
     C2 = subgroup(G, ["(0 1)"])
     for p in (2, 3):
+        pool_c2, pool_g = _default_pool(C2.group, p), _default_pool(G, p)
         for _ in range(3):
-            M = random_module(C2.group, p, 4, rng)
-            N = random_module(G, p, 6, rng)
+            M = random_module(C2.group, p, 4, rng, pool_c2)
+            N = random_module(G, p, 6, rng, pool_g)
             lhs = hom_dim(induce(M, C2), N)
             rhs = hom_dim(M, restrict(N, C2))
             assert lhs == rhs
@@ -202,8 +204,9 @@ def test_cohomological_identity():
     for p in (2, 3):
         G = alternating(4)
         V4 = subgroup(G, ["(0 1)(2 3)", "(0 2)(1 3)"])
+        pool = _default_pool(G, p)
         for _ in range(3):
-            N = random_module(G, p, 6, rng)
+            N = random_module(G, p, 6, rng, pool)
             comp = cohomological_composite(N, V4)
             index = G.order // V4.order
             assert (comp == (index % p) * np.eye(N.dim, dtype=np.int64) % p).all()
@@ -409,8 +412,9 @@ def assert_same_basis(ours, oracle):
        group=st.sampled_from([symmetric(3), alternating(4), cyclic(4)]))
 def test_hom_space_matches_dense_system(seed, p, group):
     rng = np.random.default_rng(seed)
-    M = random_module(group, p, 12, rng)
-    N = random_module(group, p, 12, rng)
+    pool = _default_pool(group, p)
+    M = random_module(group, p, 12, rng, pool)
+    N = random_module(group, p, 12, rng, pool)
     for X, Y in ((M, N), (N, M), (M, M)):
         assert_same_basis(
             hom_space_from_actions(X.action, X.dim, Y.action, Y.dim, p),

@@ -43,6 +43,7 @@ from oracles import (
     brute_tables,
     perm_inv,
     perm_mul,
+    tables_isomorphic,
 )
 
 BRIDGE = {name: (G, all_subgroups(G)) for name, G in bridge_groups().items()}
@@ -309,7 +310,6 @@ def test_normalizer_order_divisible_by_subgroup():
 def test_normalizer_of_v4_in_a5_is_a4():
     # |N| = 12 and the abstract group is A4, by table isomorphism
     import numpy as np
-    from greencorr.groupoids import tables_isomorphic
 
     A = a5()
     V4 = sylow(A, 2)

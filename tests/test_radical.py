@@ -22,6 +22,7 @@ from greencorr.decompose import Run, decompose, end_info
 from greencorr.linalg import mat_inv, mat_pow, rank
 from greencorr.modules import (
     FpModule,
+    _default_pool,
     direct_sum,
     hom_space,
     random_module,
@@ -42,6 +43,8 @@ GROUPS = {2: (cyclic(2), cyclic(4), symmetric(3), alternating(4)),
           3: (cyclic(3), symmetric(3), alternating(4)),
           5: (cyclic(5), symmetric(3)),
           7: (cyclic(7), symmetric(3))}
+# random_module's default pool of each group, built once
+POOLS = {p: [_default_pool(G, p) for G in groups] for p, groups in GROUPS.items()}
 
 
 def in_random_basis(M: FpModule, rng: np.random.Generator) -> FpModule:
@@ -58,15 +61,16 @@ def sample_module(p: int, seed: int, double: bool, small: bool) -> FpModule:
     """A random module, doubled (M ⊕ M, so End has a matrix-algebra block)
     when asked, in a random basis; of dim < p when small, else of dim >= p."""
     rng = np.random.default_rng(seed)
-    G = GROUPS[p][int(rng.integers(len(GROUPS[p])))]
+    k = int(rng.integers(len(GROUPS[p])))
+    G, pool = GROUPS[p][k], POOLS[p][k]
     cap = p - 1 if small else 6
     if small and double:
         cap //= 2
-    M = random_module(G, p, cap, rng)
+    M = random_module(G, p, cap, rng, pool)
     if double:
         M = direct_sum(M, M)
     while not small and M.dim < p:
-        M = direct_sum(M, random_module(G, p, cap, rng))
+        M = direct_sum(M, random_module(G, p, cap, rng, pool))
     return in_random_basis(M, rng)
 
 
