@@ -609,12 +609,6 @@ def end_basis(M: FpModule, run: Run | None = None) -> list[np.ndarray]:
     return info.ends if info is not None else hom_space(M, M)
 
 
-def is_indecomposable(M: FpModule, run: Run | None = None) -> bool:
-    if M.dim == 0:
-        return False
-    return end_info(M, run).local
-
-
 # ---------------------------------------------------------------------------
 # direct summands and isomorphism
 # ---------------------------------------------------------------------------

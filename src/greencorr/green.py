@@ -217,7 +217,9 @@ def module_catalog(sc: Scenario, side: str,
     the summands of the regular module.  Ind_D s of a projective s (Higman's
     test with the trivial subgroup) is projective, so each of its summands is
     a summand of the regular module, whose classes come first: it is not
-    induced, and the classes and their order are the same.
+    induced, and the classes and their order are the same.  Every candidate
+    is the trivial module or a summand whose End ``decompose`` certified
+    local, so none needs a locality test here.
 
     The X-object test finds each module's vertex Q before the D-object test,
     which Green's vertex theorem then settles without a trace: an
@@ -236,8 +238,6 @@ def module_catalog(sc: Scenario, side: str,
 
     out = []
     for mod in _dedup_classes(candidates, run):
-        if not end_info(mod, run).local:
-            continue
         x_obj = is_x_object(mod, fam, run)
         d_obj = is_relatively_projective(mod, d_emb, run)
         out.append((mod, d_obj, x_obj))

@@ -2,7 +2,8 @@
 
 Matrices are numpy int64 arrays with entries reduced into [0, p).  All
 routines are deterministic; bases coming out of nullspace/row-space
-computations are in reduced row echelon form.
+computations are in reduced row echelon form.  There is no incremental span
+class: the module spin keeps its own reduced rows (modules._SpinData).
 
 Products run in float64 BLAS while they are exact there, which
 ``exact_in_float64(inner, m)`` decides for the modulus m that the product is
@@ -172,10 +173,6 @@ def _kernel_of_rref(R: np.ndarray, pivots: list[int], n: int,
     return basis
 
 
-def row_space(a: np.ndarray, p: int) -> np.ndarray:
-    return rref(a, p)[0]
-
-
 def mat_inv(a: np.ndarray, p: int) -> np.ndarray:
     A = as_fp(a, p)
     n = A.shape[0]
@@ -210,55 +207,3 @@ def in_row_space(v: np.ndarray, basis_rref: np.ndarray, pivots: list[int], p: in
         if w[c]:
             w = (w - w[c] * basis_rref[i]) % p
     return not w.any()
-
-
-class SpanBuilder:
-    """Incrementally grown row space kept in reduced echelon form.
-
-    add() reports whether the vector enlarged the span; the running basis and
-    pivot list are exposed for coordinate computations.
-    """
-
-    def __init__(self, dim: int, p: int):
-        self.dim = dim
-        self.p = p
-        self.rows: list[np.ndarray] = []
-        self.pivots: list[int] = []
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        w = as_fp(v, self.p).copy()
-        for i, c in enumerate(self.pivots):
-            if w[c]:
-                w = (w - w[c] * self.rows[i]) % self.p
-        return w
-
-    def add(self, v: np.ndarray) -> bool:
-        w = self.reduce(v)
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        w = (w * inv_mod(int(w[c]), self.p)) % self.p
-        # back-substitute into existing rows to stay fully reduced
-        for i in range(len(self.rows)):
-            coeff = int(self.rows[i][c])
-            if coeff:
-                self.rows[i] = (self.rows[i] - coeff * w) % self.p
-        pos = 0
-        while pos < len(self.pivots) and self.pivots[pos] < c:
-            pos += 1
-        self.rows.insert(pos, w)
-        self.pivots.insert(pos, c)
-        return True
-
-    def contains(self, v: np.ndarray) -> bool:
-        return not self.reduce(v).any()
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def basis(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.stack(self.rows)

@@ -5,10 +5,13 @@ arbitrary elements are filled on demand by walking the Cayley-graph spanning
 tree recorded at group closure.  Vectors are columns and representations are
 left actions, so rho(gh) = rho(g) rho(h).
 
-hom_space uses a spin/standard-basis method: a module is spun from a small
-set of seed vectors, images of the seeds are the unknowns, and the leftover
-Cayley edges contribute the linear constraints.  This keeps the system at
-(number of seeds) * dim(N) unknowns instead of dim(M) * dim(N).
+One spin, _SpinData, serves hom spaces and submodules: it spins orbits from
+start vectors, and keeps its span as fully reduced rows, so that a vector's
+remainder is read off at the pivots.  hom_space spins M from the standard
+basis: images of the seeds are the unknowns, and the leftover Cayley edges
+contribute the linear constraints.  This keeps the system at (number of
+seeds) * dim(N) unknowns instead of dim(M) * dim(N).  submodule_from_vectors
+spins from the given vectors and reads its actions at the pivots.
 
 induce owns the coset-block basis of Ind_S^G M: one block of dim(M) indices
 per left coset of S, in the order of the least coset representatives, so
@@ -21,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import InputError, TheoremViolationError
-from .linalg import SpanBuilder, as_fp, mat_inv, mat_mul
+from .errors import InputError
+from .linalg import as_fp, mat_inv, mat_mul
 from .permgroups import (
     PermGroup,
     SubgroupEmbedding,
@@ -155,30 +158,14 @@ def direct_sum(M: FpModule, N: FpModule, name: str = "") -> FpModule:
 
 def submodule_from_vectors(M: FpModule, vectors: list[np.ndarray],
                            name: str = "sub") -> FpModule:
-    """The submodule spanned by the given vectors, as a module in its own basis."""
-    span = SpanBuilder(M.dim, M.p)
-    frontier = []
-    for v in vectors:
-        if span.add(v):
-            frontier.append(v)
-    while frontier:
-        new = []
-        for v in frontier:
-            for A in M.action:
-                w = (A @ v) % M.p
-                if span.add(w):
-                    new.append(w)
-        frontier = new
-    B = span.basis()  # rows span the submodule
-    k = B.shape[0]
-    mats = []
-    for A in M.action:
-        img = (A @ B.T) % M.p  # dim x k, columns are images of basis rows
-        coeff = linalg.solve(B.T, img, M.p)
-        if coeff is None:
-            raise TheoremViolationError("spun span is not a submodule")
-        mats.append(coeff % M.p)
-    return FpModule(M.group, M.p, mats, name=name, dim=k)
+    """The submodule spanned by the given vectors, as a module in the reduced
+    echelon basis B of its span.  The spin closes the span under every
+    generator, and a vector of the span has its B-coordinates at the pivots,
+    so a generator A acts on B by the rows of A @ B.T at the pivots."""
+    spin = _SpinData(M.action, M.dim, M.p, [as_fp(v, M.p) for v in vectors])
+    B, pivots = spin.reduced_span()
+    mats = [(A[pivots] @ B.T) % M.p for A in M.action]
+    return FpModule(M.group, M.p, mats, name=name, dim=len(pivots))
 
 
 def random_module(group: PermGroup, p: int, max_dim: int,
@@ -226,52 +213,76 @@ def _default_pool(group: PermGroup, p: int) -> list[FpModule]:
 
 
 class _SpinData:
-    """Spin of the standard basis under the generator action.
-
-    seeds: indices (into the spin order) of the vectors that started orbits;
-    each orbit is spun before the next seed is taken, so orbit k is the run
+    """Spin of start vectors (the standard basis by default) under the
+    generator action: the standard-basis method of the Meat-Axe (R. A.
+    Parker, 1984).  Each start outside the span seeds an orbit, spun breadth
+    first before the next start is taken, so orbit k is the run
     seeds[k] <= t < seeds[k + 1] of the spin order.
+
+    seeds: indices (into the spin order) of the vectors that started orbits.
     prov: per spin vector, (parent_spin_index, generator_pos) or None for seeds.
     edges: leftover (spin_index, generator_pos) pairs that close up and hence
     contribute constraints.
-    basis: dim x dim matrix, row t = spin vector w_t.
+    basis: row t = spin vector w_t; dim x dim when the starts span the space.
+
+    The span is kept as fully reduced rows in one preallocated array, each 1
+    at its own pivot and 0 at the others' pivots, so a vector w has the
+    remainder w - w[pivots] @ rows, read off at the pivots.
     """
 
-    def __init__(self, action: list[np.ndarray], dim: int, p: int):
-        d = dim
-        span = SpanBuilder(d, p)
-        vectors: list[np.ndarray] = []
-        prov: list[tuple[int, int] | None] = []
-        seeds: list[int] = []
-        edges: list[tuple[int, int]] = []
-        next_seed = 0
-        while len(vectors) < d:
-            while next_seed < d:
-                e = np.zeros(d, dtype=np.int64)
-                e[next_seed] = 1
-                if span.add(e):
-                    seeds.append(len(vectors))
-                    vectors.append(e)
-                    prov.append(None)
-                    next_seed += 1
-                    break
-                next_seed += 1
-            t = seeds[-1]
-            queue = [t]
-            while queue:
-                s = queue.pop(0)
+    def __init__(self, action: list[np.ndarray], dim: int, p: int,
+                 starts: list[np.ndarray] | None = None):
+        self.p, self.rank = p, 0
+        self._rows = np.zeros((dim, dim), dtype=np.int64)
+        self._pivots = np.zeros(dim, dtype=np.intp)
+        basis = np.zeros((dim, dim), dtype=np.int64)
+        self.seeds: list[int] = []
+        self.prov: list[tuple[int, int] | None] = []
+        self.edges: list[tuple[int, int]] = []
+        if starts is None:
+            starts = (np.eye(1, dim, j, dtype=np.int64)[0] for j in range(dim))
+        for v in starts:
+            if self.rank == dim:
+                break
+            if not self._grow(v):
+                continue
+            s = self.rank - 1
+            self.seeds.append(s)
+            self.prov.append(None)
+            basis[s] = v
+            while s < self.rank:
                 for gpos, A in enumerate(action):
-                    w = (A @ vectors[s]) % p
-                    if span.add(w):
-                        queue.append(len(vectors))
-                        vectors.append(w)
-                        prov.append((s, gpos))
+                    w = (A @ basis[s]) % p
+                    if self._grow(w):
+                        self.prov.append((s, gpos))
+                        basis[self.rank - 1] = w
                     else:
-                        edges.append((s, gpos))
-        self.seeds = seeds
-        self.prov = prov
-        self.edges = edges
-        self.basis = np.stack(vectors) if vectors else np.zeros((0, 0), dtype=np.int64)
+                        self.edges.append((s, gpos))
+                s += 1
+        self.basis = basis[:self.rank]
+
+    def _grow(self, v: np.ndarray) -> bool:
+        """Whether v lies outside the span; if so, its normalized remainder
+        becomes a new row, and is cleared from the other rows at its pivot."""
+        p, rows = self.p, self._rows[:self.rank]
+        w = (v - v[self._pivots[:self.rank]] @ rows) % p
+        nz = w.nonzero()[0]
+        if not nz.size:
+            return False
+        c = nz[0]
+        w = w * linalg.inv_mod(int(w[c]), p) % p
+        rows -= np.outer(rows[:, c], w)
+        rows %= p
+        self._rows[self.rank] = w
+        self._pivots[self.rank] = c
+        self.rank += 1
+        return True
+
+    def reduced_span(self) -> tuple[np.ndarray, np.ndarray]:
+        """The span's reduced echelon basis, the rows in pivot order, with
+        its pivot columns."""
+        order = np.argsort(self._pivots[:self.rank])
+        return self._rows[order], self._pivots[order]
 
 
 def hom_space_from_actions(action_m: list[np.ndarray], dim_m: int,
@@ -367,10 +378,6 @@ def hom_space(M: FpModule, N: FpModule) -> list[np.ndarray]:
     """
     same_context(M, N)
     return hom_space_from_actions(M.action, M.dim, N.action, N.dim, M.p)
-
-
-def hom_dim(M: FpModule, N: FpModule) -> int:
-    return len(hom_space(M, N))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ with a deterministic element order: lexicographic on image tuples.  All
 representative choices downstream (coset reps, double-coset reps, subgroup
 canonical forms) refer to this order, so reports are reproducible.
 
+The closure is one breadth-first walk over the generators, which records the
+Cayley-graph spanning tree ``factor_of`` as it discovers each element.
+
 A PermGroup keeps three index tables: ``mult[a, b] = ab``,
 ``inv[a] = a^-1`` and ``conj[g, x] = g x g^-1``.  Every subgroup, coset and
 conjugacy routine reads them: closures walk rows of ``mult``, a coset gS is
@@ -112,9 +115,10 @@ class PermGroup:
 
     Elements are sorted lexicographically by image tuple; all indices below
     refer to that order, as do the tables ``mult``, ``inv`` and ``conj``.  The
-    closure also records, for every non-identity element, a factorization
-    step elem = parent * generator, giving a Cayley-graph spanning tree used
-    downstream to evaluate representations.
+    closure walks the generators once, and records for every non-identity
+    element the step elem = parent * generator that first reached it: the
+    Cayley-graph spanning tree ``factor_of``, which evaluates
+    representations downstream.
     """
 
     def __init__(self, degree: int, generators: list[Perm]):
@@ -123,26 +127,34 @@ class PermGroup:
         for g in self.generators:
             if len(g) != degree:
                 raise InputError("generator degree mismatch")
-        self.elements = self._close()
+        tree = self._close()
+        self.elements = tuple(sorted(tree))
         self.index = {p: i for i, p in enumerate(self.elements)}
         self.identity = self.index[identity_perm(degree)]
         self.gen_indices = [self.index[g] for g in self.generators]
+        # spanning tree: factor_of[i] = (parent, gen_pos) with elem = parent * gen
+        self.factor_of: list[tuple[int, int] | None] = [
+            None if step is None else (self.index[step[0]], step[1])
+            for step in map(tree.get, self.elements)]
         self._build_tables()
 
-    def _close(self) -> tuple[Perm, ...]:
+    def _close(self) -> dict[Perm, tuple[Perm, int] | None]:
+        """Every element, breadth first from the identity by right
+        multiplication with the generators, mapped to the (parent, generator
+        position) of the step that first reached it; None for the identity."""
         eye = identity_perm(self.degree)
-        seen = {eye}
+        tree: dict[Perm, tuple[Perm, int] | None] = {eye: None}
         frontier = [eye]
         while frontier:
             new = []
             for x in frontier:
-                for g in self.generators:
+                for gpos, g in enumerate(self.generators):
                     y = pmul(x, g)
-                    if y not in seen:
-                        seen.add(y)
+                    if y not in tree:
+                        tree[y] = (x, gpos)
                         new.append(y)
             frontier = new
-        return tuple(sorted(seen))
+        return tree
 
     def _build_tables(self) -> None:
         n = len(self.elements)
@@ -156,20 +168,6 @@ class PermGroup:
         self.inv = keys.searchsorted(_lex_keys(inverses)).astype(np.int32)
         # conj[g, x] = g x g^-1
         self.conj = self.mult[self.mult, self.inv[:, None]]
-        # spanning tree: factor_of[i] = (parent, gen_pos) with elem = parent * gen
-        self.factor_of: list[tuple[int, int] | None] = [None] * n
-        done = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for x in frontier:
-                for gpos, gidx in enumerate(self.gen_indices):
-                    y = int(self.mult[x, gidx])
-                    if y not in done:
-                        done.add(y)
-                        self.factor_of[y] = (x, gpos)
-                        new.append(y)
-            frontier = new
 
     @property
     def order(self) -> int:
@@ -187,13 +185,6 @@ class PermGroup:
         return b"".join([f"{self.degree}|".encode(),
                          np.array(self.elements, dtype=width).tobytes(),
                          np.array(self.generators, dtype=width).tobytes()])
-
-    def element_order(self, i: int) -> int:
-        k, x = 1, i
-        while x != self.identity:
-            x = int(self.mult[x, i])
-            k += 1
-        return k
 
     def conjugate(self, g: int, x: int) -> int:
         """g x g^-1 by index."""

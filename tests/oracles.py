@@ -39,6 +39,41 @@ def brute_closure(gens, degree):
     return sorted(seen)
 
 
+def two_walk_tree(gens, degree):
+    """The sorted elements and the spanning tree of the group that gens
+    generate, by two breadth-first walks: one over permutations finds the
+    elements, and one over their indices records factor_of[i] =
+    (parent, generator position), the first step that reaches element i."""
+    eye = tuple(range(degree))
+    seen = {eye}
+    frontier = [eye]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = perm_mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    elements = sorted(seen)
+    index = {x: i for i, x in enumerate(elements)}
+    factor_of = [None] * len(elements)
+    done = {index[eye]}
+    frontier = [index[eye]]
+    while frontier:
+        new = []
+        for x in frontier:
+            for gpos, g in enumerate(gens):
+                y = index[perm_mul(elements[x], g)]
+                if y not in done:
+                    done.add(y)
+                    factor_of[y] = (x, gpos)
+                    new.append(y)
+        frontier = new
+    return elements, factor_of
+
+
 def brute_tables(G):
     """The former per-pair build of G.mult and G.inv: one composition and one
     index lookup per pair of elements."""
@@ -293,15 +328,154 @@ def mat_pow_int64(a, k, p):
     return out
 
 
+def as_fp(v, p):
+    return np.remainder(np.asarray(v, dtype=np.int64), p)
+
+
+def inv_mod(a, p):
+    return pow(a % p, p - 2, p)
+
+
+class SpanBuilder:
+    """Incrementally grown row space kept in reduced echelon form.
+
+    add() reports whether the vector enlarged the span; the running basis and
+    pivot list are exposed for coordinate computations.
+    """
+
+    def __init__(self, dim: int, p: int):
+        self.dim = dim
+        self.p = p
+        self.rows: list[np.ndarray] = []
+        self.pivots: list[int] = []
+
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        w = as_fp(v, self.p).copy()
+        for i, c in enumerate(self.pivots):
+            if w[c]:
+                w = (w - w[c] * self.rows[i]) % self.p
+        return w
+
+    def add(self, v: np.ndarray) -> bool:
+        w = self.reduce(v)
+        nz = np.nonzero(w)[0]
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        w = (w * inv_mod(int(w[c]), self.p)) % self.p
+        # back-substitute into existing rows to stay fully reduced
+        for i in range(len(self.rows)):
+            coeff = int(self.rows[i][c])
+            if coeff:
+                self.rows[i] = (self.rows[i] - coeff * w) % self.p
+        pos = 0
+        while pos < len(self.pivots) and self.pivots[pos] < c:
+            pos += 1
+        self.rows.insert(pos, w)
+        self.pivots.insert(pos, c)
+        return True
+
+    def contains(self, v: np.ndarray) -> bool:
+        return not self.reduce(v).any()
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def basis(self) -> np.ndarray:
+        if not self.rows:
+            return np.zeros((0, self.dim), dtype=np.int64)
+        return np.stack(self.rows)
+
+
+class ReferenceSpin:
+    """Spin of the standard basis under the generator action, over a
+    SpanBuilder: the reference for the package's spin.
+
+    seeds: indices (into the spin order) of the vectors that started orbits;
+    each orbit is spun before the next seed is taken, so orbit k is the run
+    seeds[k] <= t < seeds[k + 1] of the spin order.
+    prov: per spin vector, (parent_spin_index, generator_pos) or None for seeds.
+    edges: leftover (spin_index, generator_pos) pairs that close up and hence
+    contribute constraints.
+    basis: dim x dim matrix, row t = spin vector w_t.
+    span: the SpanBuilder the spin grew.
+    """
+
+    def __init__(self, action: list[np.ndarray], dim: int, p: int):
+        d = dim
+        span = SpanBuilder(d, p)
+        vectors: list[np.ndarray] = []
+        prov: list[tuple[int, int] | None] = []
+        seeds: list[int] = []
+        edges: list[tuple[int, int]] = []
+        next_seed = 0
+        while len(vectors) < d:
+            while next_seed < d:
+                e = np.zeros(d, dtype=np.int64)
+                e[next_seed] = 1
+                if span.add(e):
+                    seeds.append(len(vectors))
+                    vectors.append(e)
+                    prov.append(None)
+                    next_seed += 1
+                    break
+                next_seed += 1
+            t = seeds[-1]
+            queue = [t]
+            while queue:
+                s = queue.pop(0)
+                for gpos, A in enumerate(action):
+                    w = (A @ vectors[s]) % p
+                    if span.add(w):
+                        queue.append(len(vectors))
+                        vectors.append(w)
+                        prov.append((s, gpos))
+                    else:
+                        edges.append((s, gpos))
+        self.seeds = seeds
+        self.prov = prov
+        self.edges = edges
+        self.basis = np.stack(vectors) if vectors else np.zeros((0, 0), dtype=np.int64)
+        self.span = span
+
+
+def frontier_submodule_actions(M, vectors):
+    """The actions of the submodule spanned by vectors, in the reduced
+    echelon basis of its span: a frontier spin of all the vectors at once
+    over a SpanBuilder, then one linear solve per generator."""
+    from greencorr.linalg import solve
+
+    span = SpanBuilder(M.dim, M.p)
+    frontier = []
+    for v in vectors:
+        if span.add(v):
+            frontier.append(v)
+    while frontier:
+        new = []
+        for v in frontier:
+            for A in M.action:
+                w = (A @ v) % M.p
+                if span.add(w):
+                    new.append(w)
+        frontier = new
+    B = span.basis()  # rows span the submodule
+    mats = []
+    for A in M.action:
+        img = (A @ B.T) % M.p  # dim x k, columns are images of basis rows
+        coeff = solve(B.T, img, M.p)
+        assert coeff is not None, "spun span is not a submodule"
+        mats.append(coeff % M.p)
+    return mats
+
+
 def dense_hom_space(action_m, dim_m, action_n, dim_n, p):
     """Hom(M, N) from the spin of M as one dense system: every Cayley edge's
     constraint rows stacked into one (edges * dim_n) x (seeds * dim_n)
     matrix, solved by one nullspace; returns the reduced echelon basis."""
-    from greencorr.modules import _SpinData
-
     if dim_m == 0 or dim_n == 0:
         return []
-    spin = _SpinData(action_m, dim_m, p)
+    spin = ReferenceSpin(action_m, dim_m, p)
     r = len(spin.seeds)
     dN, dM = dim_n, dim_m
     u = r * dN

@@ -12,8 +12,8 @@ from greencorr.catalog import alternating, chain_s3, cyclic, symmetric
 from greencorr.decompose import (
     Run,
     decompose,
+    end_info,
     is_direct_summand,
-    is_indecomposable,
     is_isomorphic,
     is_relatively_projective,
     multiset_of_classes,
@@ -84,7 +84,7 @@ def test_kc2_gf2_indecomposable():
     assert dec.dims_multiset() == [2]
     cert = dec.certificates[0]
     assert cert.end_dim == 2 and cert.radical_dim == 1 and cert.residue_degree == 1
-    assert is_indecomposable(kG)
+    assert kG.dim and end_info(kG).local
 
 
 def test_regular_s3_gf2_golden():
@@ -304,7 +304,8 @@ def test_vertex_conjugation_invariance():
     C2 = subgroup(G, ["(0 1)(2 3)"], tag="C2")
     M = induce(trivial_module(C2.group, p), C2)
     dec = decompose(M)
-    target = next(mod for mod, _ in dec.summands if is_indecomposable(mod))
+    target = next(mod for mod, _ in dec.summands
+                  if mod.dim and end_info(mod).local)
     g = G.index[(1, 2, 0, 3)]  # the 3-cycle (0 1 2)
     assert C2.conjugated(g).element_indices != C2.element_indices
     conj, W = conjugate_module(target, whole_group(G), g)

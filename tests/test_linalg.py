@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 from greencorr.errors import InputError
 from greencorr.linalg import (
-    SpanBuilder,
     in_row_space,
     inv_mod,
     mat_inv,
@@ -14,7 +13,6 @@ from greencorr.linalg import (
     mat_pow,
     nullspace,
     rank,
-    row_space,
     rref,
     solve,
 )
@@ -42,6 +40,9 @@ def test_rref_properties(p):
         # row space is preserved
         for row in A:
             assert in_row_space(row, R, pivots, p)
+        probe = random_matrix(rng, 1, n, p)
+        assert in_row_space(probe[0], R, pivots, p) == (
+            rank(np.concatenate([A, probe]), p) == len(pivots))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -96,28 +97,10 @@ def test_inv_mod():
         inv_mod(0, 3)
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_span_builder_matches_rref(p):
-    rng = np.random.default_rng(30 + p)
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
-        rows = [random_matrix(rng, 1, n, p)[0] for _ in range(6)]
-        sb = SpanBuilder(n, p)
-        for v in rows:
-            sb.add(v)
-        R, pivots = rref(np.stack(rows), p)
-        assert sb.rank == len(pivots)
-        assert (sb.basis() == R).all()
-        for v in rows:
-            assert sb.contains(v)
-        probe = random_matrix(rng, 1, n, p)[0]
-        assert sb.contains(probe) == in_row_space(probe, R, pivots, p)
-
-
 def test_row_space_idempotent():
     A = np.array([[2, 4], [1, 2], [0, 1]], dtype=np.int64)
-    R1 = row_space(A, 5)
-    R2 = row_space(R1, 5)
+    R1 = rref(A, 5)[0]
+    R2 = rref(R1, 5)[0]
     assert (R1 == R2).all()
 
 

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 from itertools import product
 
@@ -11,12 +12,12 @@ from greencorr.errors import InputError
 from greencorr.modules import (
     FpModule,
     _default_pool,
+    _SpinData,
     cohomological_composite,
     conjugate_module,
     counit_ind_res,
     counit_res_ind_on_base,
     direct_sum,
-    hom_dim,
     hom_space,
     hom_space_from_actions,
     induce,
@@ -32,10 +33,12 @@ from greencorr.modules import (
     unit_res_ind,
 )
 from greencorr.permgroups import (
-    PermGroup, all_subgroups, subgroup, trivial_subgroup, whole_group)
+    PermGroup, all_subgroups, closure, subgroup, trivial_subgroup, whole_group)
 
 from oracles import (
+    ReferenceSpin,
     dense_hom_space,
+    frontier_submodule_actions,
     kron_hom_basis,
     loop_induce,
     loop_permutation_module,
@@ -58,7 +61,7 @@ def test_module_construction_and_cache():
 def test_hom_trivial_to_trivial():
     G = symmetric(3)
     k = trivial_module(G, 2)
-    assert hom_dim(k, k) == 1
+    assert len(hom_space(k, k)) == 1
 
 
 def test_hom_regular_endos():
@@ -66,7 +69,7 @@ def test_hom_regular_endos():
     for p in (2, 3):
         G = symmetric(3)
         kG = regular_module(G, p)
-        assert hom_dim(kG, kG) == 6
+        assert len(hom_space(kG, kG)) == 6
 
 
 def test_hom_k_to_kc2_gf2():
@@ -155,7 +158,7 @@ def test_conjugate_module():
     h = C2.element_indices[1]
     conj2, target2 = conjugate_module(M, C2, h)
     assert target2.element_indices == C2.element_indices
-    assert hom_dim(conj2, M) >= 1
+    assert len(hom_space(conj2, M)) >= 1
 
 
 def test_adjunction_dim_identities():
@@ -168,11 +171,11 @@ def test_adjunction_dim_identities():
         for _ in range(3):
             M = random_module(C2.group, p, 4, rng, pool_c2)
             N = random_module(G, p, 6, rng, pool_g)
-            lhs = hom_dim(induce(M, C2), N)
-            rhs = hom_dim(M, restrict(N, C2))
+            lhs = len(hom_space(induce(M, C2), N))
+            rhs = len(hom_space(M, restrict(N, C2)))
             assert lhs == rhs
-            lhs2 = hom_dim(N, induce(M, C2))
-            rhs2 = hom_dim(restrict(N, C2), M)
+            lhs2 = len(hom_space(N, induce(M, C2)))
+            rhs2 = len(hom_space(restrict(N, C2), M))
             assert lhs2 == rhs2
 
 
@@ -255,7 +258,7 @@ def test_trivial_group_modules():
     T = trivial_subgroup(G)
     M = FpModule(T.group, 2, [], dim=3)
     assert M.dim == 3
-    assert hom_dim(M, M) == 9  # no constraints at all
+    assert len(hom_space(M, M)) == 9  # no constraints at all
     ind = induce(M, T)
     assert ind.dim == 18
 
@@ -280,8 +283,8 @@ def test_adjunction_dims_across_catalog():
             N = random_module(G, p, 5, rng)
             ind = induce(M, H)
             res = restrict(N, H)
-            assert hom_dim(ind, N) == hom_dim(M, res), (name, p)
-            assert hom_dim(N, ind) == hom_dim(res, M), (name, p)
+            assert len(hom_space(ind, N)) == len(hom_space(M, res)), (name, p)
+            assert len(hom_space(N, ind)) == len(hom_space(res, M)), (name, p)
 
 
 def test_triangle_identities_across_catalog():
@@ -377,7 +380,7 @@ def test_conjugate_module_defining_identity():
     S3 = _sub(G, ["(0 1)", "(0 1 2)"], tag="S3")
     M = regular_module(S3.group, 2)
     g = G.index[(0, 2, 3, 1)]  # a 3-cycle moving the subgroup
-    assert G.element_order(g) == 3
+    assert len(G.subgroup_closure([g])) == 3
     conj, target = conjugate_module(M, S3, g)
     ginv = int(G.inv[g])
     flipped_breaks = False
@@ -455,3 +458,79 @@ def test_hom_space_working_set_is_bounded_by_its_basis(mackey_ends, dim, p):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * sum(F.nbytes for F in basis)
+
+
+# ---------------------------------------------------------------------------
+# the spin against the reference spin over a SpanBuilder
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def bridge_pool(name: str, p: int) -> list[FpModule]:
+    return _default_pool(bridge_groups()[name], p)
+
+
+def assert_same_spin(action, dim, p):
+    spin, ref = _SpinData(action, dim, p), ReferenceSpin(action, dim, p)
+    assert spin.seeds == ref.seeds
+    assert spin.prov == ref.prov
+    assert spin.edges == ref.edges
+    assert spin.basis.dtype == np.int64
+    assert np.array_equal(spin.basis, ref.basis)
+    span, pivots = spin.reduced_span()
+    assert np.array_equal(span, ref.span.basis())
+    assert pivots.tolist() == ref.span.pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]),
+       name=st.sampled_from(sorted(bridge_groups())))
+def test_spin_matches_reference_spin(seed, p, name):
+    rng = np.random.default_rng(seed)
+    pool = bridge_pool(name, p)
+    M = random_module(bridge_groups()[name], p, 12, rng, pool)
+    # a sum of two draws spins more than one orbit
+    S = direct_sum(M, random_module(M.group, p, 12, rng, pool))
+    for X in (M, S):
+        assert_same_spin(X.action, X.dim, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_spin_without_generators_or_dimension(p):
+    # with no generators every standard basis vector seeds an orbit of its
+    # own, and no edge closes; in dimension 0 nothing is spun
+    for dim in range(4):
+        assert_same_spin([], dim, p)
+        spin = _SpinData([], dim, p)
+        assert spin.seeds == list(range(dim)) and not spin.edges
+    acts = [np.zeros((0, 0), dtype=np.int64)] * 2
+    assert_same_spin(acts, 0, p)
+    assert _SpinData(acts, 0, p).basis.shape == (0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]),
+       name=st.sampled_from(sorted(bridge_groups())),
+       count=st.integers(1, 4))
+def test_submodule_matches_frontier_spin(seed, p, name, count):
+    rng = np.random.default_rng(seed)
+    pool = bridge_pool(name, p)
+    X = direct_sum(pool[int(rng.integers(len(pool)))],
+                   pool[int(rng.integers(len(pool)))])
+    vectors = [rng.integers(0, p, size=X.dim) for _ in range(count)]
+    # a start vector the span already holds adds nothing
+    vectors.append((2 * vectors[0]) % p)
+    sub = submodule_from_vectors(X, vectors)
+    want = frontier_submodule_actions(X, vectors)
+    assert len(sub.action) == len(want)
+    for got, ref in zip(sub.action, want):
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+    assert sub.dim == want[0].shape[0]
+
+
+def test_submodule_of_a_generator_free_group():
+    # every subspace is a submodule: (2, 1) = 2 (1, 2) mod 3 adds nothing
+    M = FpModule(closure([], degree=2), 3, [], dim=4)
+    vectors = [np.array([1, 2, 0, 0]), np.array([2, 1, 0, 0]),
+               np.array([0, 0, 0, 1])]
+    assert submodule_from_vectors(M, vectors).dim == 2
+

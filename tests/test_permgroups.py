@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,7 @@ from oracles import (
     perm_inv,
     perm_mul,
     tables_isomorphic,
+    two_walk_tree,
 )
 
 BRIDGE = {name: (G, all_subgroups(G)) for name, G in bridge_groups().items()}
@@ -101,6 +103,41 @@ def test_tables_match_per_pair_oracle(G):
     assert G.mult.dtype == mult.dtype and G.inv.dtype == inv.dtype
     assert (G.mult == mult).all()
     assert (G.inv == inv).all()
+
+
+def assert_closure_matches_references(G):
+    """G's elements, spanning tree and tables against the brute-force closure
+    and tables and the two-walk construction of the tree."""
+    assert list(G.elements) == brute_closure(G.generators, G.degree)
+    elements, factor_of = two_walk_tree(G.generators, G.degree)
+    assert list(G.elements) == elements
+    assert G.factor_of == factor_of
+    mult, inv = brute_tables(G)
+    assert np.array_equal(G.mult, mult) and np.array_equal(G.inv, inv)
+    conj = [[G.index[perm_mul(perm_mul(g, x), perm_inv(g))]
+             for x in G.elements] for g in G.elements]
+    assert G.conj.tolist() == conj
+
+
+CLOSURE_GROUPS = {**bridge_groups(), "A5": a5(), "S5": symmetric(5)}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_closure_of_every_subgroup_matches_references(name):
+    G = CLOSURE_GROUPS[name]
+    subgroups = BRIDGE[name][1] if name in BRIDGE else all_subgroups(G)
+    assert_closure_matches_references(G)
+    for S in subgroups:
+        assert_closure_matches_references(S.group)
+
+
+@pytest.mark.parametrize("gens, degree", [
+    (["(0 1)", "(0 1)", "(0 1 2)"], 3), (["(0 1 2 3 4 5 6)"], 7),
+    ([], 0), ([], 1)], ids=["repeated generator", "C7", "degree 0", "S1"])
+def test_closure_of_small_groups_matches_references(gens, degree):
+    G = closure(gens, degree=degree)
+    assert_closure_matches_references(G)
+    assert G.factor_of[G.identity] is None
 
 
 def test_factorization_tree():
@@ -184,7 +221,7 @@ def test_sylow():
     A = a5()
     V4 = sylow(A, 2)
     assert V4.order == 4
-    orders = sorted(A.element_order(x) for x in V4.element_indices)
+    orders = sorted(len(A.subgroup_closure([x])) for x in V4.element_indices)
     assert orders == [1, 2, 2, 2]  # Klein four group
     with pytest.raises(InputError):
         sylow(S4, 4)
@@ -309,8 +346,6 @@ def test_normalizer_order_divisible_by_subgroup():
 
 def test_normalizer_of_v4_in_a5_is_a4():
     # |N| = 12 and the abstract group is A4, by table isomorphism
-    import numpy as np
-
     A = a5()
     V4 = sylow(A, 2)
     N = normalizer(A, V4)
