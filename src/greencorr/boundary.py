@@ -59,13 +59,11 @@ class PartialResult:
     @cached_property
     def embedding(self) -> GroupoidFunctor:
         """The comparison (E/F/H) -> (E/F/G): (x, y, h) |-> (x, y, i(h))."""
-        inner, ambient = self.inner, self.ambient
+        inner = self.inner
         x, y, h = inner.object_parts()
-        obj_map = ambient.object_index(x, y, self.i.mor_map[h])
-        o, a, b = inner.morphism_parts()
-        return GroupoidFunctor(inner.groupoid, ambient.groupoid, obj_map,
-                               ambient.morphism_index(obj_map[o], a, b),
-                               name="(E/F/i)")
+        _, a, b = inner.morphism_parts()
+        return self.ambient.functor_from(inner.groupoid, x, y, self.i.mor_map[h],
+                                         a, b, "(E/F/i)")
 
     @cached_property
     def h_part_inclusion(self) -> GroupoidFunctor:
@@ -118,6 +116,18 @@ class PartialResult:
         with the boundary: read only)."""
         return self.boundary.mor_sub
 
+    def onto_boundary(self, F: GroupoidFunctor, what: str) -> GroupoidFunctor:
+        """F, a functor into the ambient isocomma, with its codomain cut down
+        to the boundary.  Raises TheoremViolationError(what) when F sends an
+        object outside the boundary; the boundary is a full subgroupoid, so
+        it then holds every morphism of F's image."""
+        obj_map = self.ambient_to_boundary_objects()[F.obj_map]
+        if (obj_map < 0).any():
+            raise TheoremViolationError(what)
+        return GroupoidFunctor(F.domain, self.boundary, obj_map,
+                               self.ambient_to_boundary_morphisms()[F.mor_map],
+                               F.name)
+
 
 def partial(i: GroupoidFunctor, iota_e: GroupoidFunctor,
             iota_f: GroupoidFunctor, name: str = "") -> PartialResult:
@@ -161,21 +171,14 @@ def diagonal_functor(k: GroupoidFunctor, ell: GroupoidFunctor,
             and (cf.mor_map == part.iota_f.mor_map).all()):
         raise InputError("embeddings do not commute strictly on the F side")
 
-    amb, amb2 = part.ambient, part_prime.ambient
     b_to_amb = part.boundary_inclusion
-    x, y, g = amb.object_parts(b_to_amb.obj_map)
-    target = amb2.object_index(k.obj_map[x], ell.obj_map[y], g)
-    obj_map = part_prime.ambient_to_boundary_objects()[target]
-    if (obj_map < 0).any():
-        raise TheoremViolationError(
-            "image of a boundary object fell into the H part")
-    _, a, b = amb.morphism_parts(b_to_amb.mor_map)
-    src2 = part_prime.boundary_inclusion.obj_map[obj_map[part.boundary.msrc]]
-    target = amb2.morphism_index(src2, k.mor_map[a], ell.mor_map[b])
-    mor_map = part_prime.ambient_to_boundary_morphisms()[target]
-    assert (mor_map >= 0).all()
-    return GroupoidFunctor(part.boundary, part_prime.boundary, obj_map, mor_map,
-                           name="∂(k,ell)")
+    x, y, g = part.ambient.object_parts(b_to_amb.obj_map)
+    _, a, b = part.ambient.morphism_parts(b_to_amb.mor_map)
+    F = part_prime.ambient.functor_from(
+        part.boundary, k.obj_map[x], ell.obj_map[y], g, k.mor_map[a],
+        ell.mor_map[b], "∂(k,ell)")
+    return part_prime.onto_boundary(
+        F, "image of a boundary object fell into the H part")
 
 
 def geography_check(i: GroupoidFunctor, j1: GroupoidFunctor,
@@ -183,7 +186,9 @@ def geography_check(i: GroupoidFunctor, j1: GroupoidFunctor,
     """Check the equivalence (D1 / boundary(H,D2) / H) ≃ boundary(D1,D2).
 
     Builds the canonical comparison functor obtained by pasting the Mackey
-    squares of the double isocomma diagram and tests it exhaustively.
+    squares of the double isocomma diagram and tests it exhaustively: a
+    boundary object b goes to (pr1 b, ∂(j1, id)(b), id), where the diagonal
+    ∂(j1, id) : boundary(D1,D2) -> boundary(H,D2) is ``diagonal_functor``.
     Returns (verdict, witness functor).
     """
     H = i.domain
@@ -192,25 +197,11 @@ def geography_check(i: GroupoidFunctor, j1: GroupoidFunctor,
     u2 = part_hd.pr1_to_H  # equals pr1 since E = H
     Y = isocomma(j1, u2)
 
-    Bdd = part_dd.boundary
-    b_to_amb = part_dd.boundary_inclusion
-    x, y, g = part_dd.ambient.object_parts(b_to_amb.obj_map)
-    hx = j1.obj_map[x]
-    b2_of = part_hd.ambient_to_boundary_objects()[
-        part_hd.ambient.object_index(hx, y, g)]
-    if (b2_of < 0).any():
-        raise TheoremViolationError(
-            "boundary(D1,D2) object landed outside boundary(H,D2)")
-    obj_map = Y.object_index(x, b2_of, H.ident[hx])
-    _, a, b = part_dd.ambient.morphism_parts(b_to_amb.mor_map)
-    src = Bdd.msrc
-    amb2_src = part_hd.boundary_inclusion.obj_map[b2_of[src]]
-    w = part_hd.ambient_to_boundary_morphisms()[
-        part_hd.ambient.morphism_index(amb2_src, j1.mor_map[a], b)]
-    assert (w >= 0).all()
-    mor_map = Y.morphism_index(obj_map[src], a, w)
-    witness = GroupoidFunctor(Bdd, Y.groupoid, obj_map, mor_map,
-                              name="geography-comparison")
+    diag = diagonal_functor(j1, identity_functor(j2.domain), part_dd, part_hd)
+    pr1 = part_dd.pr1
+    witness = Y.functor_from(part_dd.boundary, pr1.obj_map, diag.obj_map,
+                             H.ident[j1.obj_map[pr1.obj_map]], pr1.mor_map,
+                             diag.mor_map, "geography-comparison")
     return is_equivalence(witness), witness
 
 
@@ -242,8 +233,6 @@ def tricky_factorization(i: GroupoidFunctor, j: GroupoidFunctor) -> TrickyFactor
     M = part_hb.ambient  # (H/B/G)
     part_hd = partial(i, identity_functor(H), j, name="hd")
     W = part_hd.ambient  # (H/D/G)
-    t_obj = part_hd.ambient_to_boundary_objects()
-    t_mor = part_hd.ambient_to_boundary_morphisms()
 
     in_h = np.zeros(M.groupoid.n_objects, dtype=bool)
     in_h[part_hb.h_objects] = True
@@ -254,21 +243,15 @@ def tricky_factorization(i: GroupoidFunctor, j: GroupoidFunctor) -> TrickyFactor
     x, b_obj, g = M.object_parts()
     xd, yd, a = dd_amb.object_parts(part_dd.boundary_inclusion.obj_map[b_obj])
     pushed = G.compose_many(a, g)
-    target = W.object_index(x, np.where(in_h, yd, xd), np.where(in_h, pushed, g))
-    obj_map = t_obj[target]
-    if (obj_map < 0).any():
-        raise TheoremViolationError(
-            "factorization image left boundary(H,D)")
 
     o, h_m, bm = M.morphism_parts()
     d1, d2 = dd_amb.morphism_parts(part_dd.boundary_inclusion.mor_map[bm])[1:]
     d = np.where(in_h[o], d2, d1)
     del d1, d2
-    w_src = part_hd.boundary_inclusion.obj_map[obj_map[o]]
-    mor_map = t_mor[W.morphism_index(w_src, h_m, d)]
-    assert (mor_map >= 0).all()
-    Tgpd = part_hd.boundary
-    u = GroupoidFunctor(M.groupoid, Tgpd, obj_map, mor_map, name="u")
+    u = part_hd.onto_boundary(
+        W.functor_from(M.groupoid, x, np.where(in_h, yd, xd),
+                       np.where(in_h, pushed, g), h_m, d, "u"),
+        "factorization image left boundary(H,D)")
 
     # strict equality pr1 ∘ u = pr1 on objects and morphisms
     left_obj = part_hd.pr1.obj_map[u.obj_map]

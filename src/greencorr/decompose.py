@@ -46,13 +46,12 @@ the rank of each (action - I), all invariant under conjugation, and tells a
 pair that differs apart without a Hom solve.
 
 A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
-End analyses with their End bases, and vertices, by module fingerprint;
-Higman verdicts, by module fingerprint and subgroup; and the p-subgroup
-classes that a vertex descent walks, by group and subgroup.  Relative
-projectivity to the trivial subgroup is how ``green.module_catalog`` finds
-the projective kD-modules whose inductions it skips.  A public function
-called without a ``Run`` makes a fresh one for that call only, so nothing is
-kept between calls that do not share one.
+End analyses with their End bases, and vertices, by module fingerprint; and
+the p-subgroup classes that a vertex descent walks, by group and subgroup.
+A Higman verdict is not kept: once a module's vertex is known, subconjugacy
+answers every later test.  A public function called without a ``Run`` makes
+a fresh one for that call only, so nothing is kept between calls that do not
+share one.
 """
 
 from __future__ import annotations
@@ -496,10 +495,9 @@ class Run:
     """The memo tables of one top-level computation.
 
     Keyed by the exact module fingerprint: decompositions, End analyses
-    (each with its End basis) and vertices.  Keyed by module fingerprint and
-    the subgroup's element indices: Higman verdicts, ``projective``.  Keyed
-    by group fingerprint and the subgroup's element indices: the classes of
-    its subgroups up to conjugacy in the group, ``p_subgroups``.
+    (each with its End basis) and vertices.  Keyed by group fingerprint and
+    the subgroup's element indices: the classes of its subgroups up to
+    conjugacy in the group, ``p_subgroups``.
 
     A key fixes what is computed, so a hit is what a fresh computation would
     return; the tables live exactly as long as the Run.
@@ -509,7 +507,6 @@ class Run:
         self.decompositions: dict[bytes, Decomposition] = {}
         self.ends: dict[bytes, _LeafInfo] = {}
         self.vertices: dict[bytes, SubgroupEmbedding] = {}
-        self.projective: dict[tuple[bytes, tuple[int, ...]], bool] = {}
         self.p_subgroups: dict[tuple[bytes, tuple[int, ...]],
                                list[SubgroupEmbedding]] = {}
 
@@ -798,9 +795,9 @@ def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding,
     so once ``run`` holds M's vertex, subconjugacy decides.  Otherwise
     Higman's criterion decides: M is relatively X-projective iff id_M lies in
     the image of the relative trace Tr_X^G on End_kX(Res_X M) (D. G. Higman,
-    Duke Math. J. 21, 1954).  The End basis is the one ``run`` keeps, and
-    the trace's verdict is memoized in ``run`` by the module's fingerprint
-    and the subgroup.
+    Duke Math. J. 21, 1954).  The End basis is the one ``run`` keeps.  The
+    trace's verdict is not kept: ``vertex`` tests each subgroup class once,
+    and the vertex it keeps answers every later test.
     """
     G = M.group
     if not G.same_group(emb.ambient):
@@ -810,17 +807,12 @@ def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding,
     if M.dim % p_part(G.order // emb.order, M.p):
         return False
     run = run or Run()
-    fingerprint = M.fingerprint()
-    Q = run.vertices.get(fingerprint)
+    Q = run.vertices.get(M.fingerprint())
     if Q is not None:
         return is_subconjugate(G, Q, emb)
-    key = (fingerprint, emb.element_indices)
-    hit = run.projective.get(key)
-    if hit is None:
-        R, piv = relative_trace_image(M, M, emb, end_basis(M, run))
-        ident = np.eye(M.dim, dtype=np.int64).ravel()
-        hit = run.projective[key] = linalg.in_row_space(ident, R, piv, M.p)
-    return hit
+    R, piv = relative_trace_image(M, M, emb, end_basis(M, run))
+    ident = np.eye(M.dim, dtype=np.int64).ravel()
+    return linalg.in_row_space(ident, R, piv, M.p)
 
 
 def _p_subgroup_classes(G: PermGroup, P: SubgroupEmbedding,
@@ -858,12 +850,14 @@ def vertex(M: FpModule, run: Run | None = None) -> SubgroupEmbedding:
     if not is_relatively_projective(M, smaller, run):
         raise TheoremViolationError("module not projective relative to Sylow")
     current = trivial_subgroup(G)
-    if is_relatively_projective(M, current, run):
+    # a trivial Sylow subgroup was the test just made
+    if smaller.order == 1 or is_relatively_projective(M, current, run):
         smaller = None
     while smaller is not None:
         current = smaller
+        # the trivial subgroup was tested above, and failed
         smaller = next((R for R in _p_subgroup_classes(G, current, run)
-                        if R.order < current.order
+                        if 1 < R.order < current.order
                         and is_relatively_projective(M, R, run)), None)
     canon = run.vertices[cache_key] = SubgroupEmbedding(
         G, current.canonical_class_key, tag="vertex")

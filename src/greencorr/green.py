@@ -40,7 +40,6 @@ from .modules import (
     hom_space,
     induce,
     permutation_module,
-    regular_module,
     restrict,
     trivial_module,
 )
@@ -53,7 +52,6 @@ from .permgroups import (
     is_subconjugate,
     normalizer,
     require_prime,
-    trivial_subgroup,
     whole_group,
     x_y_u_families,
 )
@@ -213,13 +211,11 @@ def module_catalog(sc: Scenario, side: str,
     """Indecomposable classes discovered on one side with their verdicts.
 
     Returns (module, is_D_object, is_X_object) triples, sorted by dimension;
-    generated from inductions of the kD catalog plus the trivial module and
-    the summands of the regular module.  Ind_D s of a projective s (Higman's
-    test with the trivial subgroup) is projective, so each of its summands is
-    a summand of the regular module, whose classes come first: it is not
-    induced, and the classes and their order are the same.  Every candidate
-    is the trivial module or a summand whose End ``decompose`` certified
-    local, so none needs a locality test here.
+    the candidates are the trivial module and the summands of Ind_D s for
+    every member s of the kD family, which holds kD, so they hold kX =
+    Ind_D kD and, by Krull-Schmidt, every class of the regular module.
+    Every candidate is the trivial module or a summand whose End
+    ``decompose`` certified local, so none needs a locality test here.
 
     The X-object test finds each module's vertex Q before the D-object test,
     which Green's vertex theorem then settles without a trace: an
@@ -228,11 +224,7 @@ def module_catalog(sc: Scenario, side: str,
     amb_group, d_emb, fam = sc.side(side)
     run = run or Run()
     candidates: list[FpModule] = [trivial_module(amb_group, sc.p)]
-    for mod, _ in decompose(regular_module(amb_group, sc.p), run).summands:
-        candidates.append(mod)
     for s in generating_family_over_D(sc, run):
-        if is_relatively_projective(s, trivial_subgroup(s.group), run):
-            continue
         for mod, _ in decompose(induce(s, d_emb), run).summands:
             candidates.append(mod)
 

@@ -687,6 +687,15 @@ class IsocommaResult:
         P = self.groupoid
         return P.msrc[m], P.m_a[m], P.m_b[m]
 
+    def functor_from(self, domain: FiniteGroupoid, x, y, g, a, b,
+                     name: str) -> GroupoidFunctor:
+        """The functor domain -> isocomma of the universal property: object z
+        goes to (x[z], y[z], g[z]), and morphism m to the pair (a[m], b[m])
+        out of the image of its source."""
+        obj_map = self.object_index(x, y, g)
+        mor_map = self.morphism_index(obj_map[domain.msrc], a, b)
+        return GroupoidFunctor(domain, self.groupoid, obj_map, mor_map, name)
+
 
 def isocomma(i: GroupoidFunctor, u: GroupoidFunctor, name: str = "") -> IsocommaResult:
     """The groupoid of triples (x, y, g : i(x) -> u(y)) over a cospan.
@@ -731,11 +740,9 @@ def isocomma_coproduct_relabeling(
     parts = []
     for iso_part, inj in ((isocomma(i, u1), inj1), (isocomma(i, u2), inj2)):
         x, y, g = iso_part.object_parts()
-        obj_map = whole.object_index(x, inj.obj_map[y], g)
-        o, a, b = iso_part.morphism_parts()
-        mor_map = whole.morphism_index(obj_map[o], a, inj.mor_map[b])
-        parts.append(GroupoidFunctor(iso_part.groupoid, whole.groupoid,
-                                     obj_map, mor_map, name="relabel"))
+        _, a, b = iso_part.morphism_parts()
+        parts.append(whole.functor_from(iso_part.groupoid, x, inj.obj_map[y],
+                                        g, a, inj.mor_map[b], "relabel"))
     all_objs = np.concatenate([F.obj_map for F in parts])
     all_mors = np.concatenate([F.mor_map for F in parts])
     assert len(_distinct(all_objs)) == whole.groupoid.n_objects
@@ -774,10 +781,10 @@ def induced_comparison(square: CommaSquare,
     square.validate()
     if iso is None:
         iso = isocomma(square.i, square.u)
-    L, v, j = square.v.domain, square.v, square.j
-    obj_map = iso.object_index(v.obj_map, j.obj_map, square.cell.components)
-    mor_map = iso.morphism_index(obj_map[L.msrc], v.mor_map, j.mor_map)
-    return GroupoidFunctor(L, iso.groupoid, obj_map, mor_map, name="comparison")
+    v, j = square.v, square.j
+    return iso.functor_from(v.domain, v.obj_map, j.obj_map,
+                            square.cell.components, v.mor_map, j.mor_map,
+                            "comparison")
 
 
 def is_equivalence(F: GroupoidFunctor) -> bool:

@@ -13,7 +13,7 @@ from greencorr.boundary import (
     tricky_factorization,
 )
 from greencorr.catalog import chain_s3, chain_s4_d8_c4, scenario_chains, symmetric
-from greencorr.errors import InputError
+from greencorr.errors import InputError, TheoremViolationError
 from greencorr.groupoids import (
     GroupoidFunctor,
     compose_functors,
@@ -218,6 +218,23 @@ def test_diagonal_image_avoids_h_part():
         # diagonal_functor raises TheoremViolationError if the image touches
         # the H part, so completing the call is the assertion
         diagonal_functor(j, identity_functor(Dgpd), res_dd, res_hd)
+
+
+def test_onto_boundary_cuts_down_or_names_the_violation():
+    # the comparison (E/F/H) -> (E/F/G) lands in the H part, which misses
+    # the boundary; the boundary inclusion lands in it and cuts down to the
+    # identity
+    for name, (G, H, D) in scenario_chains().items():
+        if G.order > 24:
+            continue
+        Ggpd, Hgpd, Dgpd, i, j = chain_functors(G, H, D)
+        res = partial(i, j, j)
+        with pytest.raises(TheoremViolationError, match="^left it$"):
+            res.onto_boundary(res.embedding, "left it")
+        F = res.onto_boundary(res.boundary_inclusion, "unreachable")
+        assert F.domain is res.boundary and F.codomain is res.boundary
+        assert (F.obj_map == np.arange(res.boundary.n_objects)).all()
+        assert (F.mor_map == np.arange(res.boundary.n_morphisms)).all()
 
 
 def test_geography_s3():

@@ -169,6 +169,9 @@ VERIFY_REPORTS = {
         # the stretch chain S5 >= S4 >= D8 at p = 2
         "s5_s4_d8": ("5cc1271ffa6f93019cb89bcc0f82194c",
                      "b7b03c16885fecf58d46905750364890"),
+        # S4 >= S3 >= S3 at p = 3, whose D is not a p-group
+        "s4_s3_s3_p3": ("b5f7a49da3227c4d656fb9ce583098c6",
+                        "bf9c7f3eedc4d5ee9c3c42ae2a13c302"),
 }
 
 

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from greencorr import cli
-from greencorr.catalog import symmetric
+from greencorr.catalog import cyclic, symmetric
 from greencorr.decompose import Run, decompose
 from greencorr.linalg import rref
 from greencorr.modules import (
-    FpModule, hom_space, induce, regular_module, submodule_from_vectors)
+    FpModule, hom_space, induce, permutation_module, regular_module,
+    submodule_from_vectors)
 from greencorr.permgroups import (
-    SubgroupEmbedding, p_subgroups_up_to_conjugacy, sylow)
+    all_subgroups, class_representatives, p_subgroups_up_to_conjugacy, sylow,
+    trivial_subgroup)
 
 from oracles import module_catalog_all_inductions
 
@@ -41,12 +43,14 @@ VERIFY_WORK = [
 # (config, Higman traces that is_relatively_projective computes) in one
 # verify.  Higman's criterion alone took 30, 104 and 63: Green's vertex theory
 # now settles a test without a trace when |G:X|_p does not divide dim M or
-# the module's vertex is known, and vertex tests the trivial subgroup first
-HIGMAN_TRACES = [
-    ("perfbench/configs/d8_v4_c2.json", 8),
-    ("configs/s4_d8_d8.json", 49),
-    ("configs/a5_a4_v4.json", 33),
-]
+# the module's vertex is known, and vertex tests the trivial subgroup first.
+# The catalog no longer tests which kD-modules are projective before it
+# induces them, which took 8 and 33 traces
+HIGMAN_TRACES = {
+    "perfbench/configs/d8_v4_c2.json": 7,
+    "configs/s4_d8_d8.json": 49,
+    "configs/a5_a4_v4.json": 30,
+}
 
 
 @pytest.mark.parametrize("path, decompositions, vertices", VERIFY_WORK)
@@ -256,37 +260,60 @@ def test_a_correspondent_outside_the_catalog_fails_the_bijection(monkeypatch):
 CONFIGS = ["configs/s3_c2_c2.json", "configs/degenerate_s3.json",
            "configs/s4_d8_c4.json", "configs/s4_d8_d8.json",
            "configs/a5_a4_v4.json", "perfbench/configs/d8_v4_c2.json"]
+# chains whose D is not a p-group, so that kD has several projective
+# indecomposables and kX is the sum of their inductions: H = D
+NOT_P_GROUP_D = {
+    "configs/s4_s3_s3_p3.json": None,
+    "S4>=S3>=S3, p=2": (2, 4, ["(0 1)", "(0 1 2 3)"], ["(0 1)", "(0 1 2)"]),
+    "A5>=D10>=D10, p=2": (2, 5, ["(0 1 2 3 4)", "(2 3 4)"],
+                          ["(0 1 2 3 4)", "(1 4)(2 3)"]),
+}
 
 
-@pytest.mark.parametrize("path", CONFIGS)
+def chain(name: str):
+    """The scenario of a config file, or of a chain of NOT_P_GROUP_D given
+    as (p, degree, generators of G, generators of H = D)."""
+    if name.endswith(".json"):
+        return scenario(name)
+    p, degree, gens_g, gens_d = NOT_P_GROUP_D[name]
+    return cli.Config.from_dict({
+        "p": p, "degree": degree, "generators_G": gens_g,
+        "generators_H": gens_d, "generators_D": gens_d}).scenario()
+
+
+@pytest.mark.parametrize("path", CONFIGS + list(NOT_P_GROUP_D))
 def test_run_tables_match_fresh_computations(path):
-    sc = scenario(path)
+    sc = chain(path)
     run = Run()
     assert GREEN.verify_scenario(sc, run).all_pass
-    kept = dict(run.projective)
     modules = {mod.fingerprint(): mod for dec in run.decompositions.values()
                for mod in dec.pieces}
     for side, X in (("H", sc.H.group), ("G", sc.G)):
         catalog = GREEN.module_catalog(sc, side, run)
-        # skipping the induction of projective kD-modules changes no class,
-        # no order and no flag
+        # the inductions of the kD family hold kX = Ind_D kD, so the former
+        # loop, which also decomposed kX, finds the same classes with the
+        # same flags.  Only projective classes of one dimension may come in
+        # another order, first fit over other inductions; their report
+        # entries are alike (trivial vertex, X-objects), and every other
+        # class keeps its place
         old = module_catalog_all_inductions(sc, side, Run())
-        assert [(m.fingerprint(), d, x) for m, d, x in catalog] == \
-            [(m.fingerprint(), d, x) for m, d, x in old]
+        assert [(m.dim, d, x) for m, d, x in catalog] == \
+            [(m.dim, d, x) for m, d, x in old]
+        place = [[k for k, (mod, _, _) in enumerate(old)
+                  if D._iso_indec(new, mod)] for new, _, _ in catalog]
+        assert sorted(place) == [[k] for k in range(len(old))]
+        for k, ((new, _, _), [at]) in enumerate(zip(catalog, place)):
+            assert at == k or D.is_relatively_projective(
+                new, trivial_subgroup(X))
         # the Higman verdict of each catalog module and p-subgroup class,
-        # read through the run's table, is what a call without a Run decides
+        # decided with the run's vertices, is what a call without a Run
+        # decides
         classes = p_subgroups_up_to_conjugacy(X, sylow(X, sc.p))
         for mod, _, _ in catalog:
             modules[mod.fingerprint()] = mod
             for R in classes:
                 assert D.is_relatively_projective(mod, R, run) == \
                     D.is_relatively_projective(mod, R)
-    # so is every verdict that the verify itself kept
-    assert kept
-    for (key, elements), verdict in kept.items():
-        mod = modules[key]
-        R = SubgroupEmbedding(mod.group, elements)
-        assert verdict == D.is_relatively_projective(mod, R)
     # each leaf keeps the End basis that hom_space returns, in an array of
     # its own rather than a view into its parent's blocks
     for mod in modules.values():
@@ -298,13 +325,13 @@ def test_run_tables_match_fresh_computations(path):
         assert all((a == b).all() for a, b in zip(ends, fresh))
 
 
-@pytest.mark.parametrize("path, traces", HIGMAN_TRACES,
-                         ids=[path for path, _ in HIGMAN_TRACES])
-def test_one_verify_solves_each_end_and_higman_test_once(path, traces,
-                                                         monkeypatch):
+@pytest.mark.parametrize("path", CONFIGS, ids=CONFIGS)
+def test_one_verify_solves_each_end_and_higman_test_once(path, monkeypatch):
     # End solves: the solve of each support component in decompose and every
-    # hom_space(M, M) of one module object, by fingerprint; Higman tests: the trace images
-    # of End that is_relatively_projective computes, by module and subgroup
+    # hom_space(M, M) of one module object, by fingerprint; Higman tests: the
+    # trace images of End that is_relatively_projective computes, by module
+    # and subgroup.  No table keeps a Higman verdict: vertex tests each class
+    # once, and the vertex it keeps answers every later test
     ends, higman = Counter(), Counter()
     hom, from_actions = D.hom_space, D.hom_space_from_actions
     trace = D.relative_trace_image
@@ -339,7 +366,8 @@ def test_one_verify_solves_each_end_and_higman_test_once(path, traces,
     # quotient hom of the fully-faithful table
     leaves = {key for key, info in run.ends.items() if info.local}
     assert higman and max(higman.values()) == 1
-    assert sum(higman.values()) == traces
+    if path in HIGMAN_TRACES:
+        assert sum(higman.values()) == HIGMAN_TRACES[path]
     # no shortcut skips the Sylow guard of vertex where the Sylow subgroup
     # is proper (on a5_a4_v4, for every module on both sides)
     guarded = [(key, P.element_indices) for key, Q in run.vertices.items()
@@ -348,3 +376,25 @@ def test_one_verify_solves_each_end_and_higman_test_once(path, traces,
     if "a5_a4_v4" in path:
         assert len(guarded) == len(run.vertices) > 0
     assert {key: n for key, n in ends.items() if key in leaves and n > 1} == {}
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_vertex_runs_each_higman_test_once(p, monkeypatch):
+    # no table keeps a Higman verdict, so vertex must not repeat a test: over
+    # C6 at p = 5 the Sylow subgroup is trivial, and at p = 2 the simple
+    # 2-dimensional module has vertex C2, below which lies only the trivial
+    # subgroup, tested before the descent
+    G = cyclic(6)
+    traces = Counter()
+    trace = D.relative_trace_image
+
+    def counting(M, N, emb, homs):
+        traces[(M.fingerprint(), emb.element_indices)] += 1
+        return trace(M, N, emb, homs)
+
+    monkeypatch.setattr(D, "relative_trace_image", counting)
+    run = Run()
+    for E in class_representatives(all_subgroups(G)):
+        for mod, _ in decompose(permutation_module(G, E, p), run).summands:
+            D.vertex(mod, run)
+    assert traces and max(traces.values()) == 1
