@@ -124,8 +124,9 @@ class PartialResult:
         obj_map = self.ambient_to_boundary_objects()[F.obj_map]
         if (obj_map < 0).any():
             raise TheoremViolationError(what)
-        return GroupoidFunctor(F.domain, self.boundary, obj_map,
-                               self.ambient_to_boundary_morphisms()[F.mor_map],
+        mor_map = self.ambient_to_boundary_morphisms()[F.mor_map]
+        assert mor_map.min(initial=0) >= 0
+        return GroupoidFunctor(F.domain, self.boundary, obj_map, mor_map,
                                F.name)
 
 

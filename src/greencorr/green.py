@@ -210,16 +210,18 @@ def module_catalog(sc: Scenario, side: str,
                    run: Run | None = None) -> list[tuple[FpModule, bool, bool]]:
     """Indecomposable classes discovered on one side with their verdicts.
 
-    Returns (module, is_D_object, is_X_object) triples, sorted by dimension;
-    the candidates are the trivial module and the summands of Ind_D s for
-    every member s of the kD family, which holds kD, so they hold kX =
-    Ind_D kD and, by Krull-Schmidt, every class of the regular module.
-    Every candidate is the trivial module or a summand whose End
+    Returns (module, is_D_object, is_X_object) triples, sorted by dimension
+    and, in each dimension, projective classes first, each part in the order
+    of discovery.  The candidates are the trivial module and the summands of
+    Ind_D s for every member s of the kD family, which holds kD, so they
+    hold kX = Ind_D kD and, by Krull-Schmidt, every class of the regular
+    module.  Every candidate is the trivial module or a summand whose End
     ``decompose`` certified local, so none needs a locality test here.
 
-    The X-object test finds each module's vertex Q before the D-object test,
-    which Green's vertex theorem then settles without a trace: an
-    indecomposable is relatively D-projective iff Q <=_G D.
+    Each class's vertex Q settles its verdicts by Green's vertex theorem: an
+    indecomposable is relatively S-projective iff Q <=_G S, so it is a
+    D-object iff Q <=_G D, an X-object iff Q <=_G some member of the family,
+    and projective iff Q = 1.
     """
     amb_group, d_emb, fam = sc.side(side)
     run = run or Run()
@@ -230,11 +232,12 @@ def module_catalog(sc: Scenario, side: str,
 
     out = []
     for mod in _dedup_classes(candidates, run):
-        x_obj = is_x_object(mod, fam, run)
-        d_obj = is_relatively_projective(mod, d_emb, run)
-        out.append((mod, d_obj, x_obj))
-    out.sort(key=lambda t: t[0].dim)
-    return out
+        Q = vertex(mod, run)
+        out.append((mod.dim, Q.order > 1, mod,
+                    is_subconjugate(amb_group, Q, d_emb),
+                    any(is_subconjugate(amb_group, Q, X) for X in fam)))
+    out.sort(key=lambda t: t[:2])
+    return [t[2:] for t in out]
 
 
 def named_catalog(sc: Scenario, side: str, run: Run | None = None

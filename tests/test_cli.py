@@ -172,6 +172,11 @@ VERIFY_REPORTS = {
         # S4 >= S3 >= S3 at p = 3, whose D is not a p-group
         "s4_s3_s3_p3": ("b5f7a49da3227c4d656fb9ce583098c6",
                         "bf9c7f3eedc4d5ee9c3c42ae2a13c302"),
+        # S3 >= S3 >= C2 at p = 2: H = G, so its projective classes are
+        # eligible.  A catalog that decomposed kS3 named P(k) d2#1 and the
+        # simple projective d2#2, and wrote 6dbdbaaf... and ae33d8e7...
+        "s3_s3_c2": ("1903e2cb58261146feb3ded7cda97028",
+                     "04f4fcf2dbe5feb8cda0e72a88fd23e7"),
 }
 
 
