@@ -15,8 +15,11 @@ Permutations may be cycle strings or image tuples.  Reports are emitted with
 sorted keys and no timestamps, so identical configs give byte-identical
 files.  The seed (``options.seed`` or ``--seed``) is accepted and must be an
 integer, but no computation reads it: every step is deterministic.  Each
-command makes one ``Run``, whose memo tables live for that command only.
-Environment variables are never consulted.
+command is a handler ``run_<command>(sc, args) -> (report, ok)`` listed in
+``COMMANDS``, which builds the subcommands and dispatches to them; a report
+that fails its own checks exits 1.  Each command makes one ``Run``, whose
+memo tables live for that command only.  Environment variables are never
+consulted.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import InputError, TheoremViolationError, UndecidedError
 from .green import (
     SCHEMA_VERSION,
     Scenario,
-    chain_boundary,
+    boundary_splits,
     correspondence,
     named_catalog,
     verify_scenario,
@@ -46,10 +49,6 @@ from .modules import (
     trivial_module,
 )
 from .permgroups import PermGroup, coerce_perm, cycle_string, json_integer, subgroup
-
-COMMANDS = ("isocomma", "partial", "families", "decompose", "vertex",
-            "correspond", "verify")
-
 
 def _json_array(value, what: str) -> list:
     """``value`` if it is a JSON array, else InputError naming it: list()
@@ -113,20 +112,15 @@ class Config:
                                     for g in self.generators_G])
         H = subgroup(G, self.generators_H, "H")
         D = subgroup(G, self.generators_D, "D")
-        if not H.contains(D):
-            raise InputError("config violates the chain D <= H <= G")
         return Scenario.build(self.p, G, H, D, name="config")
 
 
-def _module_for(cfg: Config, sc: Scenario, which: str, group: str) -> FpModule:
-    targets = {"G": (sc.G, None), "H": (sc.H.group, sc.H), "D": (sc.D.group, sc.D)}
-    if group not in targets:
-        raise InputError("--group must be one of G, H, D")
-    grp, emb = targets[group]
+def _module_for(sc: Scenario, which: str, group: str) -> FpModule:
+    grp = {"G": sc.G, "H": sc.H.group, "D": sc.D.group}[group]
     if which == "regular":
-        return regular_module(grp, cfg.p)
+        return regular_module(grp, sc.p)
     if which == "trivial":
-        return trivial_module(grp, cfg.p)
+        return trivial_module(grp, sc.p)
     path = Path(which)
     if not path.exists():
         raise InputError(f"module argument {which!r} is neither a builtin nor a file")
@@ -134,9 +128,9 @@ def _module_for(cfg: Config, sc: Scenario, which: str, group: str) -> FpModule:
         mod = module_from_json(json.loads(path.read_text()))
     except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"cannot read module {which}: {exc}")
-    if mod.p != cfg.p:
+    if mod.p != sc.p:
         raise InputError(f"module file is over GF({mod.p}), "
-                         f"the scenario over GF({cfg.p})")
+                         f"the scenario over GF({sc.p})")
     if not mod.group.same_group(grp):
         raise InputError("module file group does not match the requested group")
     return mod
@@ -154,27 +148,24 @@ def _component_summary(gpd) -> list[dict]:
     ]
 
 
-def run_isocomma(cfg: Config, sc: Scenario, left: str, right: str) -> dict:
-    chain = chain_boundary(sc)
-    legs = {"G": identity_functor(chain.i.codomain), "H": chain.i,
-            "D": compose_functors(chain.i, chain.j)}
-    if left not in legs or right not in legs:
-        raise InputError("isocomma legs must be G, H or D")
-    iso = isocomma(legs[left], legs[right])
+def run_isocomma(sc: Scenario, args) -> tuple[dict, bool]:
+    legs = {"G": identity_functor(sc.i.codomain), "H": sc.i,
+            "D": compose_functors(sc.i, sc.j)}
+    iso = isocomma(legs[args.left], legs[args.right])
     return {
         "command": "isocomma",
-        "left": left,
-        "right": right,
+        "left": args.left,
+        "right": args.right,
         "objects": iso.groupoid.n_objects,
         "morphisms": iso.groupoid.n_morphisms,
         "components": _component_summary(iso.groupoid),
-    }
+    }, True
 
 
-def run_partial(cfg: Config, sc: Scenario) -> dict:
-    chain = chain_boundary(sc)
+def run_partial(sc: Scenario, args) -> tuple[dict, bool]:
+    splits = boundary_splits(sc)
     out = {"command": "partial", "boundaries": {}}
-    for key, split in chain.splits.items():
+    for key, split in splits.items():
         matched = [
             {
                 "coset_rep": cycle_string(sc.G.elements[g]),
@@ -189,17 +180,17 @@ def run_partial(cfg: Config, sc: Scenario) -> dict:
             "components": _component_summary(split.result.boundary),
             "matched_double_cosets": matched,
         }
-    geo_ok, _ = geography_check(chain.i, chain.j, chain.j)
-    fact = tricky_factorization(chain.i, chain.j)
+    geo_ok, _ = geography_check(sc.i, sc.j, sc.j)
+    fact = tricky_factorization(sc.i, sc.j)
     out["verdicts"] = {
-        "boundary_matches_families": all(s.ok for s in chain.splits.values()),
+        "boundary_matches_families": all(s.ok for s in splits.values()),
         "geography": geo_ok,
         "factorization_strict": fact.strict_on_objects and fact.strict_on_morphisms,
     }
-    return out
+    return out, all(out["verdicts"].values())
 
 
-def run_families(cfg: Config, sc: Scenario) -> dict:
+def run_families(sc: Scenario, args) -> tuple[dict, bool]:
     def fam_rows(pairs):
         return [
             {
@@ -221,16 +212,16 @@ def run_families(cfg: Config, sc: Scenario) -> dict:
         "X_classes": [S.order for S in sc.families.x_classes],
         "Y_classes": [S.order for S in sc.families.y_classes],
         "U_classes": [S.order for S in sc.families.u_classes],
-    }
+    }, True
 
 
-def run_decompose(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
-    M = _module_for(cfg, sc, module, group)
+def run_decompose(sc: Scenario, args) -> tuple[dict, bool]:
+    M = _module_for(sc, args.module, args.group)
     dec = decompose(M, Run())
     return {
         "command": "decompose",
-        "module": module,
-        "group": group,
+        "module": args.module,
+        "group": args.group,
         "dim": M.dim,
         "summands": [
             {
@@ -245,37 +236,38 @@ def run_decompose(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
             for (mod, mult), cert in zip(dec.summands, dec.certificates)
         ],
         "dims_multiset": dec.dims_multiset(),
-    }
+    }, True
 
 
-def run_vertex(cfg: Config, sc: Scenario, module: str, group: str) -> dict:
-    M = _module_for(cfg, sc, module, group)
+def run_vertex(sc: Scenario, args) -> tuple[dict, bool]:
+    M = _module_for(sc, args.module, args.group)
     run = Run()
     v = vertex(M, run)
     return {
         "command": "vertex",
-        "module": module,
-        "group": group,
+        "module": args.module,
+        "group": args.group,
         "dim": M.dim,
         "vertex_order": v.order,
         "vertex_generators": [
             cycle_string(v.ambient.elements[x]) for x in v.generator_indices
         ],
         "source_dim": source(M, run).dim,
-    }
+    }, True
 
 
-def run_correspond(cfg: Config, sc: Scenario) -> dict:
+def run_correspond(sc: Scenario, args) -> tuple[dict, bool]:
     run = Run()
     pairs = [
         {"n": name, "dim_n": n.dim, "dim_m": m.dim, "round_trip": round_trip}
         for name, n, m, _, round_trip
         in correspondence(sc, named_catalog(sc, "H", run), run)
     ]
-    return {"command": "correspond", "pairs": pairs}
+    return ({"command": "correspond", "pairs": pairs},
+            all(p["round_trip"] for p in pairs))
 
 
-def run_verify(cfg: Config, sc: Scenario) -> tuple[dict, bool]:
+def run_verify(sc: Scenario, args) -> tuple[dict, bool]:
     report = verify_scenario(sc, Run())
     if not report.correspondence_pairs:
         # the report cannot tell a vacuous pass from a checked one
@@ -337,6 +329,11 @@ def _emit(doc: dict, cfg: Config, out_dir: str | None, stem: str) -> None:
 # entry point
 # ---------------------------------------------------------------------------
 
+COMMANDS = (("isocomma", run_isocomma), ("partial", run_partial),
+            ("families", run_families), ("decompose", run_decompose),
+            ("vertex", run_vertex), ("correspond", run_correspond),
+            ("verify", run_verify))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -347,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"green schema {SCHEMA_VERSION}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, handler in COMMANDS:
         cmd = sub.add_parser(name)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--scenario", required=True,
                          help="path to the scenario config JSON")
         cmd.add_argument("--seed", type=int, default=None)
@@ -377,41 +375,18 @@ def run(argv: list[str]) -> int:
             cfg.format = args.format
         if args.out is not None:
             cfg.out = args.out
-        sc = cfg.scenario()
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        ok = True
-        if args.command == "isocomma":
-            doc = run_isocomma(cfg, sc, args.left, args.right)
-        elif args.command == "partial":
-            doc = run_partial(cfg, sc)
-            ok = all(doc["verdicts"].values())
-        elif args.command == "families":
-            doc = run_families(cfg, sc)
-        elif args.command == "decompose":
-            doc = run_decompose(cfg, sc, args.module, args.group)
-        elif args.command == "vertex":
-            doc = run_vertex(cfg, sc, args.module, args.group)
-        elif args.command == "correspond":
-            doc = run_correspond(cfg, sc)
-            ok = all(p["round_trip"] for p in doc["pairs"])
-        elif args.command == "verify":
-            doc, ok = run_verify(cfg, sc)
-        else:  # pragma: no cover
-            raise InputError(f"unknown command {args.command}")
+        doc, ok = args.handler(cfg.scenario(), args)
         try:
             _emit(doc, cfg, cfg.out, args.command)
         except OSError as exc:
             raise InputError(f"cannot write the reports: {exc}")
-        return 0 if ok else 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TheoremViolationError, UndecidedError) as exc:
         print(f"defect: {exc}", file=sys.stderr)
         return 1
+    return 0 if ok else 1
 
 
 def main() -> None:

@@ -47,7 +47,8 @@ pair that differs apart without a Hom solve.
 
 A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
 End analyses with their End bases, and vertices, by module fingerprint; and
-the p-subgroup classes that a vertex descent walks, by group and subgroup.
+the p-subgroup classes that a vertex descent walks, by group and prime, a
+Sylow subgroup first.
 A Higman verdict is not kept: once a module's vertex is known, subconjugacy
 answers every later test.  A public function called without a ``Run`` makes
 a fresh one for that call only, so nothing is kept between calls that do not
@@ -496,8 +497,8 @@ class Run:
 
     Keyed by the exact module fingerprint: decompositions, End analyses
     (each with its End basis) and vertices.  Keyed by group fingerprint and
-    the subgroup's element indices: the classes of its subgroups up to
-    conjugacy in the group, ``p_subgroups``.
+    prime: the classes of p-subgroups up to conjugacy, a Sylow subgroup
+    first, ``p_subgroups``.
 
     A key fixes what is computed, so a hit is what a fresh computation would
     return; the tables live exactly as long as the Run.
@@ -507,7 +508,7 @@ class Run:
         self.decompositions: dict[bytes, Decomposition] = {}
         self.ends: dict[bytes, _LeafInfo] = {}
         self.vertices: dict[bytes, SubgroupEmbedding] = {}
-        self.p_subgroups: dict[tuple[bytes, tuple[int, ...]],
+        self.p_subgroups: dict[tuple[bytes, int],
                                list[SubgroupEmbedding]] = {}
 
 
@@ -815,28 +816,21 @@ def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding,
     return linalg.in_row_space(ident, R, piv, M.p)
 
 
-def _p_subgroup_classes(G: PermGroup, P: SubgroupEmbedding,
-                        run: Run) -> list[SubgroupEmbedding]:
-    """p_subgroups_up_to_conjugacy(G, P), memoized in ``run``."""
-    key = (G.fingerprint, P.element_indices)
-    hit = run.p_subgroups.get(key)
-    if hit is None:
-        hit = run.p_subgroups[key] = p_subgroups_up_to_conjugacy(G, P)
-    return hit
-
-
 def vertex(M: FpModule, run: Run | None = None) -> SubgroupEmbedding:
     """A minimal subgroup Q with M relatively Q-projective, as the canonical
     representative of its conjugacy class.
 
     Starts at a Sylow p-subgroup (every module is projective relative to it
     in this cohomological setting), then tests the trivial subgroup, and
-    otherwise descends through subgroups up to conjugacy.  Every catalog
-    holds the summands of kG, which are projective: by Green's theorem
-    (Math. Z. 70, 1959) |G:Q|_p divides dim M, so only a module of dimension
-    divisible by |G|_p needs the trivial test, and that one trace solves no
-    Hom over a subgroup; a hit ends the descent.  M must be certified
-    indecomposable.  Memoized in ``run`` by module fingerprint.
+    otherwise descends through the p-subgroup classes of G that ``run``
+    keeps, a Sylow subgroup first: every subgroup of the current one lies in
+    that Sylow subgroup, so it is conjugate to a class subconjugate to the
+    current one.  Every catalog holds the summands of kG, which are
+    projective: by Green's theorem (Math. Z. 70, 1959) |G:Q|_p divides
+    dim M, so only a module of dimension divisible by |G|_p needs the
+    trivial test, and that one trace solves no Hom over a subgroup; a hit
+    ends the descent.  M must be certified indecomposable.  Memoized in
+    ``run`` by module fingerprint.
     """
     run = run or Run()
     cache_key = M.fingerprint()
@@ -846,7 +840,11 @@ def vertex(M: FpModule, run: Run | None = None) -> SubgroupEmbedding:
     G = M.group
     if M.dim == 0 or not end_info(M, run).local:
         raise InputError("vertex is defined for certified indecomposables")
-    smaller = sylow(G, M.p)
+    key = (G.fingerprint, M.p)
+    if key not in run.p_subgroups:
+        run.p_subgroups[key] = p_subgroups_up_to_conjugacy(G, sylow(G, M.p))
+    classes = run.p_subgroups[key]
+    smaller = classes[0]
     if not is_relatively_projective(M, smaller, run):
         raise TheoremViolationError("module not projective relative to Sylow")
     current = trivial_subgroup(G)
@@ -856,8 +854,9 @@ def vertex(M: FpModule, run: Run | None = None) -> SubgroupEmbedding:
     while smaller is not None:
         current = smaller
         # the trivial subgroup was tested above, and failed
-        smaller = next((R for R in _p_subgroup_classes(G, current, run)
+        smaller = next((R for R in classes
                         if 1 < R.order < current.order
+                        and is_subconjugate(G, R, current)
                         and is_relatively_projective(M, R, run)), None)
     canon = run.vertices[cache_key] = SubgroupEmbedding(
         G, current.canonical_class_key, tag="vertex")

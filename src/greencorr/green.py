@@ -61,7 +61,9 @@ SCHEMA_VERSION = "1"
 
 @dataclass
 class Scenario:
-    """A (p, G, H, D) instance with its subgroup families and flags."""
+    """A (p, G, H, D) instance with its subgroup families and flags, and
+    its chain as the one-object groupoid functors ``j``: D -> H and ``i``:
+    H -> G, built on first use."""
 
     p: int
     G: PermGroup
@@ -86,6 +88,21 @@ class Scenario:
         return SubgroupEmbedding(
             self.H.group, tuple(self.H.from_ambient[a]
                                 for a in self.D.element_indices), "D")
+
+    @cached_property
+    def i(self) -> GroupoidFunctor:
+        """The inclusion H -> G of one-object groupoids."""
+        return GroupoidFunctor(
+            group_groupoid(self.H.group, "H"), group_groupoid(self.G, "G"),
+            [0], np.array(self.H.to_ambient, dtype=np.int32), name="i")
+
+    @cached_property
+    def j(self) -> GroupoidFunctor:
+        """The inclusion D -> H of one-object groupoids, into the domain of
+        ``i``."""
+        return GroupoidFunctor(
+            group_groupoid(self.D.group, "D"), self.i.domain, [0],
+            np.array(self.d_in_h.element_indices, dtype=np.int32), name="j")
 
     def x_in_g(self) -> list[SubgroupEmbedding]:
         return self.families.x_classes
@@ -396,59 +413,37 @@ class BoundarySplit:
                 and all(self.matches))
 
 
-@dataclass
-class ChainBoundary:
-    """The chain D <= H <= G as one-object groupoids with the inclusions
-    i: H -> G and j: D -> H, and its three boundary splits."""
-
-    sc: Scenario
-    i: GroupoidFunctor
-    j: GroupoidFunctor
-
-    @cached_property
-    def splits(self) -> dict[str, BoundarySplit]:
-        """The boundaries of the isocommas over D/D, H/D and H/H, each
-        matched against its family X, Y or U."""
-        fams = self.sc.families
-        i, j = self.i, self.j
-        idh = identity_functor(i.domain)
-        out = {}
-        for key, e, f, pairs in (("dd", j, j, fams.x_pairs),
-                                 ("hd", idh, j, fams.y_pairs),
-                                 ("hh", idh, idh, fams.u_pairs)):
-            res = partial(i, e, f)
-            amb_to_b = res.ambient_to_boundary_objects()
-            b_comp_of = res.boundary.component_of()
-            comps = res.boundary_components
-            found, matches = [], []
-            for g, S in pairs:
-                ginv = int(self.sc.G.inv[g])
-                sub = int(amb_to_b[res.ambient.object_index(0, 0, ginv)])
-                c = int(b_comp_of[sub]) if sub >= 0 else -1
-                found.append(c)
-                matches.append(c >= 0 and comps[c].aut_order == S.order)
-            out[key] = BoundarySplit(res, pairs, found, matches)
-        return out
-
-
-def chain_boundary(sc: Scenario) -> ChainBoundary:
-    """The chain functors of the scenario; the splits are computed on first
-    use."""
-    Ggpd = group_groupoid(sc.G, "G")
-    Hgpd = group_groupoid(sc.H.group, "H")
-    Dgpd = group_groupoid(sc.D.group, "D")
-    i = GroupoidFunctor(Hgpd, Ggpd, [0],
-                        np.array(sc.H.to_ambient, dtype=np.int32), name="i")
-    d_in_h = [sc.H.from_ambient[a] for a in sc.D.to_ambient]
-    j = GroupoidFunctor(Dgpd, Hgpd, [0], np.array(d_in_h, dtype=np.int32),
-                        name="j")
-    return ChainBoundary(sc, i, j)
+def boundary_splits(sc: Scenario) -> dict[str, BoundarySplit]:
+    """The boundaries of the isocommas over D/D, H/D and H/H of the chain
+    functors ``sc.i`` and ``sc.j``, each matched against its family X, Y or
+    U.  Each split holds an isocomma over G, so none is kept: the caller
+    drops them when it is done."""
+    fams = sc.families
+    i, j = sc.i, sc.j
+    idh = identity_functor(i.domain)
+    out = {}
+    for key, e, f, pairs in (("dd", j, j, fams.x_pairs),
+                             ("hd", idh, j, fams.y_pairs),
+                             ("hh", idh, idh, fams.u_pairs)):
+        res = partial(i, e, f)
+        amb_to_b = res.ambient_to_boundary_objects()
+        b_comp_of = res.boundary.component_of()
+        comps = res.boundary_components
+        found, matches = [], []
+        for g, S in pairs:
+            ginv = int(sc.G.inv[g])
+            sub = int(amb_to_b[res.ambient.object_index(0, 0, ginv)])
+            c = int(b_comp_of[sub]) if sub >= 0 else -1
+            found.append(c)
+            matches.append(c >= 0 and comps[c].aut_order == S.order)
+        out[key] = BoundarySplit(res, pairs, found, matches)
+    return out
 
 
 def boundary_families_match(sc: Scenario) -> bool:
     """Boundary components and stabilizers of the three isocomma splits
     must agree with the X/Y/U double-coset data."""
-    return all(split.ok for split in chain_boundary(sc).splits.values())
+    return all(split.ok for split in boundary_splits(sc).values())
 
 
 def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:

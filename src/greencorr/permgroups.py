@@ -278,10 +278,6 @@ class SubgroupEmbedding:
         return len(self.element_indices)
 
     @cached_property
-    def element_set(self) -> frozenset[int]:
-        return frozenset(self.element_indices)
-
-    @cached_property
     def generator_indices(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily in element order."""
         G = self.ambient
@@ -303,21 +299,19 @@ class SubgroupEmbedding:
         assert sub.order == self.order
         return sub
 
-    @cached_property
+    @property
     def to_ambient(self) -> tuple[int, ...]:
-        """Index map from self.group's element order into the ambient group.
-
-        Both groups sort their elements by image tuple, so the map is
-        increasing.
-        """
-        return tuple(self.ambient.index[p] for p in self.group.elements)
+        """Index map from self.group's element order into the ambient group:
+        the element indices themselves, since both groups sort their
+        elements by image tuple."""
+        return self.element_indices
 
     @cached_property
     def from_ambient(self) -> dict[int, int]:
         return {a: i for i, a in enumerate(self.to_ambient)}
 
     def contains(self, other: "SubgroupEmbedding") -> bool:
-        return other.element_set <= self.element_set
+        return bool(self.mask[list(other.element_indices)].all())
 
     def conjugated(self, g: int, tag: str = "") -> "SubgroupEmbedding":
         elems = self.ambient.conj[g, list(self.element_indices)]

@@ -727,6 +727,34 @@ def brute_isomorphic(gens_m, gens_n, p, limit=200000):
     return False
 
 
+def image_tuple_to_ambient(emb):
+    """The former SubgroupEmbedding.to_ambient: each element of emb.group,
+    looked up by its image tuple in the ambient group."""
+    return tuple(emb.ambient.index[perm] for perm in emb.group.elements)
+
+
+def vertex_by_subgroup_descent(M, run):
+    """The former descent of decompose.vertex, as the canonical key of the
+    vertex: a fresh Sylow subgroup, then the trivial subgroup, then at each
+    step the subgroup classes of the current subgroup, listed anew."""
+    from greencorr.decompose import is_relatively_projective
+    from greencorr.permgroups import (
+        p_subgroups_up_to_conjugacy, sylow, trivial_subgroup)
+
+    G = M.group
+    smaller = sylow(G, M.p)
+    assert is_relatively_projective(M, smaller, run)
+    current = trivial_subgroup(G)
+    if smaller.order == 1 or is_relatively_projective(M, current, run):
+        smaller = None
+    while smaller is not None:
+        current = smaller
+        smaller = next((R for R in p_subgroups_up_to_conjugacy(G, current)
+                        if 1 < R.order < current.order
+                        and is_relatively_projective(M, R, run)), None)
+    return current.canonical_class_key
+
+
 def summand_route_relatively_projective(M, emb):
     """Relative projectivity by decompose-and-match: M is relatively
     emb-projective iff every indecomposable summand class of M occurs in

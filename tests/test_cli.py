@@ -58,6 +58,29 @@ def test_config_parsing_and_validation(tmp_path):
         Config.from_dict(bad2).scenario()
 
 
+def test_verify_builds_its_scenario_once_through_config(s3_config, tmp_path,
+                                                       monkeypatch, capsys):
+    # the benchmark's verify job marks the end of set-up by wrapping
+    # Config.scenario, so run must build its Scenario there, once
+    build = Config.scenario
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(Config, "scenario", counting)
+    assert run(["verify", "--scenario", s3_config,
+                "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    # the chain is checked once, by Scenario.build
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(S3_CONFIG, generators_D=["(0 1 2)"])))
+    capsys.readouterr()
+    assert run(["verify", "--scenario", str(bad)]) == 2
+    assert "chain violation" in capsys.readouterr().err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

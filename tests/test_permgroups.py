@@ -42,6 +42,7 @@ from oracles import (
     brute_is_subconjugate,
     brute_normalizer,
     brute_tables,
+    image_tuple_to_ambient,
     perm_inv,
     perm_mul,
     tables_isomorphic,
@@ -326,6 +327,21 @@ def test_subgroup_group_view():
     # embedding maps subgroup elements to matching ambient indices
     for i, amb in enumerate(D8.to_ambient):
         assert sub.elements[i] == G.elements[amb]
+
+
+@pytest.mark.parametrize("name", sorted(BRIDGE))
+def test_embedding_maps_and_containment_match_the_oracles(name):
+    # a subgroup is its sorted element indices: to_ambient is that tuple,
+    # and contains reads the membership mask
+    G, subs = BRIDGE[name]
+    for S in subs:
+        want = image_tuple_to_ambient(S)
+        assert S.to_ambient == want
+        assert S.from_ambient == {a: i for i, a in enumerate(want)}
+    for A in subs:
+        for B in subs:
+            assert A.contains(B) == (
+                frozenset(B.element_indices) <= frozenset(A.element_indices))
 
 
 def test_a5_nonstandard_generators_order():

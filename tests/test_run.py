@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 from greencorr import cli
-from greencorr.catalog import cyclic, symmetric
+from greencorr.catalog import cyclic, scenario_chains, symmetric
 from greencorr.decompose import Run, decompose
 from greencorr.linalg import rref
 from greencorr.modules import (
     FpModule, hom_space, induce, permutation_module, regular_module,
     submodule_from_vectors)
 from greencorr.permgroups import (
-    all_subgroups, class_representatives, p_subgroups_up_to_conjugacy, sylow,
-    trivial_subgroup)
+    all_subgroups, class_representatives, p_part, p_subgroups_up_to_conjugacy,
+    sylow, trivial_subgroup)
 
-from oracles import module_catalog_all_inductions
+from oracles import module_catalog_all_inductions, vertex_by_subgroup_descent
 
 D = importlib.import_module("greencorr.decompose")
 GREEN = importlib.import_module("greencorr.green")
@@ -446,3 +446,40 @@ def test_vertex_runs_each_higman_test_once(p, monkeypatch):
         for mod, _ in decompose(permutation_module(G, E, p), run).summands:
             D.vertex(mod, run)
     assert traces and max(traces.values()) == 1
+
+
+@pytest.mark.parametrize("chain", sorted(scenario_chains()) + CONFIGS
+                         + ["configs/s5_s4_d8.json"])
+def test_vertex_descends_through_one_class_list_per_group(chain, monkeypatch):
+    # vertex lists the p-subgroup classes of G once, a Sylow subgroup
+    # first, and keeps at each step those subconjugate to the current
+    # subgroup; the former descent listed the subgroup classes of each
+    # subgroup it visited.  Both find the same vertex with the same traces
+    if chain in scenario_chains():
+        sc = GREEN.Scenario.build(2, *scenario_chains()[chain], name=chain)
+    else:
+        sc = scenario(chain)
+    traces = []
+    trace = D.relative_trace_image
+
+    def counting(M, N, emb, homs):
+        traces.append(emb.order)
+        return trace(M, N, emb, homs)
+
+    monkeypatch.setattr(D, "relative_trace_image", counting)
+    shared = Run()
+    groups = set()
+    for side in ("H", "G"):
+        for mod, _, _ in GREEN.module_catalog(sc, side, Run()):
+            traces.clear()
+            new = D.vertex(mod, Run()).element_indices
+            new_traces = sorted(traces)
+            traces.clear()
+            assert vertex_by_subgroup_descent(mod, Run()) == new
+            assert sorted(traces) == new_traces
+            D.vertex(mod, shared)
+            groups.add(mod.group.fingerprint)
+    assert set(shared.p_subgroups) == {(key, sc.p) for key in groups}
+    for key, classes in shared.p_subgroups.items():
+        G = next(X for X in (sc.H.group, sc.G) if X.fingerprint == key[0])
+        assert classes[0].order == p_part(G.order, sc.p)
