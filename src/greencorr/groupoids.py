@@ -5,11 +5,8 @@ with parallel int arrays of sources and targets.  Composition and inversion
 are index maps that act on whole int arrays at once, one per construction:
 
 * a group groupoid reads its group's multiplication and inverse tables;
-* a coproduct dispatches to its two summands by morphism offset;
 * a full subgroupoid maps through its parent's morphism numbering;
-* an isocomma morphism is a pair (a, b) and composes by its two factors;
-* a groupoid loaded from JSON looks its composition triples up in a sorted
-  key array.
+* an isocomma morphism is a pair (a, b) and composes by its two factors.
 
 No table of composable pairs is ever materialized, which keeps isocommas
 with a few hundred thousand morphisms workable.  Hom-sets, connected
@@ -84,14 +81,6 @@ def _distinct(a) -> np.ndarray:
     keep = np.ones(len(a), dtype=bool)
     keep[1:] = a[1:] != a[:-1]
     return a[keep]
-
-
-def _locate(keys: np.ndarray, key) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of key in the sorted array keys, and the mask of keys absent."""
-    pos = np.searchsorted(keys, key)
-    if not len(keys):
-        return pos, np.ones(np.shape(key), dtype=bool)
-    return pos, keys[np.minimum(pos, len(keys) - 1)] != key
 
 
 class FiniteGroupoid:
@@ -451,44 +440,6 @@ def subgroup_inclusion(emb: SubgroupEmbedding, ambient_gpd: FiniteGroupoid | Non
     return GroupoidFunctor(sub, amb, [0], mor_map, name=f"incl_{emb.tag or 'H'}")
 
 
-class _Coproduct(FiniteGroupoid):
-    """G1 ⊔ G2: the objects and morphisms of G2 follow those of G1."""
-
-    def __init__(self, G1: FiniteGroupoid, G2: FiniteGroupoid, name: str):
-        n1o, n1m = G1.n_objects, G1.n_morphisms
-        super().__init__(
-            [(0, lab) for lab in G1.objects] + [(1, lab) for lab in G2.objects],
-            np.concatenate([G1.msrc, G2.msrc + n1o]),
-            np.concatenate([G1.mtgt, G2.mtgt + n1o]),
-            np.concatenate([G1.ident, G2.ident + n1m]), name)
-        self._parts = (G1, G2)
-
-    def _compose(self, g, f):
-        G1, G2 = self._parts
-        n1 = G1.n_morphisms
-        g, f = np.broadcast_arrays(g, f)
-        first = f < n1
-        out = np.empty(np.shape(f), dtype=np.int64)
-        out[first] = G1._compose(g[first], f[first])
-        out[~first] = G2._compose(g[~first] - n1, f[~first] - n1) + n1
-        return out
-
-    def _inverse(self):
-        G1, G2 = self._parts
-        return np.concatenate([G1.inv, G2.inv + G1.n_morphisms])
-
-
-def coproduct(G1: FiniteGroupoid, G2: FiniteGroupoid,
-              name: str = "") -> tuple[FiniteGroupoid, GroupoidFunctor, GroupoidFunctor]:
-    """Disjoint union with the two injection functors."""
-    n1o, n1m = G1.n_objects, G1.n_morphisms
-    G = _Coproduct(G1, G2, name or f"{G1.name}⊔{G2.name}")
-    inj1 = GroupoidFunctor(G1, G, np.arange(n1o), np.arange(n1m), name="inj1")
-    inj2 = GroupoidFunctor(G2, G, np.arange(G2.n_objects) + n1o,
-                           np.arange(G2.n_morphisms) + n1m, name="inj2")
-    return G, inj1, inj2
-
-
 class _FullSubgroupoid(FiniteGroupoid):
     """The full subgroupoid of A on the objects obj_of (ascending).
 
@@ -642,14 +593,14 @@ class IsocommaResult:
     """The isocomma groupoid of a cospan; its projections pr1, pr2 and the
     canonical 2-cell gamma are built when first read.
 
-    object_labels[k] is the triple (x, y, g) of indices: x an object of the
-    left leg's domain, y of the right leg's domain, g a morphism of the shared
-    codomain from i(x) to u(y).  The index lookups take arrays as well as
-    single indices, and return numpy integers.
+    Object k is the triple (x, y, g) of indices that ``object_parts``
+    gives: x an object of the left leg's domain, y of the right leg's
+    domain, g a morphism of the shared codomain from i(x) to u(y).  The
+    index lookups take arrays as well as single indices, and return numpy
+    integers.
     """
 
     groupoid: _IsocommaGroupoid
-    object_labels: list[tuple[int, int, int]]
     left: GroupoidFunctor
     right: GroupoidFunctor
 
@@ -708,46 +659,7 @@ def isocomma(i: GroupoidFunctor, u: GroupoidFunctor, name: str = "") -> Isocomma
         raise InputError("isocomma requires a shared codomain")
     A, B, C = i.domain, u.domain, i.codomain
     P = _IsocommaGroupoid(i, u, name or f"({A.name}/{B.name}/{C.name})")
-    return IsocommaResult(P, P.objects, i, u)
-
-
-def cotuple_functors(inj1: GroupoidFunctor, inj2: GroupoidFunctor,
-                     f1: GroupoidFunctor, f2: GroupoidFunctor) -> GroupoidFunctor:
-    """The functor out of a coproduct determined by its two restrictions."""
-    if f1.codomain is not f2.codomain:
-        raise InputError("cotuple requires a shared codomain")
-    cop = inj1.codomain
-    obj_map = np.empty(cop.n_objects, dtype=np.int32)
-    obj_map[inj1.obj_map] = f1.obj_map
-    obj_map[inj2.obj_map] = f2.obj_map
-    mor_map = np.empty(cop.n_morphisms, dtype=np.int32)
-    mor_map[inj1.mor_map] = f1.mor_map
-    mor_map[inj2.mor_map] = f2.mor_map
-    return GroupoidFunctor(cop, f1.codomain, obj_map, mor_map, name="[f1,f2]")
-
-
-def isocomma_coproduct_relabeling(
-    i: GroupoidFunctor, u1: GroupoidFunctor, u2: GroupoidFunctor
-) -> tuple[GroupoidFunctor, GroupoidFunctor]:
-    """The canonical isomorphism (i/u1) ⊔ (i/u2) -> (i/(u1 ⊔ u2)).
-
-    Returns the two relabeling functors out of the summand isocommas; they
-    are jointly bijective on objects and morphisms, which is asserted.
-    """
-    K, inj1, inj2 = coproduct(u1.domain, u2.domain)
-    u = cotuple_functors(inj1, inj2, u1, u2)
-    whole = isocomma(i, u)
-    parts = []
-    for iso_part, inj in ((isocomma(i, u1), inj1), (isocomma(i, u2), inj2)):
-        x, y, g = iso_part.object_parts()
-        _, a, b = iso_part.morphism_parts()
-        parts.append(whole.functor_from(iso_part.groupoid, x, inj.obj_map[y],
-                                        g, a, inj.mor_map[b], "relabel"))
-    all_objs = np.concatenate([F.obj_map for F in parts])
-    all_mors = np.concatenate([F.mor_map for F in parts])
-    assert len(_distinct(all_objs)) == whole.groupoid.n_objects
-    assert len(_distinct(all_mors)) == whole.groupoid.n_morphisms
-    return parts[0], parts[1]
+    return IsocommaResult(P, i, u)
 
 
 @dataclass
@@ -837,91 +749,3 @@ def paste_squares(bottom: CommaSquare, top: CommaSquare) -> CommaSquare:
     cell = TwoCell(compose_functors(bottom.i, new_v),
                    compose_functors(new_u, top.j), comps, name="pasted")
     return CommaSquare(bottom.i, new_u, new_v, top.j, cell)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _label_to_json(label):
-    if isinstance(label, tuple):
-        return [_label_to_json(x) for x in label]
-    return label
-
-
-def _label_from_json(label):
-    if isinstance(label, list):
-        return tuple(_label_from_json(x) for x in label)
-    return label
-
-
-def groupoid_to_json(G: FiniteGroupoid) -> dict:
-    """Extensional JSON document: objects, morphism records, composition triples."""
-    triples = [np.stack([g, f, G._compose(g, f)], axis=1)
-               for f, g in G.composable_pairs()]
-    return {
-        "objects": [_label_to_json(lab) for lab in G.objects],
-        "morphisms": [
-            {"id": m, "src": s, "tgt": t}
-            for m, (s, t) in enumerate(zip(G.msrc.tolist(), G.mtgt.tolist()))
-        ],
-        "identity": G.ident.tolist(),
-        "inverse": G.inv.tolist(),
-        "composition": np.concatenate(triples).tolist() if triples else [],
-    }
-
-
-class _TableGroupoid(FiniteGroupoid):
-    """A groupoid given by its composition triples [g, f, g∘f], looked up
-    by the sorted keys g * n_morphisms + f."""
-
-    def __init__(self, objects, msrc, mtgt, ident, inverse, triples, name: str):
-        super().__init__(objects, msrc, mtgt, ident, name)
-        n = self.n_morphisms
-        t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-        if ((t < 0) | (t >= n)).any():
-            raise InputError("composition triple names a morphism out of range")
-        # a repeated pair keeps its last triple
-        self._keys, last = np.unique((t[:, 0] * n + t[:, 1])[::-1],
-                                     return_index=True)
-        self._values = t[::-1, 2][last]
-        self._inverse_map = np.asarray(inverse, dtype=np.int64)
-
-    def _compose(self, g, f):
-        key = np.asarray(g, dtype=np.int64) * self.n_morphisms + f
-        pos, absent = _locate(self._keys, key)
-        if absent.any():
-            k = int(np.flatnonzero(absent)[0])
-            g, f = (np.broadcast_to(a, absent.shape).flat[k] for a in (g, f))
-            raise InputError(f"composition table missing pair ({g}, {f})")
-        return self._values[pos]
-
-    def _inverse(self):
-        return self._inverse_map
-
-
-def groupoid_from_json(doc: dict, name: str = "loaded") -> FiniteGroupoid:
-    """The groupoid a JSON document lists, checked only for its morphism
-    ids and the range of its composition triples.  Its connected components
-    assume the groupoid axioms that ``validate()`` checks, so validate a
-    document from outside before reading them."""
-    objects = [_label_from_json(lab) for lab in doc["objects"]]
-    mor = doc["morphisms"]
-    if [r["id"] for r in mor] != list(range(len(mor))):
-        raise InputError("morphism ids must be 0..n-1 in order")
-    return _TableGroupoid(objects, [r["src"] for r in mor], [r["tgt"] for r in mor],
-                          doc["identity"], doc["inverse"], doc["composition"],
-                          name)
-
-
-def functor_to_json(F: GroupoidFunctor) -> dict:
-    return {
-        "object_map": [int(x) for x in F.obj_map],
-        "morphism_map": [int(m) for m in F.mor_map],
-    }
-
-
-def functor_from_json(doc: dict, domain: FiniteGroupoid,
-                      codomain: FiniteGroupoid) -> GroupoidFunctor:
-    return GroupoidFunctor(domain, codomain, doc["object_map"], doc["morphism_map"])

@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 
+from greencorr.groupoids import FiniteGroupoid
+
 
 def perm_mul(a, b):
     return tuple(a[b[i]] for i in range(len(a)))
@@ -1138,6 +1140,28 @@ def _out_lists(n_objects, msrc):
     for m, x in enumerate(msrc):
         out[x].append(m)
     return out
+
+
+class RelabeledGroupoid(FiniteGroupoid):
+    """A view of the groupoid A with its objects and morphisms renumbered by
+    seeded random permutations q and m, so that its morphism sources are no
+    longer sorted: object o of A is q[o] here, and morphism f is m[f]."""
+
+    def __init__(self, A, rng):
+        q, m = rng.permutation(A.n_objects), rng.permutation(A.n_morphisms)
+        objects = [None] * A.n_objects
+        for o, lab in enumerate(A.objects):
+            objects[q[o]] = lab
+        msrc, mtgt, ident = (np.empty_like(a) for a in (A.msrc, A.mtgt, A.ident))
+        msrc[m], mtgt[m], ident[q] = q[A.msrc], q[A.mtgt], m[A.ident]
+        super().__init__(objects, msrc, mtgt, ident, f"relabeled({A.name})")
+        self.A, self.q, self.m, self._m_inv = A, q, m, np.argsort(m)
+
+    def _compose(self, g, f):
+        return self.m[self.A._compose(self._m_inv[g], self._m_inv[f])]
+
+    def _inverse(self):
+        return self.m[self.A.inv[self._m_inv]]
 
 
 def brute_isocomma(i, u):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -397,6 +400,30 @@ def test_bad_module_file_exits_2(kind, s3_config, tmp_path, capsys):
         assert captured.out == ""
         if kind in NON_PRIME_P:
             assert f"{NON_PRIME_P[kind]} is not prime" in captured.err
+
+
+# trial division took about 90 s to settle the first two (10^18 + 3, and the
+# product of two primes near 10^9), and would take days on the third, past
+# the bound of the Miller-Rabin test
+LARGE_P = {"prime": (10 ** 18 + 3, 0, ""),
+           "semiprime": (999999937 * 999999929, 2, "is not prime"),
+           "past_the_bound": (3317044064679887385961981, 2, "too large")}
+
+
+@pytest.mark.parametrize("kind", LARGE_P)
+def test_families_settles_a_large_p_at_once(kind, tmp_path):
+    p, code, message = LARGE_P[kind]
+    path = tmp_path / "big_p.json"
+    path.write_text(json.dumps(dict(S3_CONFIG, p=p)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "greencorr.cli", "families", "--scenario",
+         str(path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == code, done.stderr
+    assert message in done.stderr
 
 
 def test_verify_with_too_large_p_exits_2(tmp_path, capsys):

@@ -13,11 +13,8 @@ from greencorr.groupoids import (
     _distinct,
     compose_functors,
     connected_components,
-    coproduct,
     full_subgroupoid,
     group_groupoid,
-    groupoid_from_json,
-    groupoid_to_json,
     identity_functor,
     induced_comparison,
     is_equivalence,
@@ -32,6 +29,7 @@ from greencorr.permgroups import all_subgroups, double_cosets, subgroup, trivial
 from oracles import (
     ORACLE_PAIRS,
     BruteGroupoid,
+    RelabeledGroupoid,
     assert_matches_span_construction,
     assert_object_index_agrees,
     assert_same_groupoid,
@@ -48,6 +46,13 @@ def s3_c2_setup():
     Ggpd = group_groupoid(G, "S3")
     i = subgroup_inclusion(C2, Ggpd)
     return G, C2, Ggpd, i
+
+
+def s3_c2_isocomma():
+    """B = (C2/C2/S3) for C2 = <(0 1)>: 6 objects in 2 components, one of 2
+    objects with automorphism group C2 and one of 4 with a trivial one."""
+    G, C2, Ggpd, i = s3_c2_setup()
+    return isocomma(i, i).groupoid
 
 
 def test_group_groupoid_axioms():
@@ -147,53 +152,6 @@ def test_comparison_not_full():
     img = comp.obj(0)
     assert len(iso.groupoid.hom(img, img)) == 2
     assert len(L.hom(0, 0)) == 1
-
-
-def test_coproduct_unit_law_and_counts():
-    A = group_groupoid(symmetric(3), "S3")
-    B = group_groupoid(cyclic(2), "C2")
-    AB, inj1, inj2 = coproduct(A, B)
-    AB.validate()
-    inj1.validate()
-    inj2.validate()
-    assert AB.n_objects == A.n_objects + B.n_objects
-    assert AB.n_morphisms == A.n_morphisms + B.n_morphisms
-    assert len(AB.components) == 2
-    empty = full_subgroupoid(B, [])[0]
-    AE, _, _ = coproduct(A, empty)
-    assert AE.n_objects == A.n_objects and AE.n_morphisms == A.n_morphisms
-
-
-def test_isocomma_distributes_over_coproduct():
-    # component count of (H / (K ⊔ L) / G) equals the sum of component counts
-    G, C2, Ggpd, i = s3_c2_setup()
-    K = subgroup_inclusion(subgroup(G, ["(0 1 2)"], tag="C3"), Ggpd)
-    KL, inj1, inj2 = coproduct(K.domain, i.domain)
-    obj_map = np.concatenate([K.obj_map, i.obj_map])
-    mor_map = np.concatenate([K.mor_map, i.mor_map])
-    u = GroupoidFunctor(KL, Ggpd, obj_map, mor_map, name="(u1,u2)")
-    u.validate()
-    iso_sum = isocomma(i, u)
-    iso1 = isocomma(i, K)
-    iso2 = isocomma(i, i)
-    assert len(iso_sum.groupoid.components) == (
-        len(iso1.groupoid.components) + len(iso2.groupoid.components))
-    assert iso_sum.groupoid.n_objects == (
-        iso1.groupoid.n_objects + iso2.groupoid.n_objects)
-    # the canonical relabeling: objects of the summand isocommas embed disjointly
-    labels = {(x, (0, K.domain.objects[y0]) if y0 < K.domain.n_objects else None, g)
-              for x, y0, g in iso1.object_labels}
-    assert len(labels) == iso1.groupoid.n_objects
-
-
-def test_connected_components_coproduct_of_groups():
-    parts = [group_groupoid(cyclic(k), f"C{k}") for k in (2, 3, 4)]
-    acc = parts[0]
-    for nxt in parts[1:]:
-        acc, _, _ = coproduct(acc, nxt)
-    comps = acc.components
-    assert len(comps) == 3
-    assert sorted(c.aut_order for c in comps) == [2, 3, 4]
 
 
 def test_is_equivalence_basics():
@@ -317,18 +275,21 @@ def test_closed_form_isocomma_matches_the_span_construction(seed):
 
 
 def test_closed_form_isocomma_over_other_codomains():
-    # one-object legs into a coproduct and into a groupoid loaded from JSON,
-    # whose compositions must broadcast as the group tables' do
-    G, C2, Ggpd, i = s3_c2_setup()
-    K = subgroup_inclusion(subgroup(G, ["(0 1 2)"], tag="C3"), Ggpd)
-    GG, inj1, inj2 = coproduct(Ggpd, Ggpd)
-    for u in (inj1, inj2):
-        iso = isocomma(compose_functors(inj1, i), compose_functors(u, K))
-        assert iso.groupoid.n_objects == (G.order if u is inj1 else 0)
-        assert_matches_span_construction(iso)
-    T = groupoid_from_json(groupoid_to_json(Ggpd))
-    legs = [GroupoidFunctor(F.domain, T, F.obj_map, F.mor_map) for F in (i, K)]
-    assert_matches_span_construction(isocomma(*legs))
+    # one-object legs into the isocomma B, whose compositions must broadcast
+    # as the group tables' do: the full subgroupoids on two objects x, y of
+    # B, over the hom-set between them, of 2 morphisms inside the component
+    # of 2 objects, 1 inside the other and 0 across the two
+    B = s3_c2_isocomma()
+    comp_of = B.component_of()
+    sizes = {}
+    for x in range(B.n_objects):
+        for y in range(B.n_objects):
+            iso = isocomma(full_subgroupoid(B, [x])[1], full_subgroupoid(B, [y])[1])
+            n = iso.groupoid.n_objects
+            assert n == len(B.hom(x, y)) and (n > 0) == (comp_of[x] == comp_of[y])
+            sizes[n] = sizes.get(n, 0) + 1
+            assert_matches_span_construction(iso)
+    assert sizes == {2: 4, 1: 16, 0: 16}
 
 
 def test_pasting_property_lem_3_6():
@@ -415,30 +376,6 @@ def test_two_cell_endpoint_validation():
         TwoCell(ident, ident, [noncentral])
 
 
-def test_groupoid_json_roundtrip():
-    G, C2, Ggpd, i = s3_c2_setup()
-    iso = isocomma(i, i)
-    doc = groupoid_to_json(iso.groupoid)
-    back = groupoid_from_json(doc)
-    back.validate()
-    assert groupoid_to_json(back) == doc
-
-
-def test_groupoid_json_missing_composition_raises():
-    # a document with one composition triple removed loads, and composing
-    # exactly that pair raises InputError
-    G, C2, Ggpd, i = s3_c2_setup()
-    doc = groupoid_to_json(isocomma(i, i).groupoid)
-    g, f, _ = doc["composition"].pop(len(doc["composition"]) // 2)
-    back = groupoid_from_json(doc)
-    with pytest.raises(InputError, match=rf"missing pair \({g}, {f}\)"):
-        back.compose(g, f)
-    with pytest.raises(InputError):
-        back.validate()
-    for g2, f2, h in doc["composition"]:
-        assert back.compose(g2, f2) == h
-
-
 def test_relabeling_invariance():
     # isocomma followed by connected_components is invariant under relabeling
     G = symmetric(3)
@@ -464,34 +401,6 @@ def test_faithful_flag():
     collapse = GroupoidFunctor(i.domain, Ggpd, [0],
                                [Ggpd.identity_morphism(0)] * 2)
     assert not collapse.faithful
-
-
-def test_coproduct_relabeling_map():
-    # coproduct distribution as an explicit relabeling:
-    # (i/u1) ⊔ (i/u2) ≅ (i/(u1 ⊔ u2))
-    from greencorr.groupoids import isocomma_coproduct_relabeling
-
-    G, C2, Ggpd, i = s3_c2_setup()
-    u1 = subgroup_inclusion(subgroup(G, ["(0 1 2)"], tag="C3"), Ggpd)
-    u2 = i
-    r1, r2 = isocomma_coproduct_relabeling(i, u1, u2)
-    r1.validate()
-    r2.validate()
-    assert r1.faithful and r2.faithful
-    total = r1.domain.n_objects + r2.domain.n_objects
-    assert total == r1.codomain.n_objects
-
-
-def test_functor_json_roundtrip():
-    from greencorr.groupoids import functor_from_json, functor_to_json
-
-    G, C2, Ggpd, i = s3_c2_setup()
-    doc = functor_to_json(i)
-    back = functor_from_json(doc, i.domain, i.codomain)
-    back.validate()
-    assert (back.obj_map == i.obj_map).all()
-    assert (back.mor_map == i.mor_map).all()
-    assert functor_to_json(back) == doc
 
 
 @settings(max_examples=80)
@@ -523,27 +432,32 @@ def test_object_index_matches_key_search_on_bridge_pairs():
 
 
 def test_object_index_raises_outside_hom():
-    # over G ⊔ G, hom(i(0), u(y)) is G's first copy for y = 0 and empty for
-    # y = 1: every g of the second copy, and every g at y = 1, is outside
-    G, C2, Ggpd, i = s3_c2_setup()
-    GG, inj1, _ = coproduct(Ggpd, Ggpd)
-    iso = isocomma(compose_functors(inj1, i), identity_functor(GG))
-    assert iso.groupoid.n_objects == G.order
+    # a one-object leg at x into B against the identity of B: hom(x, y) is
+    # empty for every y of the other component, and a g outside hom(x, x)
+    # names no object over y = x
+    B = s3_c2_isocomma()
+    x = B.components[0].base
+    other = B.components[1]
+    iso = isocomma(full_subgroupoid(B, [x])[1], identity_functor(B))
+    assert iso.groupoid.n_objects == 4 == sum(
+        len(B.hom(x, y)) for y in range(B.n_objects))
     assert_object_index_agrees(iso)
-    n = G.order
-    for g in range(n, 2 * n):
+    n = B.n_morphisms
+    for y in other.objects:
+        for g in range(n):
+            with pytest.raises(KeyError):
+                iso.object_index(0, y, g)
+    outside = [g for g in range(n) if g not in B.hom(x, x)]
+    for g in outside:
         with pytest.raises(KeyError):
-            iso.object_index(0, 0, g)
-    for g in range(2 * n):
-        with pytest.raises(KeyError):
-            iso.object_index(0, 1, g)
+            iso.object_index(0, x, g)
     with pytest.raises(KeyError):
-        iso.object_index(np.zeros(2, dtype=int), [0, 0], [0, n])
+        iso.object_index(np.zeros(2, dtype=int), [x, x], [B.hom(x, x)[0], outside[0]])
     # indices out of range, which numpy would wrap or refuse
-    for x, y, g in ((0, 0, -1), (0, -1, 0), (-1, 0, 0), (1, 0, 0), (0, 2, 0),
-                    (0, 0, 2 * n)):
+    for o, y, g in ((0, x, -1), (0, -1, 0), (-1, x, 0), (1, x, 0),
+                    (0, B.n_objects, 0), (0, x, n)):
         with pytest.raises(KeyError):
-            iso.object_index(x, y, g)
+            iso.object_index(o, y, g)
 
 
 def test_isocomma_gamma_is_built_when_read():
@@ -564,36 +478,23 @@ def brute_components(G):
 
 
 def test_connected_components_empty_groupoid():
-    empty = groupoid_from_json({"objects": [], "morphisms": [], "identity": [],
-                                "inverse": [], "composition": []})
-    assert empty.components == [] == brute_components(empty)
-    assert empty.component_of().tolist() == []
     G, C2, Ggpd, i = s3_c2_setup()
     S, incl = full_subgroupoid(Ggpd, [])
-    assert S.n_morphisms == 0 and S.components == []
+    assert S.n_morphisms == 0
+    assert S.components == [] == brute_components(S)
+    assert S.component_of().tolist() == []
 
 
-def relabeled_json(doc, rng):
-    """doc with its objects and morphisms renumbered at random, so that the
-    morphism sources are no longer sorted."""
-    n_obj, n_mor = len(doc["objects"]), len(doc["morphisms"])
-    q, m = rng.permutation(n_obj), rng.permutation(n_mor)
-    objects = [None] * n_obj
-    for o, lab in enumerate(doc["objects"]):
-        objects[q[o]] = lab
-    morphisms = [None] * n_mor
-    inverse = [0] * n_mor
-    for r in doc["morphisms"]:
-        k = int(m[r["id"]])
-        morphisms[k] = {"id": k, "src": int(q[r["src"]]), "tgt": int(q[r["tgt"]])}
-        inverse[k] = int(m[doc["inverse"][r["id"]]])
-    return {
-        "objects": objects,
-        "morphisms": morphisms,
-        "identity": [int(m[doc["identity"][o]]) for o in np.argsort(q)],
-        "inverse": inverse,
-        "composition": [[int(m[a]) for a in t] for t in doc["composition"]],
-    }
+def test_relabeled_groupoid_is_an_isomorphic_copy():
+    # the renumbering q, m is a functor B -> the view, and an equivalence
+    rng = np.random.default_rng(3)
+    B = s3_c2_isocomma()
+    view = RelabeledGroupoid(B, rng)
+    view.validate()
+    F = GroupoidFunctor(B, view, view.q, view.m)
+    F.validate()
+    assert is_equivalence(F)
+    assert view.objects == [B.objects[o] for o in np.argsort(view.q)]
 
 
 def test_connected_components_of_relabeled_json_groupoid():
@@ -604,8 +505,7 @@ def test_connected_components_of_relabeled_json_groupoid():
     i = subgroup_inclusion(subgroup(G, ["(0 1)"]), Ggpd)
     for gens in (["(0 1)"], ["(0 1 2)"], []):
         iC = subgroup_inclusion(subgroup(G, gens), Ggpd)
-        doc = groupoid_to_json(isocomma(iC, i).groupoid)
-        back = groupoid_from_json(relabeled_json(doc, rng))
+        back = RelabeledGroupoid(isocomma(iC, i).groupoid, rng)
         back.validate()
         assert (np.diff(back.msrc) < 0).any()
         comps = [(c.objects, c.base, c.loops) for c in connected_components(back)]

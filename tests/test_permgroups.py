@@ -26,6 +26,7 @@ from greencorr.permgroups import (
     normalizer,
     p_subgroups_up_to_conjugacy,
     parse_cycles,
+    require_prime,
     subgroup,
     sylow,
     trivial_subgroup,
@@ -462,3 +463,31 @@ def test_fingerprint_takes_two_bytes_a_point_above_degree_256():
     # up to degree 256 a point takes one byte
     assert len(closure(["(0 255)"], degree=256).fingerprint) == \
         len(b"256|") + 3 * 256
+
+
+def test_require_prime_agrees_with_trial_division():
+    for n in range(-3, 20000):
+        prime = n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        try:
+            require_prime(n)
+        except InputError as e:
+            assert not prime and str(e) == f"{n} is not prime"
+        else:
+            assert prime, n
+
+
+# each is the least strong pseudoprime to the first k primes as bases, for
+# k = 4, 11 and 12 (3215031751 = 151 * 751 * 28351 passes the bases 2, 3, 5
+# and 7), so a Miller-Rabin with too few bases calls it prime
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051,
+                               318665857834031151167461])
+def test_require_prime_refuses_strong_pseudoprimes(n):
+    with pytest.raises(InputError, match=f"^{n} is not prime$"):
+        require_prime(n)
+
+
+def test_require_prime_accepts_large_primes_and_refuses_past_its_bound():
+    for p in (2 ** 61 - 1, 10 ** 18 + 3, 2 ** 64 - 59):
+        require_prime(p)
+    with pytest.raises(InputError, match="bound is 3317044064679887385961981"):
+        require_prime(3317044064679887385961981)

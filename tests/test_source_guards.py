@@ -9,6 +9,11 @@ No module may import anything outside numpy, the standard library and the
 package itself, anywhere in its source: numpy is the one declared
 dependency.
 
+Each ``##`` heading of ``docs/schemas.md`` names, in backticks inside its
+parentheses, the functions that write and read that format, and each of them
+must be defined in the package, so that the file-format document cannot
+outlive the code it describes.
+
 Once ``greencorr.cli`` is imported, no CLI command imports another module:
 every command runs in a fresh interpreter, so a lazy import on the run path
 is paid by every call (the first plain ``np.unique`` imports ``numpy.ma``).
@@ -17,6 +22,7 @@ is paid by every call (the first plain ``np.unique`` imports ``numpy.ma``).
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +31,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "greencorr"
+SCHEMAS = ROOT / "docs" / "schemas.md"
 MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict",
                            "OrderedDict", "Counter", "deque"})
 MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
@@ -161,6 +168,38 @@ def test_guard_allows_constants_and_function_locals():
     assert module_level_mutables(
         "LIMIT = 32\nNAMES = ('a', 'b')\nKEYS = frozenset({1})\n"
         "def f():\n    memo = {}\n    return memo\n") == []
+
+
+def heading_names(markdown: str) -> list[str]:
+    """Each backticked Python identifier inside the parentheses of a ``##``
+    heading; paths such as ``<out>/verify.json`` are not identifiers."""
+    return [name for line in markdown.splitlines() if line.startswith("## ")
+            for inner in re.findall(r"\(([^()]*)\)", line)
+            for name in re.findall(r"`([^`]*)`", inner) if name.isidentifier()]
+
+
+def package_names() -> set[str]:
+    """Every function and class defined at the top level of a package
+    module."""
+    return {stmt.name for path in PACKAGE.glob("*.py")
+            for stmt in ast.parse(path.read_text()).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_file_formats_name_functions_the_package_defines():
+    names = heading_names(SCHEMAS.read_text())
+    assert "module_from_json" in names
+    assert [name for name in names if name not in package_names()] == []
+
+
+def test_format_guard_reads_identifiers_in_heading_parentheses():
+    assert heading_names(
+        "# File formats (`title`)\n"
+        "## Groupoid document (`groupoid_to_json` / `groupoid_from_json`)\n"
+        "Round trip: `groupoid_to_json(doc)` (`in_text`).\n"
+        "## `verify` report (`<out>/verify.json`, or `stdout`)\n") == [
+            "groupoid_to_json", "groupoid_from_json", "stdout"]
+    assert "groupoid_to_json" not in package_names()
 
 
 # Runs every command on two configs, and vertex on a module file (the 2-dim
