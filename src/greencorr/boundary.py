@@ -211,8 +211,6 @@ class TrickyFactorization:
     """u : (H / boundary(D,D) / G) -> boundary(H,D) with pr1 ∘ u = pr1 strictly."""
 
     u: GroupoidFunctor
-    domain_isocomma: IsocommaResult
-    target_partial: PartialResult
     strict_on_objects: bool
     strict_on_morphisms: bool
 
@@ -261,4 +259,4 @@ def tricky_factorization(i: GroupoidFunctor, j: GroupoidFunctor) -> TrickyFactor
     strict_mor = bool((left_mor == M.pr1.mor_map).all())
     if not (strict_obj and strict_mor):
         raise TheoremViolationError("pr1 ∘ u differs from pr1")
-    return TrickyFactorization(u, M, part_hd, strict_obj, strict_mor)
+    return TrickyFactorization(u, strict_obj, strict_mor)

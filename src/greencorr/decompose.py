@@ -33,31 +33,32 @@ formula that are isomorphic are split once.
 
 No step is random and no step enumerates units, so a decomposition does not
 depend on any seed, and a wrong certificate is never returned.  The radical
-of a local End(M) is kept with its certificate: it decides direct summands
-and isomorphisms of indecomposables exactly.  Relative projectivity is
-settled by Green's vertex theory where it can be, by the p-part of
-|G:X| dividing dim M and by subconjugacy to a known vertex, and otherwise by
-Higman's criterion.  A vertex comes from Higman's criterion, tested at a
-Sylow p-subgroup, then at the trivial subgroup, then by descent; ``source``
-reads a source off the summands of Res_Q M by Green's theorem, with no
-induced module.  Isomorphism classes are found first fit.  Every isomorphism
-test first compares the dimension, the trace of each generator action and
-the rank of each (action - I), all invariant under conjugation, and tells a
-pair that differs apart without a Hom solve.
+certifies that End(M) is local, so that its non-units are the radical: an
+indecomposable M is a summand of X iff a composite M -> X -> M of basis homs
+is invertible, which decides isomorphisms of indecomposables too.  Relative
+projectivity is settled by Green's vertex theory where it can be, by the
+p-part of |G:X| dividing dim M and by subconjugacy to a known vertex, and
+otherwise by Higman's criterion.  A vertex comes from Higman's criterion,
+tested at a Sylow p-subgroup, then at the trivial subgroup, then by descent;
+``source`` reads a source off the summands of Res_Q M by Green's theorem,
+with no induced module.  Isomorphism classes are found first fit.  Every
+isomorphism test first compares the dimension, the trace of each generator
+action and the rank of each (action - I), all invariant under conjugation,
+and tells a pair that differs apart without a Hom solve.
 
 A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
 End analyses with their End bases, and vertices, by module fingerprint; and
 the p-subgroup classes that a vertex descent walks, by group and prime, a
-Sylow subgroup first.
-A Higman verdict is not kept: once a module's vertex is known, subconjugacy
-answers every later test.  A public function called without a ``Run`` makes
-a fresh one for that call only, so nothing is kept between calls that do not
-share one.
+Sylow subgroup first.  A Higman verdict is not kept: once a module's vertex
+is known, subconjugacy answers every later test.  A public function called
+without a ``Run`` makes a fresh one for that call only, so nothing is kept
+between calls that do not share one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,6 @@ class SummandCertificate:
 
 @dataclass
 class Decomposition:
-    module: FpModule
     summands: list[tuple[FpModule, int]]
     change_of_basis: np.ndarray
     certificates: list[SummandCertificate]
@@ -139,11 +139,6 @@ class _EndAlgebra:
     def from_coords(self, c: np.ndarray) -> np.ndarray:
         """The element with coordinates c, or the stack of them for rows c."""
         return self._combine(c).reshape(*c.shape[:-1], self.d, self.d)
-
-    def flat_echelon(self, coords: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """Reduced echelon basis, on flattened matrices, of a span given in
-        basis coordinates (one row per element)."""
-        return rref(self._combine(coords), self.p)
 
     def structure_constants(self) -> np.ndarray:
         """mult[i, j] = coords(basis[i] @ basis[j]).
@@ -290,9 +285,6 @@ class _LeafInfo:
     # present only when not local: an endomorphism that is neither invertible
     # nor nilpotent, so Fitting's lemma on it splits M
     splitter: np.ndarray | None = None
-    # present only when local: echelon basis (and pivots) of J(End M) on
-    # flattened matrices
-    radical_flat: tuple[np.ndarray, list[int]] | None = None
 
     def certificate(self) -> SummandCertificate:
         return SummandCertificate(self.end_dim, self.radical_dim,
@@ -313,8 +305,7 @@ def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
         raise InputError("zero module has no endomorphism analysis")
     ends = list(np.array(ends))
     if m == 1:
-        return _LeafInfo(True, 1, 0, 1, ends, radical_flat=(
-            np.zeros((0, dim * dim), dtype=np.int64), []))
+        return _LeafInfo(True, 1, 0, 1, ends)
     alg = _EndAlgebra(ends, p)
     mult = alg.structure_constants()
     J, j_pivots = _radical(alg, mult)
@@ -324,8 +315,7 @@ def _analyze_end(ends: list[np.ndarray], p: int, dim: int) -> _LeafInfo:
     except UndecidedError as exc:
         raise _undecided(str(exc), p, dim, m, len(J)) from exc
     if x is None:
-        return _LeafInfo(True, m, len(J), m - len(J), ends,
-                         radical_flat=alg.flat_echelon(J))
+        return _LeafInfo(True, m, len(J), m - len(J), ends)
     return _LeafInfo(False, m, len(J), 0, ends,
                      splitter=alg.from_coords(quotient.lift(x)))
 
@@ -583,7 +573,7 @@ def decompose(M: FpModule, run: Run | None = None) -> Decomposition:
     else:
         cob = np.zeros((0, 0), dtype=np.int64)
 
-    result = Decomposition(M, summands, cob, certificates,
+    result = Decomposition(summands, cob, certificates,
                            [mod for mod, _, _ in pieces])
     run.decompositions[cache_key] = result
     return result
@@ -612,49 +602,36 @@ def end_basis(M: FpModule, run: Run | None = None) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _is_retract(M: FpModule, X: FpModule, run: Run) -> bool:
-    """Whether the indecomposable M is a direct summand of X.
-
-    M | X iff some composite beta∘alpha (alpha: M -> X, beta: X -> M) lies
-    outside the radical J of the local ring End(M); the homs come from
-    hom_space, where an invertible basis hom (beta its inverse) decides at
-    once, as does an X with M's fingerprint, which is M.  Raises InputError
-    when J is needed and End(M) is not local.
-    """
-    p = M.p
-    if X.dim == M.dim and X.fingerprint() == M.fingerprint():
-        return True
-    alphas = hom_space(M, X)
-    if _first_invertible(alphas, p) is not None:
-        return True
-    betas = hom_space(X, M) if alphas else []
-    info = end_info(M, run)
-    if not info.local:
-        raise InputError("direct-summand test requires an indecomposable M")
-    RJ, pivJ = info.radical_flat
-    return any(not linalg.in_row_space(((b @ a) % p).ravel(), RJ, pivJ, p)
-               for a in alphas for b in betas)
-
-
 def is_direct_summand(M: FpModule, X: FpModule,
                       run: Run | None = None) -> bool:
     """Whether the certified-indecomposable M is a direct summand of X.
 
-    Exact for every X: M | X iff some composite beta∘alpha of homs
-    alpha: M -> X and beta: X -> M is a unit of the local ring End(M), i.e.
-    lies outside its radical.  The homs both ways come from hom_space, for
-    an induced X as for any other.
+    Exact for every X: M | X iff some composite beta∘alpha (alpha: M -> X,
+    beta: X -> M) lies outside the radical J of the local ring End(M), which
+    holds its non-units.  The composite is bilinear, so if one lies outside
+    J, so does one of basis homs from hom_space: M | X iff one of those is
+    invertible.  An X with M's fingerprint, which is M, or an invertible
+    basis alpha decides at once.  Raises InputError when the composites are
+    needed and End(M) is not local.
     """
-    if M.dim == 0:
+    if M.dim == 0 or (X.dim == M.dim and X.fingerprint() == M.fingerprint()):
         return True
-    return _is_retract(M, X, run or Run())
+    p = M.p
+    alphas = hom_space(M, X)
+    if _first_invertible(alphas, p) is not None:
+        return True
+    betas = hom_space(X, M) if alphas else []
+    if not end_info(M, run).local:
+        raise InputError("direct-summand test requires an indecomposable M")
+    return _first_invertible(((b @ a) % p for a in alphas for b in betas),
+                             p) is not None
 
 
 def _iso_indec(M: FpModule, N: FpModule, run: Run | None = None) -> bool:
     """Exact isomorphism test for certified-indecomposable modules: M ≅ N iff
     no conjugation invariant tells them apart (``_invariants_differ``, the
     dimension first) and M is a direct summand of N."""
-    return not _invariants_differ(M, N) and _is_retract(M, N, run or Run())
+    return not _invariants_differ(M, N) and is_direct_summand(M, N, run)
 
 
 def is_isomorphic(M: FpModule, N: FpModule, run: Run | None = None) -> bool:
@@ -676,10 +653,10 @@ def is_isomorphic(M: FpModule, N: FpModule, run: Run | None = None) -> bool:
                          decompose(N, run).summands, run)
 
 
-def _first_invertible(homs: list[np.ndarray], p: int) -> np.ndarray | None:
-    """The first invertible map in the basis ``homs`` of Hom(M, N), an
-    isomorphism M -> N, else None.  None does not rule out M ≅ N: no basis
-    element need be invertible."""
+def _first_invertible(homs: Iterable[np.ndarray], p: int) -> np.ndarray | None:
+    """The first invertible map among ``homs``, else None.  On a basis of
+    Hom(M, N) it is an isomorphism M -> N, and None does not rule out M ≅ N:
+    no basis element need be invertible."""
     return next((F for F in homs
                  if F.shape[0] == F.shape[1] and rank(F, p) == len(F)), None)
 

@@ -33,7 +33,12 @@ from .decompose import (
     _tally,
 )
 from .errors import InputError, TheoremViolationError
-from .groupoids import GroupoidFunctor, group_groupoid, identity_functor
+from .groupoids import (
+    GroupoidFunctor,
+    group_groupoid,
+    identity_functor,
+    subgroup_inclusion,
+)
 from .linalg import mat_mul, rref
 from .modules import (
     FpModule,
@@ -92,17 +97,13 @@ class Scenario:
     @cached_property
     def i(self) -> GroupoidFunctor:
         """The inclusion H -> G of one-object groupoids."""
-        return GroupoidFunctor(
-            group_groupoid(self.H.group, "H"), group_groupoid(self.G, "G"),
-            [0], np.array(self.H.to_ambient, dtype=np.int32), name="i")
+        return subgroup_inclusion(self.H, group_groupoid(self.G, "G"))
 
     @cached_property
     def j(self) -> GroupoidFunctor:
         """The inclusion D -> H of one-object groupoids, into the domain of
         ``i``."""
-        return GroupoidFunctor(
-            group_groupoid(self.D.group, "D"), self.i.domain, [0],
-            np.array(self.d_in_h.element_indices, dtype=np.int32), name="j")
+        return subgroup_inclusion(self.d_in_h, self.i.domain)
 
     def x_in_g(self) -> list[SubgroupEmbedding]:
         return self.families.x_classes

@@ -431,13 +431,14 @@ def group_groupoid(P: PermGroup, name: str = "") -> FiniteGroupoid:
     return _GroupGroupoid(P, name or f"group({P.order})")
 
 
-def subgroup_inclusion(emb: SubgroupEmbedding, ambient_gpd: FiniteGroupoid | None = None,
-                       sub_gpd: FiniteGroupoid | None = None) -> GroupoidFunctor:
-    """The faithful one-object functor induced by a subgroup embedding."""
-    sub = sub_gpd or group_groupoid(emb.group, name=emb.tag or "H")
-    amb = ambient_gpd or group_groupoid(emb.ambient, name="G")
+def subgroup_inclusion(emb: SubgroupEmbedding,
+                       ambient_gpd: FiniteGroupoid) -> GroupoidFunctor:
+    """The faithful one-object functor induced by a subgroup embedding, into
+    ``ambient_gpd``, the groupoid of its ambient group."""
+    sub = group_groupoid(emb.group, name=emb.tag or "H")
     mor_map = np.array(emb.to_ambient, dtype=np.int32)
-    return GroupoidFunctor(sub, amb, [0], mor_map, name=f"incl_{emb.tag or 'H'}")
+    return GroupoidFunctor(sub, ambient_gpd, [0], mor_map,
+                           name=f"incl_{emb.tag or 'H'}")
 
 
 class _FullSubgroupoid(FiniteGroupoid):

@@ -169,13 +169,14 @@ def submodule_from_vectors(M: FpModule, vectors: list[np.ndarray],
 
 
 def random_module(group: PermGroup, p: int, max_dim: int,
-                  rng: np.random.Generator, pool: list[FpModule] | None = None,
-                  attempts: int = 200) -> FpModule:
+                  rng: np.random.Generator, pool: list[FpModule] | None = None
+                  ) -> FpModule:
     """A random module of dimension <= max_dim, found as a random spun
-    submodule of permutation-style modules (so relations always hold)."""
+    submodule of permutation-style modules (so relations always hold), in at
+    most 200 draws."""
     if pool is None:
         pool = _default_pool(group, p)
-    for _ in range(attempts):
+    for _ in range(200):
         X = pool[int(rng.integers(len(pool)))]
         if int(rng.integers(2)) and X.dim <= 24:
             Y = pool[int(rng.integers(len(pool)))]
@@ -501,16 +502,15 @@ def module_to_json(M: FpModule) -> dict:
     }
 
 
-def module_from_json(doc: dict, group: PermGroup | None = None) -> FpModule:
+def module_from_json(doc: dict) -> FpModule:
     """The module that ``module_to_json`` wrote; InputError unless every
     number is a JSON integer, p is prime and the matrices are a
     representation."""
     p = json_integer(doc["p"], "p")
     require_prime(p)
-    if group is None:
-        ref = doc["group_ref"]
-        group = PermGroup(json_integer(ref["degree"], "degree"),
-                          [tuple(g) for g in ref["generators"]])
+    ref = doc["group_ref"]
+    group = PermGroup(json_integer(ref["degree"], "degree"),
+                      [tuple(g) for g in ref["generators"]])
     d = json_integer(doc["dim"], "dim")
     mats = []
     for i in range(len(group.generators)):

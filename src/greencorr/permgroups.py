@@ -521,12 +521,9 @@ def x_y_u_families(
     double-coset classes with representative g outside H."""
     if not H.contains(D):
         raise InputError("chain violation: D is not contained in H")
-    families = [
-        [(g, SubgroupEmbedding(G, S.element_indices, f"{name}@{g}"))
-         for g, S in double_cosets(G, left, right) if not H.mask[g]]
-        for name, left, right in (("X", D, D), ("Y", H, D), ("U", H, H))
-    ]
-    return Families(*families)
+    return Families(*[
+        [(g, S) for g, S in double_cosets(G, left, right) if not H.mask[g]]
+        for left, right in ((D, D), (H, D), (H, H))])
 
 
 def coset_lookup(G: PermGroup, S: SubgroupEmbedding) -> tuple[list[int], np.ndarray]:

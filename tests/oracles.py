@@ -88,6 +88,40 @@ def brute_tables(G):
     return mult, inv
 
 
+def galois_regular_classes(G, p):
+    """The number of classes of p-regular elements of G under g ~ h when h
+    is conjugate to g^(p^i): over GF(p) it is the number of simple modules
+    (Reiner, Proc. AMS 15, 1964).  By walks over the permutations."""
+    eye = tuple(range(G.degree))
+
+    def order(x):
+        k, y = 1, x
+        while y != eye:
+            k, y = k + 1, perm_mul(y, x)
+        return k
+
+    def power(x, k):
+        y = eye
+        for _ in range(k):
+            y = perm_mul(y, x)
+        return y
+
+    seen, classes = set(), 0
+    for x in G.elements:
+        if x in seen or order(x) % p == 0:
+            continue
+        classes += 1
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            if y not in seen:
+                seen.add(y)
+                todo += [perm_mul(perm_mul(g, y), perm_inv(g))
+                         for g in G.elements]
+                todo.append(power(y, p))
+    return classes
+
+
 def brute_double_cosets(G, H, K):
     """Partition of G into sets HgK; G, H, K are element lists."""
     G = list(G)
@@ -242,17 +276,38 @@ def dense_conjugate(mats, p, rng):
     return [(Pi @ A @ P) % p for A in mats]
 
 
+def retract_by_radical(M, X, run):
+    """Whether the certified-indecomposable M is a direct summand of X, by
+    the radical: some composite b∘a of basis homs a: M -> X, b: X -> M lies
+    outside J(End M), tested at the pivots of J's reduced echelon basis on
+    flattened matrices.  J comes from ``decompose._radical``; every pair is
+    tested, with no shortcut.  InputError unless End(M) is local."""
+    from greencorr.decompose import _EndAlgebra, _radical, end_info
+    from greencorr.errors import InputError
+    from greencorr.linalg import in_row_space
+    from greencorr.modules import hom_space
+
+    p = M.p
+    info = end_info(M, run)
+    if not info.local:
+        raise InputError("direct-summand test requires an indecomposable M")
+    alg = _EndAlgebra(info.ends, p)
+    J, _ = _radical(alg, alg.structure_constants())
+    flat = np.stack([e.ravel() for e in info.ends])
+    RJ, pivots = rref_mod((J @ flat) % p, p)
+    return any(not in_row_space(((b @ a) % p).ravel(), RJ, pivots, p)
+               for a in hom_space(M, X) for b in hom_space(X, M))
+
+
 def first_fit_tally(items, run, classes=()):
     """``decompose._tally`` without the invariant screen of ``_iso_indec``:
     each (certified indecomposable, multiplicity) item joins the first class
     whose representative has its dimension and is a direct summand of it
-    (``_is_retract``), or opens a new class."""
-    from greencorr.decompose import _is_retract
-
+    (``retract_by_radical``), or opens a new class."""
     out = [list(c) for c in classes]
     for mod, mult in items:
         for c in out:
-            if c[0].dim == mod.dim and _is_retract(c[0], mod, run):
+            if c[0].dim == mod.dim and retract_by_radical(c[0], mod, run):
                 c[1] += mult
                 break
         else:

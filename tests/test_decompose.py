@@ -1,3 +1,4 @@
+import functools
 import importlib
 import sys
 from pathlib import Path
@@ -8,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greencorr import cli
-from greencorr.catalog import alternating, chain_s3, cyclic, symmetric
+from greencorr.catalog import (
+    alternating,
+    bridge_groups,
+    chain_s3,
+    cyclic,
+    symmetric,
+)
 from greencorr.decompose import (
     Run,
     decompose,
@@ -47,6 +54,7 @@ from oracles import (
     first_fit_tally,
     mackey_job_modules,
     rank_mod,
+    retract_by_radical,
     summand_route_relatively_projective,
 )
 
@@ -351,6 +359,74 @@ def test_is_direct_summand_adaptive_routes_agree():
     for X in (restrict(k, V4), induce(trivial_module(C2.group, p), C2)):
         assert not is_direct_summand(kv4, X)
         assert not by_decomposition(kv4, X)
+
+
+@functools.cache
+def bridge_pool(name: str, p: int) -> list[FpModule]:
+    return _default_pool(bridge_groups()[name], p)
+
+
+def summand_cases(name: str, p: int, seed: int):
+    """M, a piece of the decomposition of a random module over the bridge
+    group ``name``, and the modules X to test it against: M itself, a dense
+    conjugate of M, Y ⊕ M and M ⊕ Y, where no hom M -> X is square, and Y,
+    for Y a random module drawn until it does not contain M."""
+    rng = np.random.default_rng(seed)
+    G, pool = bridge_groups()[name], bridge_pool(name, p)
+    pieces = decompose(random_module(G, p, 8, rng, pool)).pieces
+    M = pieces[int(rng.integers(len(pieces)))]
+    Y = random_module(G, p, 8, rng, pool)
+    while retract_by_radical(M, Y, Run()):
+        Y = random_module(G, p, 8, rng, pool)
+    conj = FpModule(G, p, dense_conjugate(M.action, p, rng), name="conj")
+    return M, [M, conj, direct_sum(Y, M), direct_sum(M, Y), Y]
+
+
+def first_invertible_composite(M, X):
+    """The position, in the order a then b over the hom_space bases, of the
+    first invertible composite b∘a of homs a: M -> X and b: X -> M, or None;
+    and whether some composite is nonzero."""
+    composites = [(b @ a) % M.p for a in hom_space(M, X)
+                  for b in hom_space(X, M)]
+    at = next((k for k, c in enumerate(composites)
+               if rank_mod(c, M.p) == M.dim), None)
+    return at, any(c.any() for c in composites)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), p=st.sampled_from([2, 3, 5]),
+       name=st.sampled_from(sorted(bridge_groups())))
+def test_summand_test_matches_the_radical_criterion(seed, p, name):
+    M, targets = summand_cases(name, p, seed)
+    run = Run()
+    verdicts = [is_direct_summand(M, X, run) for X in targets]
+    assert verdicts == [retract_by_radical(M, X, run) for X in targets]
+    assert verdicts == [True, True, True, True, False]
+    # End(M ⊕ M) is not local, and a sum containing it has no square hom
+    # from it, so the composites are needed and the test refuses
+    twice = direct_sum(M, M)
+    X = direct_sum(twice, targets[-1])
+    with pytest.raises(InputError):
+        is_direct_summand(twice, X, run)
+    with pytest.raises(InputError):
+        retract_by_radical(twice, X, run)
+
+
+def test_summand_cases_reach_every_branch_of_the_composite_test():
+    # over fixed draws, the composite test decides some pairs by a composite
+    # other than the first, and rejects some whose composites are nonzero
+    # (all in the radical), so a test of the first pair only, or of
+    # nonzero composites, would answer differently
+    later, radical_only = 0, 0
+    for seed in range(6):
+        for name in sorted(bridge_groups()):
+            for p in (2, 3):
+                M, targets = summand_cases(name, p, seed)
+                for X in targets[2:]:
+                    at, nonzero = first_invertible_composite(M, X)
+                    later += bool(at)
+                    radical_only += at is None and nonzero
+    assert later > 0 and radical_only > 0
 
 
 def test_multiset_helpers():
@@ -722,13 +798,13 @@ def invariants(M):
 def test_mackey_job_tests_no_isomorphism_that_an_invariant_rules_out(
         monkeypatch):
     pairs = []
-    retract = D._is_retract
+    summand = D.is_direct_summand
 
-    def recording(M, X, run):
+    def recording(M, X, run=None):
         pairs.append(invariants(M) == invariants(X))
-        return retract(M, X, run)
+        return summand(M, X, run)
 
-    monkeypatch.setattr(D, "_is_retract", recording)
+    monkeypatch.setattr(D, "is_direct_summand", recording)
     bench = ROOT / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     wl = importlib.import_module("workloads")
@@ -739,18 +815,18 @@ def test_mackey_job_tests_no_isomorphism_that_an_invariant_rules_out(
 
 
 def test_verify_tests_no_isomorphism_that_an_invariant_rules_out(monkeypatch):
-    # every retract test that an isomorphism test makes, in the round trips
-    # and the bijection checks too; is_direct_summand's own retract tests
+    # every summand test that an isomorphism test makes, in the round trips
+    # and the bijection checks too; the other callers of is_direct_summand
     # may compare modules that differ in an invariant, and are left out
     pairs = []
-    retract = D._is_retract
+    summand = D.is_direct_summand
 
-    def recording(M, X, run):
+    def recording(M, X, run=None):
         if sys._getframe(1).f_code.co_name == "_iso_indec":
             pairs.append(invariants(M) == invariants(X))
-        return retract(M, X, run)
+        return summand(M, X, run)
 
-    monkeypatch.setattr(D, "_is_retract", recording)
+    monkeypatch.setattr(D, "is_direct_summand", recording)
     sc = cli.Config.from_file(str(ROOT / "configs/s4_d8_d8.json")).scenario()
     assert verify_scenario(sc, Run()).all_pass
     assert pairs and all(pairs)
@@ -766,7 +842,7 @@ def test_isomorphism_tests_tell_invariants_apart_without_a_hom(monkeypatch):
     def no_hom(*args):
         raise AssertionError("solved a Hom that an invariant rules out")
 
-    monkeypatch.setattr(D, "_is_retract", no_hom)
+    monkeypatch.setattr(D, "is_direct_summand", no_hom)
     monkeypatch.setattr(D, "hom_space", no_hom)
     assert not D._iso_indec(k, sign)  # traces 1 and 2 of the transposition
     assert not is_isomorphic(k, sign)

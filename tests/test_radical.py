@@ -130,7 +130,8 @@ def check_radical(M: FpModule) -> None:
     brute = brute_radical(ends, p, BRUTE_LIMIT)
     assert info.local == (brute is not None)
     if info.local:
-        assert np.array_equal(info.radical_flat[0], brute)
+        flat = np.stack([e.ravel() for e in ends])
+        assert np.array_equal(rref_mod((J @ flat) % p, p)[0], brute)
         assert info.radical_dim == len(J) == len(brute)
     else:
         assert len(ends) - len(J) == semisimple_dim(M)

@@ -5,13 +5,14 @@ import importlib
 import sys
 import weakref
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from greencorr import cli
-from greencorr.catalog import cyclic, scenario_chains, symmetric
+from greencorr.catalog import alternating, cyclic, scenario_chains, symmetric
 from greencorr.decompose import Run, decompose
 from greencorr.linalg import rref
 from greencorr.modules import (
@@ -21,7 +22,11 @@ from greencorr.permgroups import (
     all_subgroups, class_representatives, p_part, p_subgroups_up_to_conjugacy,
     sylow, trivial_subgroup)
 
-from oracles import module_catalog_all_inductions, vertex_by_subgroup_descent
+from oracles import (
+    galois_regular_classes,
+    module_catalog_all_inductions,
+    vertex_by_subgroup_descent,
+)
 
 D = importlib.import_module("greencorr.decompose")
 GREEN = importlib.import_module("greencorr.green")
@@ -483,3 +488,81 @@ def test_vertex_descends_through_one_class_list_per_group(chain, monkeypatch):
     for key, classes in shared.p_subgroups.items():
         G = next(X for X in (sc.H.group, sc.G) if X.fingerprint == key[0])
         assert classes[0].order == p_part(G.order, sc.p)
+
+
+# ---------------------------------------------------------------------------
+# each catalog holds every projective indecomposable, by the group alone
+# ---------------------------------------------------------------------------
+
+
+def solve_exactly(A, b):
+    """x with A x = b over the rationals, for an invertible square A."""
+    n = len(A)
+    rows = [[Fraction(v) for v in row] + [Fraction(c)] for row, c in zip(A, b)]
+    for c in range(n):
+        k = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[k] = rows[k], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return [row[n] for row in rows]
+
+
+def check_projective_rows(X, p, pims, run):
+    """The PIMs of kX are exactly ``pims``: one per simple module, so as
+    many as galois_regular_classes counts, and their Hom dimensions satisfy
+    the Cartan identities.  H_ij = dim Hom(P_i, P_j) is symmetric, since kX
+    is a symmetric algebra; C_ij = H_ij / e_i = [P_j : S_i], e_i the residue
+    degree of End(P_i) = dim End(S_i); dim S = (C^T)^-1 dim P, with e_i | dim
+    S_i; and kX is the sum of dim S_i / e_i copies of each P_i."""
+    assert len(pims) == galois_regular_classes(X, p)
+    e = [D.end_info(P, run).residue_degree for P in pims]
+    H = [[len(hom_space(P, Q)) for Q in pims] for P in pims]
+    assert H == [list(col) for col in zip(*H)]
+    assert all(h % e_i == 0 for row, e_i in zip(H, e) for h in row)
+    C = [[h // e_i for h in row] for row, e_i in zip(H, e)]
+    dim_s = solve_exactly([list(col) for col in zip(*C)],
+                          [P.dim for P in pims])
+    assert all(d.denominator == 1 and d > 0 and d % e_i == 0
+               for d, e_i in zip(dim_s, e))
+    assert sum(P.dim * d / e_i for P, d, e_i in zip(pims, dim_s, e)) == X.order
+
+
+# (H, G) projective rows of each catalog; p = 2 on the scenario_chains()
+PIM_COUNTS = {
+    "a5_a4_v4": (2, 3), "s3_c2_c2": (1, 2), "s4_d8_c4": (1, 2),
+    "s4_d8_d8": (1, 2),
+    "configs/s3_c2_c2.json": (1, 2), "configs/degenerate_s3.json": (2, 2),
+    "configs/s4_d8_c4.json": (1, 2), "configs/s4_d8_d8.json": (1, 2),
+    "configs/a5_a4_v4.json": (2, 3), "perfbench/configs/d8_v4_c2.json": (1, 1),
+    "configs/s4_s3_s3_p3.json": (2, 4), "configs/s3_s3_c2.json": (2, 2),
+    "S4>=S3>=S3, p=2": (2, 2), "A5>=D10>=D10, p=2": (2, 3),
+    "S4>=S4>=S3, p=3": (4, 4),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(scenario_chains()) + CONFIGS
+                         + list(CHAINS))
+def test_each_catalog_holds_one_projective_row_per_simple_module(chain):
+    if chain in scenario_chains():
+        sc = GREEN.Scenario.build(2, *scenario_chains()[chain], name=chain)
+    else:
+        sc = scenario(chain)
+    run = Run()
+    counts = []
+    for side in ("H", "G"):
+        X = sc.side(side)[0]
+        pims = [mod for mod, _, _ in GREEN.module_catalog(sc, side, run)
+                if D.vertex(mod, run).order == 1]
+        check_projective_rows(X, sc.p, pims, run)
+        counts.append(len(pims))
+    assert tuple(counts) == PIM_COUNTS[chain]
+
+
+def test_simple_modules_are_counted_with_galois_fusion():
+    # A4 has three classes of 2-regular elements, but its two non-trivial
+    # one-dimensional modules over GF(4) make one simple module over GF(2)
+    assert galois_regular_classes(alternating(4), 2) == 2
+    assert galois_regular_classes(alternating(5), 3) == 3
+    assert galois_regular_classes(symmetric(4), 3) == 4

@@ -14,6 +14,10 @@ parentheses, the functions that write and read that format, and each of them
 must be defined in the package, so that the file-format document cannot
 outlive the code it describes.
 
+Each backticked identifier of ``README.md`` that begins with an underscore
+must be a top-level function or class of the package, so that the README
+names no private function that is gone.
+
 Once ``greencorr.cli`` is imported, no CLI command imports another module:
 every command runs in a fresh interpreter, so a lazy import on the run path
 is paid by every call (the first plain ``np.unique`` imports ``numpy.ma``).
@@ -32,6 +36,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "greencorr"
 SCHEMAS = ROOT / "docs" / "schemas.md"
+README = ROOT / "README.md"
 MUTABLE_CALLS = frozenset({"dict", "list", "set", "defaultdict",
                            "OrderedDict", "Counter", "deque"})
 MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
@@ -200,6 +205,27 @@ def test_format_guard_reads_identifiers_in_heading_parentheses():
         "## `verify` report (`<out>/verify.json`, or `stdout`)\n") == [
             "groupoid_to_json", "groupoid_from_json", "stdout"]
     assert "groupoid_to_json" not in package_names()
+
+
+def private_names(markdown: str) -> list[str]:
+    """Each backticked Python identifier that begins with an underscore; a
+    call such as ``_f(x)`` or a dotted name is not an identifier."""
+    return [name for name in re.findall(r"`([^`\n]+)`", markdown)
+            if name.isidentifier() and name.startswith("_")]
+
+
+def test_readme_names_private_functions_the_package_defines():
+    names = private_names(README.read_text())
+    assert "_tally" in names
+    assert [name for name in names if name not in package_names()] == []
+
+
+def test_readme_guard_reads_backticked_private_identifiers():
+    assert private_names(
+        "First fit (`_tally`) calls `_iso_indec(M, N)` and `decompose`,\n"
+        "then `_gone`, `run._memo` and `_tally`.\n"
+        "```sh\n_x = 1\n```\n") == ["_tally", "_gone", "_tally"]
+    assert "_gone" not in package_names()
 
 
 # Runs every command on two configs, and vertex on a module file (the 2-dim
