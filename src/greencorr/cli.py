@@ -260,7 +260,7 @@ def run_correspond(sc: Scenario, args) -> tuple[dict, bool]:
     run = Run()
     pairs = [
         {"n": name, "dim_n": n.dim, "dim_m": m.dim, "round_trip": round_trip}
-        for name, n, m, _, round_trip
+        for name, n, _, m, _, round_trip
         in correspondence(sc, named_catalog(sc, "H", run), run)
     ]
     return ({"command": "correspond", "pairs": pairs},

@@ -105,32 +105,27 @@ class Scenario:
         ``i``."""
         return subgroup_inclusion(self.d_in_h, self.i.domain)
 
+    @property
     def x_in_g(self) -> list[SubgroupEmbedding]:
         return self.families.x_classes
 
     @cached_property
-    def _x_in_h(self) -> list[SubgroupEmbedding]:
+    def x_in_h(self) -> list[SubgroupEmbedding]:
+        """The X family as subgroups of H, deduplicated up to H-conjugacy."""
         return self._family_in_h([S for _, S in self.families.x_pairs])
 
     @cached_property
-    def _y_in_h(self) -> list[SubgroupEmbedding]:
-        return self._family_in_h([S for _, S in self.families.y_pairs])
-
-    def x_in_h(self) -> list[SubgroupEmbedding]:
-        """The X family as subgroups of H, deduplicated up to H-conjugacy."""
-        return self._x_in_h
-
     def y_in_h(self) -> list[SubgroupEmbedding]:
-        return self._y_in_h
+        return self._family_in_h([S for _, S in self.families.y_pairs])
 
     def side(self, side: str) -> tuple[PermGroup, SubgroupEmbedding,
                                        list[SubgroupEmbedding]]:
         """The group of side "H" or "G", D inside it and the X family
         inside it."""
         if side == "H":
-            return self.H.group, self.d_in_h, self.x_in_h()
+            return self.H.group, self.d_in_h, self.x_in_h
         if side == "G":
-            return self.G, self.D, self.x_in_g()
+            return self.G, self.D, self.x_in_g
         raise InputError("side must be 'H' or 'G'")
 
     def _family_in_h(self, members: list[SubgroupEmbedding]) -> list[SubgroupEmbedding]:
@@ -253,7 +248,7 @@ def module_catalog(sc: Scenario, side: str,
         Q = vertex(mod, run)
         out.append((mod.dim, Q.order > 1, mod,
                     is_subconjugate(amb_group, Q, d_emb),
-                    any(is_subconjugate(amb_group, Q, X) for X in fam)))
+                    is_x_object(mod, fam, run)))
     out.sort(key=lambda t: t[:2])
     return [t[2:] for t in out]
 
@@ -291,14 +286,14 @@ def correspondent_up(n: FpModule, sc: Scenario,
                      run: Run | None = None) -> FpModule:
     """The X-free part of Ind_H^G n, which the Green correspondence promises
     is a single indecomposable with multiplicity one."""
-    return _correspondent(n, sc, "H", induce(n, sc.H), sc.x_in_g(),
+    return _correspondent(n, sc, "H", induce(n, sc.H), sc.x_in_g,
                           run or Run())
 
 
 def correspondent_down(m: FpModule, sc: Scenario,
                        run: Run | None = None) -> FpModule:
     """The Y-free part of Res_H^G m."""
-    return _correspondent(m, sc, "G", restrict(m, sc.H), sc.y_in_h(),
+    return _correspondent(m, sc, "G", restrict(m, sc.H), sc.y_in_h,
                           run or Run())
 
 
@@ -325,16 +320,19 @@ def _correspondent(mod: FpModule, sc: Scenario, side: str, moved: FpModule,
 def correspondence(sc: Scenario,
                    catalog_h: list[tuple[str, FpModule, bool, bool]],
                    run: Run) -> Iterator[tuple[str, FpModule, FpModule,
-                                               FpModule, bool]]:
-    """The Green correspondence on the eligible rows of the named H catalog:
-    yields (name, n, m, Res_H m, round_trip) with m = correspondent_up(n)
-    and round_trip whether correspondent_down(m), taken from that one
-    Res_H m, is isomorphic to n."""
+                                               FpModule, FpModule, bool]]:
+    """The Green correspondence on the eligible rows of the named H catalog,
+    in one pass that builds each module of a pair once: yields (name, n,
+    Ind_H^G n, m, Res_H m, round_trip) with m the X-free part of that Ind n,
+    as ``correspondent_up`` finds it, and round_trip whether the Y-free part
+    of that Res_H m, as ``correspondent_down`` finds it, is isomorphic to n.
+    Each Ind n is decomposed before the pair is yielded."""
     for name, n in eligible(catalog_h):
-        m = correspondent_up(n, sc, run)
+        ind = induce(n, sc.H)
+        m = _correspondent(n, sc, "H", ind, sc.x_in_g, run)
         res_m = restrict(m, sc.H)
-        back = _correspondent(m, sc, "G", res_m, sc.y_in_h(), run)
-        yield name, n, m, res_m, _iso_indec(n, back, run)
+        back = _correspondent(m, sc, "G", res_m, sc.y_in_h, run)
+        yield name, n, ind, m, res_m, _iso_indec(n, back, run)
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +341,13 @@ def correspondence(sc: Scenario,
 
 
 @dataclass
-class ModuleEntry:
-    name: str
-    dim: int
-    vertex_order: int
-    vertex_is_d: bool
-    x_object: bool
-
-
-@dataclass
 class GreenReport:
     scenario: str
     p: int
     orders: tuple[int, int, int]
     normalizer_condition: bool
-    indecomposables_H: list[ModuleEntry]
-    indecomposables_G: list[ModuleEntry]
+    indecomposables_H: list[dict]
+    indecomposables_G: list[dict]
     correspondence_pairs: list[dict]
     ff_table: list[dict]
     verdicts: dict[str, bool]
@@ -377,8 +366,8 @@ class GreenReport:
                        "D": self.orders[2]},
             "normalizer_condition": self.normalizer_condition,
             "family_orders": self.family_orders,
-            "indecomposables_H": [vars(e) for e in self.indecomposables_H],
-            "indecomposables_G": [vars(e) for e in self.indecomposables_G],
+            "indecomposables_H": self.indecomposables_H,
+            "indecomposables_G": self.indecomposables_G,
             "correspondence_pairs": self.correspondence_pairs,
             "ff_table": self.ff_table,
             "verdicts": dict(sorted(self.verdicts.items())),
@@ -450,45 +439,37 @@ def boundary_families_match(sc: Scenario) -> bool:
 def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     """Run every machine check of the Green equivalence and correspondence on
     the scenario's finite eligible test set, with one ``run`` memoizing
-    decompositions, End analyses and vertices across all of them."""
+    decompositions, End analyses and vertices across all of them.  The pair
+    checks run over one pass of ``correspondence``, which decomposes each
+    Ind n, and the fully-faithful table then reads End(Ind n) from the run."""
     run = run or Run()
     cat_h, cat_g = (named_catalog(sc, side, run) for side in ("H", "G"))
     elig_h, elig_g = eligible(cat_h), eligible(cat_g)
-    fam_g = sc.x_in_g()
-    fam_h = sc.x_in_h()
+    fam_g = sc.x_in_g
+    fam_h = sc.x_in_h
     d_key = sc.D.canonical_class_key
+    # the vertex class in G of every D-object row, which each pair reads
+    # for its n
+    classes = {name: _vertex_class_in_g(sc, mod, run)
+               for cat in (cat_h, cat_g) for name, mod, d_obj, _ in cat
+               if d_obj}
+    rows_h, rows_g = (
+        [{"name": name, "dim": mod.dim, "vertex_order": classes[name][1],
+          "vertex_is_d": classes[name][0] == d_key, "x_object": x_obj}
+         for name, mod, d_obj, x_obj in cat if d_obj]
+        for cat in (cat_h, cat_g))
 
     verdicts: dict[str, bool] = {}
-
-    # (a) fully-faithfulness: quotient hom dims match under induction
-    ff_rows = []
-    ff_ok = True
-    induced = [induce(n, sc.H) for _, n in elig_h]
-    # correspondent_up decomposes each Ind n below; doing it first keeps the
-    # End basis of an indecomposable Ind n in the run for the quotient hom
-    for mod in induced:
-        decompose(mod, run)
-    for (name1, n1), ind1 in zip(elig_h, induced):
-        for (name2, n2), ind2 in zip(elig_h, induced):
-            dim_h = quotient_hom_dim(n1, n2, fam_h, run)
-            dim_g = quotient_hom_dim(ind1, ind2, fam_g, run)
-            equal = dim_h == dim_g
-            ff_ok = ff_ok and equal
-            ff_rows.append({
-                "n1": name1, "n2": name2,
-                "qdim_H": dim_h, "qdim_G": dim_g, "equal": equal,
-            })
-    verdicts["fully_faithful"] = ff_ok
 
     # (b) bijection with round trips and explicit retract witnesses, and
     # (c) vertex preservation, per pair.  The eligible G classes are pairwise
     # non-isomorphic, so each m matches at most one, and the correspondence
     # is onto iff every one is matched
-    pairs = []
+    pairs, induced = [], []
     bij_ok = vertex_ok = vertex_d_ok = True
     matched = set()
-    for (name, n, m, res_m, round_trip), ind in zip(
-            correspondence(sc, cat_h, run), induced):
+    for name, n, ind, m, res_m, round_trip in correspondence(sc, cat_h, run):
+        induced.append((name, n, ind))
         m_le_ind = is_direct_summand(m, ind, run)
         n_le_res = is_direct_summand(n, res_m, run)
         match = next((j for j, (_, mg) in enumerate(elig_g)
@@ -496,7 +477,7 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
         bij_ok = (bij_ok and round_trip and m_le_ind and n_le_res
                   and match is not None)
         matched.add(match)
-        key_n, ord_n = _vertex_class_in_g(sc, n, run)
+        key_n, ord_n = classes[name]
         key_m, _ = _vertex_class_in_g(sc, m, run)
         same = key_n == key_m
         vertex_ok = vertex_ok and same
@@ -519,11 +500,21 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
     verdicts["vertex_preservation"] = vertex_ok
     if sc.normalizer_condition:
         verdicts["vertex_D_restriction"] = vertex_d_ok
-    entries_h, entries_g = (
-        [ModuleEntry(name, mod.dim, order, key == d_key, x_obj)
-         for name, mod, d_obj, x_obj in cat if d_obj
-         for key, order in [_vertex_class_in_g(sc, mod, run)]]
-        for cat in (cat_h, cat_g))
+
+    # (a) fully-faithfulness: quotient hom dims match under induction
+    ff_rows = []
+    ff_ok = True
+    for name1, n1, ind1 in induced:
+        for name2, n2, ind2 in induced:
+            dim_h = quotient_hom_dim(n1, n2, fam_h, run)
+            dim_g = quotient_hom_dim(ind1, ind2, fam_g, run)
+            equal = dim_h == dim_g
+            ff_ok = ff_ok and equal
+            ff_rows.append({
+                "n1": name1, "n2": name2,
+                "qdim_H": dim_h, "qdim_G": dim_g, "equal": equal,
+            })
+    verdicts["fully_faithful"] = ff_ok
 
     # (e) groupoid-level cross-checks
     verdicts["boundary_families_match"] = boundary_families_match(sc)
@@ -544,8 +535,8 @@ def verify_scenario(sc: Scenario, run: Run | None = None) -> GreenReport:
         scenario=sc.name, p=sc.p,
         orders=(sc.G.order, sc.H.order, sc.D.order),
         normalizer_condition=sc.normalizer_condition,
-        indecomposables_H=entries_h,
-        indecomposables_G=entries_g,
+        indecomposables_H=rows_h,
+        indecomposables_G=rows_g,
         correspondence_pairs=pairs,
         ff_table=ff_rows,
         verdicts=verdicts,

@@ -94,15 +94,6 @@ class FpModule:
                                       for a in self.action)
         return self._moved_ranks
 
-    def spot_check(self, rng: np.random.Generator, samples: int = 10) -> None:
-        """Random check that cached matrices respect the multiplication table."""
-        n = self.group.order
-        for _ in range(samples):
-            g, h = int(rng.integers(n)), int(rng.integers(n))
-            lhs = self.element_action(int(self.group.mult[g, h]))
-            rhs = (self.element_action(g) @ self.element_action(h)) % self.p
-            assert (lhs == rhs).all(), "factorization-path inconsistency"
-
     def fingerprint(self) -> bytes:
         stacked = np.concatenate([a.ravel() for a in self.action]) if self.action \
             else np.zeros(0, dtype=np.int64)

@@ -158,8 +158,8 @@ def test_factoring_subspace_matches_literal_trace_on_catalog_families():
     for G, H, D in scenario_chains().values():
         for p in (2, 3):
             sc = Scenario.build(p, G, H, D)
-            for K, family in ((G, sc.x_in_g()), (H.group, sc.x_in_h()),
-                              (H.group, sc.y_in_h())):
+            for K, family in ((G, sc.x_in_g), (H.group, sc.x_in_h),
+                              (H.group, sc.y_in_h)):
                 pool = _default_pool(K, p)
                 M = random_module(K, p, 4, rng, pool)
                 N = direct_sum(M, random_module(K, p, 3, rng, pool))
@@ -179,7 +179,7 @@ def test_factoring_subspace_vs_literal_counit_image():
         kH = trivial_module(sc.H.group, p)
         M = induce(kH, sc.H)
         N = M
-        fam = sc.x_in_g()
+        fam = sc.x_in_g
         R_fast, piv_fast = factoring_subspace(M, N, fam, hom_space(M, N))
         rows = []
         for X in fam:
@@ -215,7 +215,7 @@ def test_x_object_routes_agree_on_s4_scenario():
     # small permutation-module summands keep the naive route desk-scale
     G, H, D = chain_s4_d8_c4()
     sc = Scenario.build(2, G, H, D)
-    fam = sc.x_in_g()
+    fam = sc.x_in_g
     S3 = subgroup(G, ["(0 1)", "(0 1 2)"], tag="S3")
     pool = [trivial_module(G, 2),
             permutation_module(G, H, 2),

@@ -45,9 +45,9 @@ def test_scenario_build_validates():
 
 def test_s3_families_and_flag(s3):
     assert s3.normalizer_condition
-    assert [S.order for S in s3.x_in_g()] == [1]
-    assert [S.order for S in s3.x_in_h()] == [1]
-    assert [S.order for S in s3.y_in_h()] == [1]
+    assert [S.order for S in s3.x_in_g] == [1]
+    assert [S.order for S in s3.x_in_h] == [1]
+    assert [S.order for S in s3.y_in_h] == [1]
 
 
 def test_factoring_subspace_full_family_is_everything(s3):
@@ -84,9 +84,9 @@ def test_relative_trace_vanishes_on_trivial_module_c2():
 def test_s3_quotient_dim_example(s3):
     # S3 scenario: qdim(k, k, X) = 1 over H and over G after induction
     kH = trivial_module(s3.H.group, 2)
-    assert quotient_hom_dim(kH, kH, s3.x_in_h()) == 1
+    assert quotient_hom_dim(kH, kH, s3.x_in_h) == 1
     ind = induce(kH, s3.H)
-    assert quotient_hom_dim(ind, ind, s3.x_in_g()) == 1
+    assert quotient_hom_dim(ind, ind, s3.x_in_g) == 1
 
 
 def test_quotient_dim_zero_for_x_objects(s3):
@@ -110,10 +110,10 @@ def test_is_x_object_basics(s3):
     kG = regular_module(G, 2)
     dec = decompose(kG)
     simple2 = next(mod for mod, mult in dec.summands if mult == 2)
-    assert is_x_object(simple2, s3.x_in_g())
-    assert is_x_object_summand_check(simple2, s3.x_in_g())
-    assert not is_x_object(k, s3.x_in_g())
-    assert not is_x_object_summand_check(k, s3.x_in_g())
+    assert is_x_object(simple2, s3.x_in_g)
+    assert is_x_object_summand_check(simple2, s3.x_in_g)
+    assert not is_x_object(k, s3.x_in_g)
+    assert not is_x_object_summand_check(k, s3.x_in_g)
 
 
 def test_eligible_modules_s3(s3):
@@ -191,7 +191,7 @@ def test_factoring_subspace_inside_hom(s3):
     flat = np.stack([h.ravel() for h in homs])
     from greencorr.linalg import rref
     R_hom, piv_hom = rref(flat, 2)
-    R, piv = factoring_subspace(ind, ind, s3.x_in_g(), homs)
+    R, piv = factoring_subspace(ind, ind, s3.x_in_g, homs)
     for row in R:
         assert in_row_space(row, R_hom, piv_hom, 2)
 
@@ -200,7 +200,7 @@ def test_s4_c4_scenario_fast_checks():
     G, H, D = chain_s4_d8_c4()
     sc = Scenario.build(2, G, H, D, "s4_d8_c4")
     assert sc.normalizer_condition
-    assert [S.order for S in sc.x_in_g()] == [1]
+    assert [S.order for S in sc.x_in_g] == [1]
     # the trivial module of D8 is not relatively C4-projective:
     # Ind Res k = k[D8/C4] is the 2-dim indecomposable at p = 2
     from greencorr.decompose import is_relatively_projective
@@ -220,10 +220,10 @@ def test_verify_s4_d8_d8_scenario():
     assert sc.normalizer_condition
     rep = verify_scenario(sc)
     assert rep.all_pass
-    eligible = [e for e in rep.indecomposables_H if not e.x_object]
+    eligible = [e for e in rep.indecomposables_H if not e["x_object"]]
     assert len(rep.correspondence_pairs) == len(eligible)
     # the X-objects are reported too, with their verdicts
-    assert any(e.x_object for e in rep.indecomposables_H)
+    assert any(e["x_object"] for e in rep.indecomposables_H)
 
 
 def test_factoring_closed_under_composition_probes():
@@ -239,7 +239,7 @@ def test_factoring_closed_under_composition_probes():
         if not elig:
             continue
         M = elig[0]
-        fam = sc.x_in_h()
+        fam = sc.x_in_h
         R, piv = factoring_subspace(M, M, fam, hom_space(M, M))
         if R.shape[0] == 0:
             continue
@@ -265,7 +265,7 @@ def test_restriction_sends_x_objects_to_y_objects():
     for chain in (chain_s3, chain_s4_d8_c4):
         G, H, D = chain()
         sc = Scenario.build(2, G, H, D)
-        y_fam = sc.y_in_h()
+        y_fam = sc.y_in_h
         for mod, d_obj, x_obj in module_catalog(sc, "G"):
             if not x_obj:
                 continue

@@ -51,8 +51,10 @@ def test_module_construction_and_cache():
     G = symmetric(3)
     M = regular_module(G, 2)
     assert M.dim == 6
-    rng = np.random.default_rng(0)
-    M.spot_check(rng, samples=20)
+    # the cached element actions respect the multiplication table
+    for g, h in product(range(G.order), repeat=2):
+        assert (M.element_action(int(G.mult[g, h]))
+                == M.element_action(g) @ M.element_action(h) % 2).all()
     # singular action rejected
     with pytest.raises(InputError):
         FpModule(G, 2, [np.zeros((2, 2)), np.eye(2)])

@@ -92,18 +92,38 @@ def test_one_run_computes_each_fingerprint_once(path, decompositions, vertices,
     assert sum(computed["vertex"].values()) == vertices
 
 
-# (config, Res_H m built in one verify): one per correspondence pair.  The
-# down-correspondent and the retract test n | Res_H m each built their own,
-# 8, 6 and 2 in all
-RESTRICTIONS = [
+# (config, correspondence pairs in one verify)
+PAIRS = [
     ("configs/s4_d8_d8.json", 4),
     ("configs/a5_a4_v4.json", 3),
     ("perfbench/configs/d8_v4_c2.json", 1),
 ]
 
 
-@pytest.mark.parametrize("path, pairs", RESTRICTIONS,
-                         ids=[path for path, _ in RESTRICTIONS])
+# Ind_H^G n is built once per pair.  The fully-faithful table and the
+# up-correspondent each built their own, 8, 6 and 2 in all
+@pytest.mark.parametrize("path, pairs", PAIRS, ids=[path for path, _ in PAIRS])
+def test_one_verify_induces_each_eligible_module_once(path, pairs,
+                                                      monkeypatch):
+    sc = scenario(path)
+    induced = []
+    original = GREEN.induce
+
+    def counting(M, emb):
+        if emb is sc.H:
+            induced.append(M.fingerprint())
+        return original(M, emb)
+
+    monkeypatch.setattr(GREEN, "induce", counting)
+    report = GREEN.verify_scenario(sc, Run())
+    assert report.all_pass
+    assert len(report.correspondence_pairs) == pairs
+    assert len(induced) == len(set(induced)) == pairs
+
+
+# Res_H m is built once per pair.  The down-correspondent and the retract
+# test n | Res_H m each built their own, 8, 6 and 2 in all
+@pytest.mark.parametrize("path, pairs", PAIRS, ids=[path for path, _ in PAIRS])
 def test_one_verify_restricts_each_correspondent_once(path, pairs,
                                                       monkeypatch):
     restricted = []
@@ -254,15 +274,18 @@ def test_a_correspondent_outside_the_catalog_fails_the_bijection(monkeypatch):
         submodule_from_vectors(kC4, [e[sc.D.group.identity] + x])]
         if U.dim == 3)
     stranger = induce(U, sc.d_in_h)
-    original = GREEN.correspondent_up
-    first = []
+    original = GREEN.induce
+    swapped = []
 
-    def swapping(n, scenario, run=None):
-        if not first:
-            first.append(n)
-        return original(stranger if n is first[0] else n, scenario, run)
+    def swapping(M, emb):
+        # the correspondence induces each eligible H-module once, the
+        # first of them first
+        if emb is sc.H and not swapped:
+            swapped.append(M)
+            M = stranger
+        return original(M, emb)
 
-    monkeypatch.setattr(GREEN, "correspondent_up", swapping)
+    monkeypatch.setattr(GREEN, "induce", swapping)
     report = GREEN.verify_scenario(sc, Run())
     pair = report.correspondence_pairs[0]
     assert pair["m"] == f"G:d{pair['dim_m']}?"
