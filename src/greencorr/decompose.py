@@ -36,23 +36,23 @@ depend on any seed, and a wrong certificate is never returned.  The radical
 certifies that End(M) is local, so that its non-units are the radical: an
 indecomposable M is a summand of X iff a composite M -> X -> M of basis homs
 is invertible, which decides isomorphisms of indecomposables too.  Relative
-projectivity is settled by Green's vertex theory where it can be, by the
-p-part of |G:X| dividing dim M and by subconjugacy to a known vertex, and
-otherwise by Higman's criterion.  A vertex comes from Higman's criterion,
-tested at a Sylow p-subgroup, then at the trivial subgroup, then by descent;
-``source`` reads a source off the summands of Res_Q M by Green's theorem,
-with no induced module.  Isomorphism classes are found first fit.  Every
-isomorphism test first compares the dimension, the trace of each generator
-action and the rank of each (action - I), all invariant under conjugation,
-and tells a pair that differs apart without a Hom solve.
+projectivity is refused without a trace when the p-part of |G:X| does not
+divide dim M, and otherwise decided by Higman's criterion.  A vertex is the
+first p-subgroup class, by increasing order, relative to which M is
+projective, after a test at a Sylow subgroup; ``source`` reads a source off
+the summands of Res_Q M by Green's theorem, with no induced module.
+Isomorphism classes are found first fit.  Every isomorphism test first
+compares the dimension, the trace of each generator action and the rank of
+each (action - I), all invariant under conjugation, and tells a pair that
+differs apart without a Hom solve.
 
 A ``Run`` memoizes, for as long as the caller keeps it: decompositions,
 End analyses with their End bases, and vertices, by module fingerprint; and
-the p-subgroup classes that a vertex descent walks, by group and prime, a
-Sylow subgroup first.  A Higman verdict is not kept: once a module's vertex
-is known, subconjugacy answers every later test.  A public function called
-without a ``Run`` makes a fresh one for that call only, so nothing is kept
-between calls that do not share one.
+the p-subgroup classes that a vertex search walks, by group and prime, a
+Sylow subgroup first.  A Higman verdict is not kept: ``vertex`` tests each
+class once, and a module's vertex settles its later tests by Green's vertex
+theory.  A public function called without a ``Run`` makes a fresh one for
+that call only, so nothing is kept between calls that do not share one.
 """
 
 from __future__ import annotations
@@ -76,12 +76,10 @@ from .modules import (
 from .permgroups import (
     PermGroup,
     SubgroupEmbedding,
-    is_subconjugate,
     left_coset_representatives,
     p_part,
     p_subgroups_up_to_conjugacy,
     sylow,
-    trivial_subgroup,
 )
 
 
@@ -488,7 +486,8 @@ class Run:
     Keyed by the exact module fingerprint: decompositions, End analyses
     (each with its End basis) and vertices.  Keyed by group fingerprint and
     prime: the classes of p-subgroups up to conjugacy, a Sylow subgroup
-    first, ``p_subgroups``.
+    first, ``p_subgroups``, which ``vertex`` tests after that Sylow
+    subgroup by increasing order.
 
     A key fixes what is computed, so a hit is what a fresh computation would
     return; the tables live exactly as long as the Run.
@@ -765,17 +764,15 @@ def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding,
     """Whether M is relatively X-projective, X = ``emb`` (a retract of
     Ind_X Res_X M; with X = D, M is a D-object).
 
-    Green's vertex theory settles most tests without a trace (J. A. Green,
-    Math. Z. 70, 1959).  Each indecomposable summand of a relatively
-    X-projective M has a vertex Q <=_G X, and |G:Q|_p divides its dimension,
-    so when |G:X|_p does not divide dim M the answer is no.  An
-    indecomposable M with vertex Q is relatively X-projective iff Q <=_G X,
-    so once ``run`` holds M's vertex, subconjugacy decides.  Otherwise
-    Higman's criterion decides: M is relatively X-projective iff id_M lies in
-    the image of the relative trace Tr_X^G on End_kX(Res_X M) (D. G. Higman,
-    Duke Math. J. 21, 1954).  The End basis is the one ``run`` keeps.  The
-    trace's verdict is not kept: ``vertex`` tests each subgroup class once,
-    and the vertex it keeps answers every later test.
+    Each indecomposable summand of a relatively X-projective M has a vertex
+    Q <=_G X, and |G:Q|_p divides its dimension (J. A. Green, Math. Z. 70,
+    1959), so when |G:X|_p does not divide dim M the answer is no, with no
+    trace.  Otherwise Higman's criterion decides: M is relatively
+    X-projective iff id_M lies in the image of the relative trace Tr_X^G on
+    End_kX(Res_X M) (D. G. Higman, Duke Math. J. 21, 1954).  The End basis
+    is the one ``run`` keeps.  The verdict is not kept: ``vertex`` tests
+    each subgroup class once, and ``green`` reads its D-object and X-object
+    verdicts off the vertex that ``run`` keeps.
     """
     G = M.group
     if not G.same_group(emb.ambient):
@@ -785,9 +782,6 @@ def is_relatively_projective(M: FpModule, emb: SubgroupEmbedding,
     if M.dim % p_part(G.order // emb.order, M.p):
         return False
     run = run or Run()
-    Q = run.vertices.get(M.fingerprint())
-    if Q is not None:
-        return is_subconjugate(G, Q, emb)
     R, piv = relative_trace_image(M, M, emb, end_basis(M, run))
     ident = np.eye(M.dim, dtype=np.int64).ravel()
     return linalg.in_row_space(ident, R, piv, M.p)
@@ -797,17 +791,15 @@ def vertex(M: FpModule, run: Run | None = None) -> SubgroupEmbedding:
     """A minimal subgroup Q with M relatively Q-projective, as the canonical
     representative of its conjugacy class.
 
-    Starts at a Sylow p-subgroup (every module is projective relative to it
-    in this cohomological setting), then tests the trivial subgroup, and
-    otherwise descends through the p-subgroup classes of G that ``run``
-    keeps, a Sylow subgroup first: every subgroup of the current one lies in
-    that Sylow subgroup, so it is conjugate to a class subconjugate to the
-    current one.  Every catalog holds the summands of kG, which are
-    projective: by Green's theorem (Math. Z. 70, 1959) |G:Q|_p divides
-    dim M, so only a module of dimension divisible by |G|_p needs the
-    trivial test, and that one trace solves no Hom over a subgroup; a hit
-    ends the descent.  M must be certified indecomposable.  Memoized in
-    ``run`` by module fingerprint.
+    A Sylow p-subgroup is tested first: every module is projective relative
+    to it in this cohomological setting.  Then the vertex is the first of the
+    p-subgroup classes of G that ``run`` keeps, taken by increasing order,
+    relative to which M is projective.  By Green's vertex theory (J. A.
+    Green, Math. Z. 70, 1959) M is relatively R-projective iff Q <=_G R, and
+    no class of order below |Q| holds a conjugate of Q, so the first class
+    that passes is Q's.  Within one order the classes keep the order of
+    ``p_subgroups_up_to_conjugacy``.  M must be certified indecomposable.
+    Memoized in ``run`` by module fingerprint.
     """
     run = run or Run()
     cache_key = M.fingerprint()
@@ -820,23 +812,13 @@ def vertex(M: FpModule, run: Run | None = None) -> SubgroupEmbedding:
     key = (G.fingerprint, M.p)
     if key not in run.p_subgroups:
         run.p_subgroups[key] = p_subgroups_up_to_conjugacy(G, sylow(G, M.p))
-    classes = run.p_subgroups[key]
-    smaller = classes[0]
-    if not is_relatively_projective(M, smaller, run):
+    syl, *smaller = run.p_subgroups[key]
+    if not is_relatively_projective(M, syl, run):
         raise TheoremViolationError("module not projective relative to Sylow")
-    current = trivial_subgroup(G)
-    # a trivial Sylow subgroup was the test just made
-    if smaller.order == 1 or is_relatively_projective(M, current, run):
-        smaller = None
-    while smaller is not None:
-        current = smaller
-        # the trivial subgroup was tested above, and failed
-        smaller = next((R for R in classes
-                        if 1 < R.order < current.order
-                        and is_subconjugate(G, R, current)
-                        and is_relatively_projective(M, R, run)), None)
+    found = next((R for R in sorted(smaller, key=lambda R: R.order)
+                  if is_relatively_projective(M, R, run)), syl)
     canon = run.vertices[cache_key] = SubgroupEmbedding(
-        G, current.canonical_class_key, tag="vertex")
+        G, found.canonical_class_key, tag="vertex")
     return canon
 
 

@@ -26,7 +26,6 @@ from .decompose import (
     end_basis,
     end_info,
     is_direct_summand,
-    is_relatively_projective,
     relative_trace_image,
     vertex,
     _iso_indec,
@@ -231,12 +230,10 @@ def module_catalog(sc: Scenario, side: str,
     module.  Every candidate is the trivial module or a summand whose End
     ``decompose`` certified local, so none needs a locality test here.
 
-    Each class's vertex Q settles its verdicts by Green's vertex theorem: an
-    indecomposable is relatively S-projective iff Q <=_G S, so it is a
-    D-object iff Q <=_G D, an X-object iff Q <=_G some member of the family,
-    and projective iff Q = 1.
+    Each class's vertex Q settles its verdicts, as ``_vertex_verdicts``
+    reads them, and it is projective iff Q = 1.
     """
-    amb_group, d_emb, fam = sc.side(side)
+    amb_group, d_emb, _ = sc.side(side)
     run = run or Run()
     candidates: list[FpModule] = [trivial_module(amb_group, sc.p)]
     for s in generating_family_over_D(sc, run):
@@ -245,12 +242,22 @@ def module_catalog(sc: Scenario, side: str,
 
     out = []
     for mod in _dedup_classes(candidates, run):
-        Q = vertex(mod, run)
-        out.append((mod.dim, Q.order > 1, mod,
-                    is_subconjugate(amb_group, Q, d_emb),
-                    is_x_object(mod, fam, run)))
+        Q, d_obj, x_obj = _vertex_verdicts(mod, sc, side, run)
+        out.append((mod.dim, Q.order > 1, mod, d_obj, x_obj))
     out.sort(key=lambda t: t[:2])
     return [t[2:] for t in out]
+
+
+def _vertex_verdicts(mod: FpModule, sc: Scenario, side: str,
+                     run: Run) -> tuple[SubgroupEmbedding, bool, bool]:
+    """(vertex Q, is D-object, is X-object) of a certified indecomposable
+    module of side "H" or "G".  By Green's vertex theorem (J. A. Green,
+    Math. Z. 70, 1959) an indecomposable is relatively S-projective iff
+    Q <=_G S, so it is a D-object iff Q <=_G D, and an X-object iff
+    Q <=_G some member of the side's family."""
+    amb_group, d_emb, fam = sc.side(side)
+    Q = vertex(mod, run)
+    return Q, is_subconjugate(amb_group, Q, d_emb), is_x_object(mod, fam, run)
 
 
 def named_catalog(sc: Scenario, side: str, run: Run | None = None
@@ -302,12 +309,12 @@ def _correspondent(mod: FpModule, sc: Scenario, side: str, moved: FpModule,
     """The one class of moved, Ind_H^G mod or Res_H mod, outside the
     family-objects, which must have multiplicity one.  mod must be an
     eligible module of its side."""
-    _, d_emb, fam = sc.side(side)
     if mod.dim == 0 or not end_info(mod, run).local:
         raise InputError("correspondent requires a certified indecomposable")
-    if not is_relatively_projective(mod, d_emb, run):
+    _, d_obj, x_obj = _vertex_verdicts(mod, sc, side, run)
+    if not d_obj:
         raise InputError("correspondent requires a D-object")
-    if is_x_object(mod, fam, run):
+    if x_obj:
         raise InputError("correspondent requires a module outside the X-objects")
     survivors = [(s, mult) for s, mult in decompose(moved, run).summands
                  if not is_x_object(s, family, run)]

@@ -495,14 +495,19 @@ def module_to_json(M: FpModule) -> dict:
 
 def module_from_json(doc: dict) -> FpModule:
     """The module that ``module_to_json`` wrote; InputError unless every
-    number is a JSON integer, p is prime and the matrices are a
-    representation."""
+    number is a JSON integer, p is prime, dim * (p - 1)^2 < 2^63 so that
+    the int64 products of the relation check are exact, and the matrices
+    are a representation."""
     p = json_integer(doc["p"], "p")
     require_prime(p)
     ref = doc["group_ref"]
     group = PermGroup(json_integer(ref["degree"], "degree"),
                       [tuple(g) for g in ref["generators"]])
     d = json_integer(doc["dim"], "dim")
+    if d * (p - 1) ** 2 >= 2 ** 63:
+        raise InputError(f"p = {p} is too large for exact products of a "
+                         f"{d}-dimensional module (dim * (p - 1)^2 must "
+                         "stay below 2^63)")
     mats = []
     for i in range(len(group.generators)):
         flat = doc["action"][str(i)]

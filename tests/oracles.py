@@ -1453,3 +1453,24 @@ def assert_same_groupoid(G, brute):
     assert G.compose_many(g, f).tolist() == [brute.compose(*gf) for gf in pairs]
     assert [(c.objects, c.base, c.loops) for c in G.components] == \
         brute.components()
+
+
+def conjugated_c3_module_doc(p):
+    """The module JSON of an 8-dim representation of C3 over GF(p): the
+    permutation representation on 3 + 3 + 1 + 1 points, conjugated by the
+    unit upper triangular U with U[i, j] = (p - 1) // (j - i + 1) above the
+    diagonal.  Formed in exact Python integers, so its entries are the
+    residues mod p for any p, with products far past int64 for p near 2^31."""
+    n = 8
+    perm = [1, 2, 0, 4, 5, 3, 6, 7]
+    U = [[(p - 1) // (j - i + 1) if j > i else int(i == j) for j in range(n)]
+         for i in range(n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            inv[i] = [a - U[i][j] * b for a, b in zip(inv[i], inv[j])]
+    # P sends basis vector l to perm[l], so (U P)[i][l] = U[i][perm[l]]
+    action = [[sum(U[i][perm[l]] * inv[l][k] for l in range(n)) % p
+               for k in range(n)] for i in range(n)]
+    return {"p": p, "group_ref": {"degree": 3, "generators": [[1, 2, 0]]},
+            "dim": n, "action": {"0": [v for row in action for v in row]}}

@@ -279,6 +279,34 @@ def test_tricky_factorization_s4():
     assert fact.strict_on_objects and fact.strict_on_morphisms
 
 
+def shifted_first_projection(monkeypatch):
+    """Make tricky_factorization meet pr1 ∘ u ≠ pr1: the boundary(H, D)
+    that ``partial`` builds for it gets a first projection moved off every
+    object and morphism."""
+    original = boundary_module.partial
+
+    def shifted(i, iota_e, iota_f, name=""):
+        res = original(i, iota_e, iota_f, name=name)
+        if name == "hd":
+            pr1 = res.pr1
+            res.__dict__["pr1"] = GroupoidFunctor(
+                pr1.domain, pr1.codomain, pr1.obj_map + 1, pr1.mor_map + 1,
+                "shifted pr1")
+        return res
+
+    monkeypatch.setattr(boundary_module, "partial", shifted)
+
+
+def test_tricky_factorization_reports_a_non_strict_factorization(monkeypatch):
+    # the exhaustive comparison returns its verdicts instead of raising
+    G, H, D = chain_s3()
+    Ggpd, Hgpd, Dgpd, i, j = chain_functors(G, H, D)
+    shifted_first_projection(monkeypatch)
+    fact = tricky_factorization(i, j)
+    assert fact.u.domain.n_objects > 0
+    assert not fact.strict_on_objects and not fact.strict_on_morphisms
+
+
 def test_tricky_factorization_h_equals_g():
     G = symmetric(3)
     W = whole_group(G)

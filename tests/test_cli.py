@@ -131,6 +131,27 @@ def test_partial_command(s3_config, capsys):
     assert len(doc["boundaries"]["dd"]["components"]) == 1
 
 
+def test_partial_command_fails_a_non_strict_factorization(s3_config, capsys,
+                                                         monkeypatch):
+    # only the factorization meets the shifted projection: the boundary
+    # splits of the report read partial too
+    import greencorr.cli as cli_module
+    from greencorr.boundary import tricky_factorization
+    from test_boundary import shifted_first_projection
+
+    def shifted_factorization(i, j):
+        with pytest.MonkeyPatch.context() as mp:
+            shifted_first_projection(mp)
+            return tricky_factorization(i, j)
+
+    monkeypatch.setattr(cli_module, "tricky_factorization",
+                        shifted_factorization)
+    assert run(["partial", "--scenario", s3_config]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdicts"]["factorization_strict"] is False
+    assert doc["verdicts"]["geography"] is True
+
+
 def test_decompose_golden_regular_s3(s3_config, capsys):
     # golden values frozen from the exhaustive idempotent oracle (see
     # test_decompose.test_regular_s3_gf2_golden)
@@ -400,6 +421,30 @@ def test_bad_module_file_exits_2(kind, s3_config, tmp_path, capsys):
         assert captured.out == ""
         if kind in NON_PRIME_P:
             assert f"{NON_PRIME_P[kind]} is not prime" in captured.err
+
+
+@pytest.mark.parametrize("p", [1_000_003, 67_108_859, 2 ** 31 - 1])
+def test_module_file_prime_past_exact_products_exits_2(p, tmp_path, capsys):
+    # the C3 module loads below the int64 bound of its relation check, and
+    # only then is compared with the scenario over GF(2), so no large-p
+    # decomposition runs; at 2^31 - 1 loading refuses p as too large
+    from oracles import conjugated_c3_module_doc
+
+    config = tmp_path / "c3.json"
+    config.write_text(json.dumps({
+        "p": 2, "degree": 3, "generators_G": ["(0 1 2)"],
+        "generators_H": ["(0 1 2)"], "generators_D": ["(0 1 2)"]}))
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(conjugated_c3_module_doc(p)))
+    code = run(["decompose", "--scenario", str(config),
+                "--module", str(path), "--group", "G"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if p < 2 ** 31 - 1:
+        assert f"module file is over GF({p})" in err
+    else:
+        assert "too large for exact products" in err
 
 
 # trial division took about 90 s to settle the first two (10^18 + 3, and the

@@ -1,5 +1,6 @@
 """Dual-route checks: every optimized computation against a naive route."""
 
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from greencorr.decompose import (
 )
 from greencorr.green import (
     Scenario,
+    _vertex_verdicts,
     factoring_subspace,
     generating_family_over_D,
     is_x_object,
@@ -68,9 +70,12 @@ from oracles import (
     relatively_projective_by_trace,
     rref_mod,
     source_by_induction,
+    vertex_by_subgroup_descent,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
+# the module, which the package's ``decompose`` function shadows
+DECOMPOSE = importlib.import_module("greencorr.decompose")
 
 
 def test_hom_space_vs_kron_on_structured_modules():
@@ -264,34 +269,34 @@ def test_source_routes_agree_on_every_catalog_module(name):
 @pytest.mark.parametrize("name", ["s3_c2_c2", "degenerate_s3", "s4_d8_c4",
                                   "s4_d8_d8", "a5_a4_v4"])
 def test_relative_projectivity_agrees_with_the_trace(name):
-    # Green's shortcuts (the p-part of |G:X| dividing dim M, subconjugacy to
-    # a known vertex) vs Higman's trace alone, for every p-subgroup class X
-    # of a Sylow subgroup: on the catalog modules of both sides, with a fresh
-    # Run and with one that holds their vertices, and on the decomposable
-    # kG and Ind_D s, s in the kD catalog
+    # Higman's trace alone vs two routes.  is_relatively_projective (the
+    # p-part of |G:X| dividing dim M, then the trace) for every p-subgroup
+    # class X of a Sylow subgroup, on the catalog modules of both sides and
+    # on the decomposable kG and Ind_D s, s in the kD catalog; and the
+    # D-object and X-object verdicts that _vertex_verdicts reads off each
+    # catalog module's vertex, with the family's members as X
     sc = cli.Config.from_file(str(ROOT / "configs" / f"{name}.json")).scenario()
     run = Run()
     family = generating_family_over_D(sc, run)
-    decided = {"dimension": 0, "vertex": 0}
+    decided = {"dimension": 0, "eligible": 0}
     for side, K, d_emb in (("H", sc.H.group, sc.d_in_h), ("G", sc.G, sc.D)):
         mods = [mod for mod, _, _ in module_catalog(sc, side, run)]
-        for mod in mods:
-            vertex(mod, run)
         induced = [regular_module(K, sc.p)] + [induce(s, d_emb) for s in family]
         for X in p_subgroups_up_to_conjugacy(K, sylow(K, sc.p)):
             index_p = p_part(K.order // X.order, sc.p)
             for M in mods + induced:
                 expected = relatively_projective_by_trace(M, X)
                 assert is_relatively_projective(M, X, Run()) == expected
-                known = M.fingerprint() in run.vertices
-                if known:
-                    assert is_relatively_projective(M, X, run) == expected, \
-                        (side, M.name)
-                if M.dim % index_p:
-                    decided["dimension"] += 1
-                elif X.order < K.order and known:
-                    decided["vertex"] += 1
-    assert decided["dimension"] and decided["vertex"]
+                decided["dimension"] += M.dim % index_p > 0
+        _, _, fam = sc.side(side)
+        for mod in mods:
+            _, d_obj, x_obj = _vertex_verdicts(mod, sc, side, run)
+            assert d_obj == relatively_projective_by_trace(mod, d_emb), \
+                (side, mod.name)
+            assert x_obj == any(relatively_projective_by_trace(mod, X)
+                                for X in fam), (side, mod.name)
+            decided["eligible"] += d_obj and not x_obj
+    assert decided["dimension"] and decided["eligible"]
 
 
 @settings(max_examples=40)
@@ -306,6 +311,33 @@ def test_a_dimension_prime_to_the_index_is_never_relatively_projective(
     for X in all_subgroups(G):
         if M.dim % p_part(G.order // X.order, p):
             assert not relatively_projective_by_trace(M, X), (name, p, X)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(sorted(bridge_groups())), st.sampled_from([2, 3, 5]),
+       st.integers(0, 2 ** 32 - 1))
+def test_vertex_first_fit_matches_the_descent(name, p, seed):
+    # the first class, smallest first, relative to which a summand is
+    # projective is the class the former descent ends at, and takes no more
+    # traces to find
+    G = bridge_groups()[name]
+    M = random_module(G, p, 8, np.random.default_rng(seed))
+    traces = []
+    trace = DECOMPOSE.relative_trace_image
+
+    def counting(M, N, emb, homs):
+        traces.append(emb.order)
+        return trace(M, N, emb, homs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DECOMPOSE, "relative_trace_image", counting)
+        for mod, _ in decompose(M, Run()).summands:
+            traces.clear()
+            found = vertex(mod, Run()).element_indices
+            first_fit = len(traces)
+            traces.clear()
+            assert vertex_by_subgroup_descent(mod, Run()) == found, (name, p)
+            assert first_fit <= len(traces), (name, p)
 
 
 def test_source_passes_over_a_summand_of_smaller_vertex():

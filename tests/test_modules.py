@@ -37,6 +37,7 @@ from greencorr.permgroups import (
 
 from oracles import (
     ReferenceSpin,
+    conjugated_c3_module_doc,
     dense_hom_space,
     frontier_submodule_actions,
     kron_hom_basis,
@@ -253,6 +254,21 @@ def test_module_json_roundtrip():
     assert back.dim == kG.dim and back.p == kG.p
     assert all((a == b).all() for a, b in zip(back.action, kG.action))
     assert module_to_json(back) == doc
+
+
+@pytest.mark.parametrize("p", [1_000_003, 67_108_859])
+def test_module_json_loads_a_large_p_with_exact_products(p):
+    # 8 * (p - 1)^2 < 2^63, so the int64 relation check is exact
+    doc = conjugated_c3_module_doc(p)
+    M = module_from_json(doc)
+    assert module_to_json(M) == doc
+
+
+def test_module_json_refuses_a_p_too_large_for_exact_products():
+    # at p = 2^31 - 1, 8 * (p - 1)^2 >= 2^63: the int64 products of the
+    # relation check would overflow, so p is refused before any is formed
+    with pytest.raises(InputError, match="too large for exact products"):
+        module_from_json(conjugated_c3_module_doc(2 ** 31 - 1))
 
 
 def test_trivial_group_modules():
